@@ -28,7 +28,6 @@ from .errors import (
     TruncationError,
     UnsupportedConfigurationError,
 )
-from .oracle_checks import DEFAULT_G_GRID, DEFAULT_N_GRID, run_oracle_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,12 +178,16 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _cmd_oracle_check(args) -> int:
-    report = run_oracle_checks(
-        n_grid=_parse_grid(args.n_grid, "--n-grid"),
-        g_grid=_parse_grid(args.g_grid, "--g-grid"),
-        tail=args.tail,
-        gain_for_noise=args.g_noise,
-    )
+    # Imported here so the other commands never load the Fock-space oracle
+    # and scipy.sparse behind it.
+    from .oracle_checks import run_oracle_checks
+
+    grids = {}  # an unset flag leaves the suite's own default grid
+    if args.n_grid is not None:
+        grids["n_grid"] = _parse_grid(args.n_grid, "--n-grid")
+    if args.g_grid is not None:
+        grids["g_grid"] = _parse_grid(args.g_grid, "--g-grid")
+    report = run_oracle_checks(**grids, tail=args.tail, gain_for_noise=args.g_noise)
     _write_output(args.out, _json_payload(report))
     return EXIT_OK if report["all_expected_pass_ok"] else 1
 
@@ -268,15 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser(
         "oracle-check", help="run the verification suites and report (JSON)"
     )
+    oracle.add_argument("--n-grid", help="comma-separated thermal means")
     oracle.add_argument(
-        "--n-grid",
-        default=",".join(str(x) for x in DEFAULT_N_GRID),
-        help="comma-separated thermal means",
-    )
-    oracle.add_argument(
-        "--g-grid",
-        default=",".join(str(x) for x in DEFAULT_G_GRID),
-        help="comma-separated gains for the Fock-space suites",
+        "--g-grid", help="comma-separated gains for the Fock-space suites"
     )
     oracle.add_argument(
         "--tail", type=float, default=1e-12, help="thermal tail used to size truncation"
@@ -337,3 +334,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
+from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
 from .errors import DomainError
 from .opa import OpaParams, coeffs, propagate_moments
 from .photon_stats import MomentConvention, MomentVector, thermal_moments
@@ -34,9 +37,7 @@ class Geometry:
 
     def __post_init__(self):
         for name in ("wavenumber", "baseline", "angular_size"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, nonnegative_scalar(name, getattr(self, name)))
 
     @property
     def phase(self) -> float:
@@ -57,9 +58,7 @@ class SourcePair:
 
     def __post_init__(self):
         for name in ("n_bar", "m_bar"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, nonnegative_scalar(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,13 @@ class UndefinedSnrWarning(RuntimeWarning):
     """Raised as a warning when a 0/0 SNR is reported as zero."""
 
 
-def _check_nonnegative(**values: float) -> None:
-    for name, value in values.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
-            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+def _means(n_bar: FloatOrArray, m_bar: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
+    return nonnegative("n_bar", n_bar), nonnegative("m_bar", m_bar)
+
+
+def _nonzero(n: np.ndarray, m: np.ndarray, what: str) -> None:
+    if np.any((n == 0.0) | (m == 0.0)):
+        raise DomainError(f"{what} undefined for a zero mean photon number")
 
 
 def correlation_full(nm: MomentVector, mm: MomentVector, geom: Geometry) -> float:
@@ -93,13 +95,13 @@ def correlation_dc(nm: MomentVector, mm: MomentVector) -> float:
     return nm.m2 + mm.m2 + 2.0 * nm.m1 * mm.m1
 
 
-def correlation_ac(n_bar: float, m_bar: float, geom: Geometry) -> float:
+def correlation_ac(n_bar: FloatOrArray, m_bar: FloatOrArray, geom: Geometry) -> FloatOrArray:
     """Phase-dependent signal 2 * n_bar * m_bar * cos(phase) after DC subtraction."""
-    _check_nonnegative(n_bar=n_bar, m_bar=m_bar)
-    return 2.0 * n_bar * m_bar * math.cos(geom.phase)
+    n, m = _means(n_bar, m_bar)
+    return unwrap(2.0 * n * m * math.cos(geom.phase))
 
 
-def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> float:
+def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
     # Generic phase-averaged squared noise in the eight moment components.
     # The +6 cross coefficient makes the thermal reduction identical to
     # noise_avg_printed; the published general form carries -6 there, which
@@ -108,86 +110,87 @@ def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> float:
     m1, m2, m3, m4 = mm.m1, mm.m2, mm.m3, mm.m4
     return (
         n4
-        - n2**2
+        - np.float_power(n2, 2)
         + m4
-        - m2**2
+        - np.float_power(m2, 2)
         + 8.0 * n3 * m1
         + 8.0 * n1 * m3
         - 4.0 * n2 * n1 * m1
         - 4.0 * n1 * m1 * m2
         + 16.0 * n2 * m2
-        + 6.0 * (n1 * m1) ** 2
+        + 6.0 * np.float_power(n1 * m1, 2)
     )
 
 
-def noise_full(nm: MomentVector, mm: MomentVector, geom: Geometry) -> float:
+def noise_full(nm: MomentVector, mm: MomentVector, geom: Geometry) -> FloatOrArray:
     """Squared correlator noise including the cos(phase) and cos(2*phase) terms."""
     n1, n2, n3 = nm.m1, nm.m2, nm.m3
     m1, m2, m3 = mm.m1, mm.m2, mm.m3
     delta = geom.phase
+    nm_sq = np.float_power(n1 * m1, 2)
     cos_group = 4.0 * (
         2.0 * (n3 * m1 + 2.0 * n2 * m2 + n1 * m3)
         - n2 * n1 * m1
-        - 2.0 * (n1 * m1) ** 2
+        - 2.0 * nm_sq
         - n1 * m1 * m2
     )
-    cos2_group = 2.0 * (n2 * m2 - 2.0 * (n1 * m1) ** 2)
-    return (
+    cos2_group = 2.0 * (n2 * m2 - 2.0 * nm_sq)
+    return unwrap(
         _phase_free_noise(nm, mm)
         + cos_group * math.cos(delta)
         + cos2_group * math.cos(2.0 * delta)
     )
 
 
-def noise_avg_substitution(nm: MomentVector, mm: MomentVector) -> float:
+def noise_avg_substitution(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
     """Phase-averaged squared noise, generic in the moments.
 
     This is the recomputation route: feeding it thermal moments reproduces
     :func:`noise_avg_printed`, and feeding it amplifier-propagated moments
     gives the value the published amplified noise law should have had.
     """
-    return _phase_free_noise(nm, mm)
+    return unwrap(_phase_free_noise(nm, mm))
 
 
-def noise_avg_printed(n_bar: float, m_bar: float) -> float:
+def noise_avg_printed(n_bar: FloatOrArray, m_bar: FloatOrArray) -> FloatOrArray:
     """Published phase-averaged squared noise of the plain interferometer.
 
     Quartic polynomial in the two mean photon numbers, evaluated with the
     coefficients exactly as published.
     """
-    _check_nonnegative(n_bar=n_bar, m_bar=m_bar)
-    n, m = n_bar, m_bar
-    return (
+    n, m = _means(n_bar, m_bar)
+    n2, n3, n4 = powers(n)
+    m2, m3, m4 = powers(m)
+    return unwrap(
         n
-        + 13.0 * n**2
-        + 32.0 * n**3
-        + 20.0 * n**4
+        + 13.0 * n2
+        + 32.0 * n3
+        + 20.0 * n4
         + m
-        + 13.0 * m**2
-        + 32.0 * m**3
-        + 20.0 * m**4
+        + 13.0 * m2
+        + 32.0 * m3
+        + 20.0 * m4
         + 32.0 * n * m
-        + 76.0 * n**2 * m
-        + 76.0 * n * m**2
-        + 40.0 * n**3 * m
-        + 40.0 * n * m**3
-        + 70.0 * n**2 * m**2
+        + 76.0 * n2 * m
+        + 76.0 * n * m2
+        + 40.0 * n3 * m
+        + 40.0 * n * m3
+        + 70.0 * n2 * m2
     )
 
 
-def opa_correlation_ac(n_bar: float, m_bar: float, params: OpaParams, geom: Geometry) -> float:
+def opa_correlation_ac(
+    n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams, geom: Geometry
+) -> FloatOrArray:
     """Amplified AC signal 2(mu^2 n + nu^2)(mu^2 m + nu^2) cos(phase)."""
-    _check_nonnegative(n_bar=n_bar, m_bar=m_bar)
+    n, m = _means(n_bar, m_bar)
     c = coeffs(params)
-    return (
-        2.0
-        * (c.mu2 * n_bar + c.nu2)
-        * (c.mu2 * m_bar + c.nu2)
-        * math.cos(geom.phase)
-    )
+    return unwrap(2.0 * (c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) * math.cos(geom.phase))
 
 
-def opa_noise_avg_printed(n_bar: float, m_bar: float, params: OpaParams) -> float:
+def opa_noise_avg_printed(
+    n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams
+) -> FloatOrArray:
     """Published phase-averaged squared noise of the amplified interferometer.
 
     Evaluated verbatim, grouped by powers mu^8, mu^6 nu^2, mu^4 nu^4,
@@ -196,46 +199,49 @@ def opa_noise_avg_printed(n_bar: float, m_bar: float, params: OpaParams) -> floa
     means and does not reduce to :func:`noise_avg_printed` at zero gain;
     both deviations are quantified by the consistency checks.
     """
-    _check_nonnegative(n_bar=n_bar, m_bar=m_bar)
+    n, m = _means(n_bar, m_bar)
+    n2, n3, n4 = powers(n)
+    m2, m3, m4 = powers(m)
     c = coeffs(params)
-    n, m = n_bar, m_bar
     u, v = c.mu2, c.nu2  # mu^2 and nu^2
+    u2, u3, u4 = powers(u)
+    v2, v3, v4 = powers(v)
     group_u4 = (
         n
-        + 13.0 * n**2
-        + 32.0 * n**3
-        + 20.0 * n**4
+        + 13.0 * n2
+        + 32.0 * n3
+        + 20.0 * n4
         + m
-        + 13.0 * m**2
-        + 32.0 * m**3
-        + 20.0 * m**4
+        + 13.0 * m2
+        + 32.0 * m3
+        + 20.0 * m4
         + 28.0 * n * m
-        + 68.0 * n**2 * m
-        + 68.0 * n * m**2
-        + 42.0 * n**2 * m**2
-        + 40.0 * n * m**3
-        + 40.0 * n**3 * m
+        + 68.0 * n2 * m
+        + 68.0 * n * m2
+        + 42.0 * n2 * m2
+        + 40.0 * n * m3
+        + 40.0 * n3 * m
     )
     group_u3v = (
         2.0
         + 51.0 * n
-        + 138.0 * n**2
-        + 88.0 * n**3
+        + 138.0 * n2
+        + 88.0 * n3
         + 51.0 * m
-        + 138.0 * m**2
-        + 88.0 * m**3
+        + 138.0 * m2
+        + 88.0 * m3
         + 216.0 * n * m
-        + 136.0 * n**2 * m
-        + 136.0 * n * m**2
+        + 136.0 * n2 * m
+        + 136.0 * n * m2
     )
-    group_u2v2 = 46.0 + 199.0 * n + 131.0 * n**2 + 195.0 * m + 164.0 * n * m + 131.0 * m**2
+    group_u2v2 = 46.0 + 199.0 * n + 131.0 * n2 + 195.0 * m + 164.0 * n * m + 131.0 * m2
     group_uv3 = 93.0 + 73.0 * n + 77.0 * m
-    return (
-        u**4 * group_u4
-        + u**3 * v * group_u3v
-        + u**2 * v**2 * group_u2v2
-        + u * v**3 * group_uv3
-        + 14.0 * v**4
+    return unwrap(
+        u4 * group_u4
+        + u3 * v * group_u3v
+        + u2 * v2 * group_u2v2
+        + u * v3 * group_uv3
+        + 14.0 * v4
     )
 
 
@@ -256,32 +262,30 @@ def snr(ac_signal: float, noise: float) -> float:
     return ac_signal / noise
 
 
-def signal_ratio(n_bar: float, m_bar: float, params: OpaParams) -> float:
+def signal_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
     """Amplified over plain signal amplitude, (mu^2 n + nu^2)(mu^2 m + nu^2)/(n m)."""
-    _check_nonnegative(n_bar=n_bar, m_bar=m_bar)
-    if n_bar == 0.0 or m_bar == 0.0:
-        raise DomainError("signal ratio undefined for a zero mean photon number")
+    n, m = _means(n_bar, m_bar)
+    _nonzero(n, m, "signal ratio")
     c = coeffs(params)
-    return (c.mu2 * n_bar + c.nu2) * (c.mu2 * m_bar + c.nu2) / (n_bar * m_bar)
+    return unwrap((c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) / (n * m))
 
 
-def snr_ratio(n_bar: float, m_bar: float, params: OpaParams) -> float:
+def snr_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
     """Amplified over plain SNR at peak signal (cos of the phase set to 1).
 
     Both SNRs use the published phase-averaged noise laws.
     """
-    _check_nonnegative(n_bar=n_bar, m_bar=m_bar)
-    if n_bar == 0.0 or m_bar == 0.0:
-        raise DomainError("SNR ratio undefined for a zero mean photon number")
+    n, m = _means(n_bar, m_bar)
+    _nonzero(n, m, "SNR ratio")
     c = coeffs(params)
     amplified = (
         2.0
-        * (c.mu2 * n_bar + c.nu2)
-        * (c.mu2 * m_bar + c.nu2)
-        / math.sqrt(opa_noise_avg_printed(n_bar, m_bar, params))
+        * (c.mu2 * n + c.nu2)
+        * (c.mu2 * m + c.nu2)
+        / np.sqrt(opa_noise_avg_printed(n, m, params))
     )
-    plain = 2.0 * n_bar * m_bar / math.sqrt(noise_avg_printed(n_bar, m_bar))
-    return amplified / plain
+    plain = 2.0 * n * m / np.sqrt(noise_avg_printed(n, m))
+    return unwrap(amplified / plain)
 
 
 def correlation_reading(
@@ -312,12 +316,12 @@ def correlation_reading(
     return CorrelationReading(ac, dc, noise, snr(ac, noise))
 
 
-def relative_deviation(x: float, y: float) -> float:
-    """|x - y| / max(|x|, |y|), with 0 when both vanish."""
-    scale = max(abs(x), abs(y))
-    if scale == 0.0:
-        return 0.0
-    return abs(x - y) / scale
+def relative_deviation(x: FloatOrArray, y: FloatOrArray) -> FloatOrArray:
+    """|x - y| / max(|x|, |y|) elementwise, with 0 where both vanish."""
+    scale = np.maximum(np.abs(x), np.abs(y))
+    with np.errstate(invalid="ignore"):  # 0/0 where both vanish, zeroed below
+        deviation = np.abs(np.subtract(x, y)) / scale
+    return unwrap(np.where(scale == 0.0, 0.0, deviation))
 
 
 @dataclass(frozen=True)
@@ -340,11 +344,17 @@ class ConsistencyReport:
     ``amplified_vs_substitution`` and ``zero_gain_reduction`` are expected
     to be nonzero; they quantify how far the published amplified noise law
     sits from its own substitution route and from the plain law at zero
-    gain (about 10.3 percent at unit means).
+    gain (about 10.3 percent at unit means).  The grid and the three
+    deviations are arrays with one entry per grid pair; :attr:`rows` gives
+    the same data one :class:`ConsistencyRow` per pair.
     """
 
     params: OpaParams
-    rows: tuple[ConsistencyRow, ...]
+    n_bar: np.ndarray
+    m_bar: np.ndarray
+    plain_vs_substitution: np.ndarray
+    amplified_vs_substitution: np.ndarray
+    zero_gain_reduction: np.ndarray
     max_plain_vs_substitution: float
     mean_plain_vs_substitution: float
     max_amplified_vs_substitution: float
@@ -352,20 +362,22 @@ class ConsistencyReport:
     max_zero_gain_reduction: float
     mean_zero_gain_reduction: float
 
+    @property
+    def rows(self) -> tuple[ConsistencyRow, ...]:
+        columns = (
+            self.n_bar,
+            self.m_bar,
+            self.plain_vs_substitution,
+            self.amplified_vs_substitution,
+            self.zero_gain_reduction,
+        )
+        return tuple(map(ConsistencyRow, *(c.tolist() for c in columns)))
+
     def to_dict(self) -> dict:
         return {
             "gain": self.params.gain,
             "pump_phase": self.params.pump_phase,
-            "rows": [
-                {
-                    "n_bar": r.n_bar,
-                    "m_bar": r.m_bar,
-                    "plain_vs_substitution": r.plain_vs_substitution,
-                    "amplified_vs_substitution": r.amplified_vs_substitution,
-                    "zero_gain_reduction": r.zero_gain_reduction,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "max_plain_vs_substitution": self.max_plain_vs_substitution,
             "mean_plain_vs_substitution": self.mean_plain_vs_substitution,
             "max_amplified_vs_substitution": self.max_amplified_vs_substitution,
@@ -380,40 +392,38 @@ def consistency_report(
 ) -> ConsistencyReport:
     """Quantify the internal consistency of the published noise laws on a grid.
 
+    The whole grid is evaluated as one array expression per law.
+
     Raises:
-        DomainError: if the grid is empty.
+        DomainError: if the grid is empty or not a sequence of pairs.
     """
-    if len(grid) == 0:
-        raise DomainError("consistency report requires a nonempty grid")
-    zero_gain = OpaParams(0.0)
-    rows = []
-    for n_bar, m_bar in grid:
-        nm = thermal_moments(n_bar)
-        mm = thermal_moments(m_bar)
-        plain_dev = relative_deviation(
-            noise_avg_printed(n_bar, m_bar), noise_avg_substitution(nm, mm)
-        )
-        amp_dev = relative_deviation(
-            opa_noise_avg_printed(n_bar, m_bar, params),
-            noise_avg_substitution(
-                propagate_moments(nm, params), propagate_moments(mm, params)
-            ),
-        )
-        g0_dev = relative_deviation(
-            opa_noise_avg_printed(n_bar, m_bar, zero_gain),
-            noise_avg_printed(n_bar, m_bar),
-        )
-        rows.append(ConsistencyRow(n_bar, m_bar, plain_dev, amp_dev, g0_dev))
+    pairs = nonnegative("grid", grid)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
+        raise DomainError("consistency report requires a nonempty grid of (n_bar, m_bar) pairs")
+    n, m = pairs.T
+    nm, mm = thermal_moments(n), thermal_moments(m)
+    plain = noise_avg_printed(n, m)
+    plain_dev = relative_deviation(plain, noise_avg_substitution(nm, mm))
+    amp_dev = relative_deviation(
+        opa_noise_avg_printed(n, m, params),
+        noise_avg_substitution(propagate_moments(nm, params), propagate_moments(mm, params)),
+    )
+    g0_dev = relative_deviation(opa_noise_avg_printed(n, m, OpaParams(0.0)), plain)
 
     def _summary(values):
-        return max(values), sum(values) / len(values)
+        # Left-to-right sum, as a per-pair accumulation would give.
+        return float(values.max()), sum(values.tolist()) / values.size
 
-    max_plain, mean_plain = _summary([r.plain_vs_substitution for r in rows])
-    max_amp, mean_amp = _summary([r.amplified_vs_substitution for r in rows])
-    max_g0, mean_g0 = _summary([r.zero_gain_reduction for r in rows])
+    max_plain, mean_plain = _summary(plain_dev)
+    max_amp, mean_amp = _summary(amp_dev)
+    max_g0, mean_g0 = _summary(g0_dev)
     return ConsistencyReport(
         params=params,
-        rows=tuple(rows),
+        n_bar=n,
+        m_bar=m,
+        plain_vs_substitution=plain_dev,
+        amplified_vs_substitution=amp_dev,
+        zero_gain_reduction=g0_dev,
         max_plain_vs_substitution=max_plain,
         mean_plain_vs_substitution=mean_plain,
         max_amplified_vs_substitution=max_amp,

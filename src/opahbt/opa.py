@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
 from .errors import DomainError, UnsupportedConfigurationError
 from .photon_stats import MomentVector
 
@@ -30,10 +31,7 @@ class OpaParams:
     pump_phase: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.gain, (int, float)) and math.isfinite(self.gain)):
-            raise DomainError(f"gain must be finite, got {self.gain!r}")
-        if self.gain < 0:
-            raise DomainError(f"gain must be >= 0, got {self.gain}")
+        object.__setattr__(self, "gain", nonnegative_scalar("gain", self.gain))
         if not math.isfinite(self.pump_phase):
             raise DomainError(f"pump phase must be finite, got {self.pump_phase!r}")
         phase = math.fmod(self.pump_phase, _TWO_PI)
@@ -65,26 +63,31 @@ def coeffs(params: OpaParams) -> BogoliubovCoeffs:
         UnsupportedConfigurationError: if the pump phase is nonzero; the
             phase is carried in :class:`OpaParams` but has no computable
             path here.
+        DomainError: if cosh(g)^2 overflows the float range.
     """
     if params.pump_phase != 0.0:
         raise UnsupportedConfigurationError(
             f"pump phase {params.pump_phase} is not supported; only the "
             "zero-phase transformation is computable"
         )
-    return BogoliubovCoeffs(math.cosh(params.gain), math.sinh(params.gain))
+    try:
+        mu = math.cosh(params.gain)
+        mu**2
+    except OverflowError:
+        raise DomainError(f"gain {params.gain} overflows cosh(g)^2") from None
+    return BogoliubovCoeffs(mu, math.sinh(params.gain))
 
 
-def equivalent_thermal_mean(n_bar: float, params: OpaParams) -> float:
+def equivalent_thermal_mean(n_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
     """Mean photon number of the amplified signal mode, mu^2 * n_bar + nu^2.
 
     A thermal input with vacuum on the idler leaves the amplifier exactly
     thermal at this mean, so the value doubles as the equivalent-thermal
     parameter of the output mode.
     """
-    if not (isinstance(n_bar, (int, float)) and math.isfinite(n_bar)) or n_bar < 0:
-        raise DomainError(f"mean photon number must be finite and >= 0, got {n_bar!r}")
+    n = nonnegative("mean photon number", n_bar)
     c = coeffs(params)
-    return c.mu2 * n_bar + c.nu2
+    return unwrap(c.mu2 * n + c.nu2)
 
 
 def propagate_moments(moments: MomentVector, params: OpaParams) -> MomentVector:
@@ -98,25 +101,27 @@ def propagate_moments(moments: MomentVector, params: OpaParams) -> MomentVector:
     """
     c = coeffs(params)
     u, v = c.mu2, c.nu2  # mu^2 and nu^2
+    u2, u3, u4 = powers(u)
+    v2, v3, v4 = powers(v)
     m1, m2, m3, m4 = moments.m1, moments.m2, moments.m3, moments.m4
     out1 = u * m1 + v
-    out2 = u**2 * m2 + 3 * u * v * m1 + u * v + v**2
+    out2 = u2 * m2 + 3 * u * v * m1 + u * v + v2
     out3 = (
-        u**3 * m3
-        + 6 * u**2 * v * m2
-        + (4 * u**2 * v + 7 * u * v**2) * m1
-        + u**2 * v
-        + 4 * u * v**2
-        + v**3
+        u3 * m3
+        + 6 * u2 * v * m2
+        + (4 * u2 * v + 7 * u * v2) * m1
+        + u2 * v
+        + 4 * u * v2
+        + v3
     )
     out4 = (
-        u**4 * m4
-        + 10 * u**3 * v * m3
-        + (10 * u**3 * v + 25 * u**2 * v**2) * m2
-        + (30 * u**2 * v**2 + 5 * u**3 * v + 15 * u * v**3) * m1
-        + 11 * u**2 * v**2
-        + u**3 * v
-        + 11 * u * v**3
-        + v**4
+        u4 * m4
+        + 10 * u3 * v * m3
+        + (10 * u3 * v + 25 * u2 * v2) * m2
+        + (30 * u2 * v2 + 5 * u3 * v + 15 * u * v3) * m1
+        + 11 * u2 * v2
+        + u3 * v
+        + 11 * u * v3
+        + v4
     )
-    return MomentVector(out1, out2, out3, out4)
+    return MomentVector(*(unwrap(x) for x in (out1, out2, out3, out4)))

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
 from .errors import DomainError, SummationLimitError
 
 SUMMATION_TERM_CAP = 10_000_000
@@ -68,44 +69,40 @@ class ThermalSource:
     mean_photon_number: float
 
     def __post_init__(self):
-        n = self.mean_photon_number
-        if not (isinstance(n, (int, float)) and math.isfinite(n)) or n < 0:
-            raise DomainError(f"mean photon number must be finite and >= 0, got {n!r}")
-
-
-def _mean_of(source: ThermalSource | float) -> float:
-    if isinstance(source, ThermalSource):
-        return source.mean_photon_number
-    return ThermalSource(float(source)).mean_photon_number
+        n = nonnegative_scalar("mean photon number", self.mean_photon_number)
+        object.__setattr__(self, "mean_photon_number", n)
 
 
 def thermal_moments(
-    source: ThermalSource | float,
+    source: ThermalSource | FloatOrArray,
     convention: MomentConvention = MomentConvention.CORRECTED,
 ) -> MomentVector:
     """Closed-form moments <n^j>, j = 1..4, of a thermal state.
 
     Parameters
     ----------
-    source : ThermalSource or float
-        The source, or directly its mean photon number N.
+    source : ThermalSource, float or array
+        The source, or directly its mean photon number N.  For an array of
+        means each moment is an array of the same shape.
     convention : MomentConvention
         CORRECTED uses the Bose-Einstein value 6N^3 + 6N^2 + N for the third
         moment.  PAPER_PRINTED reproduces the published closed form
         N^3 + 6N^2 + N, which the direct-summation oracle shows to be a
         misprint (it is low by exactly 5N^3).
     """
-    n = _mean_of(source)
-    m1 = n
-    m2 = 2 * n**2 + n
+    if isinstance(source, ThermalSource):
+        source = source.mean_photon_number
+    n = nonnegative("mean photon number", source)
+    n2, n3, n4 = powers(n)
+    m2 = 2 * n2 + n
     if convention is MomentConvention.CORRECTED:
-        m3 = 6 * n**3 + 6 * n**2 + n
+        m3 = 6 * n3 + 6 * n2 + n
     elif convention is MomentConvention.PAPER_PRINTED:
-        m3 = n**3 + 6 * n**2 + n
+        m3 = n3 + 6 * n2 + n
     else:
         raise DomainError(f"unknown moment convention {convention!r}")
-    m4 = 24 * n**4 + 36 * n**3 + 14 * n**2 + n
-    return MomentVector(m1, m2, m3, m4)
+    m4 = 24 * n4 + 36 * n3 + 14 * n2 + n
+    return MomentVector(*(unwrap(x) for x in (n, m2, m3, m4)))
 
 
 def geometric_summation_moments(
@@ -128,7 +125,9 @@ def geometric_summation_moments(
     """
     if not (0.0 < tail_bound < 1.0):
         raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound!r}")
-    n_mean = _mean_of(source)
+    if not isinstance(source, ThermalSource):
+        source = ThermalSource(source)
+    n_mean = source.mean_photon_number
     if n_mean == 0.0:
         return MomentVector(0.0, 0.0, 0.0, 0.0)
 

@@ -68,6 +68,35 @@ def test_unequal_sources_sweep_uses_fixed_companion():
     assert table.snr_ratio[-1] == pytest.approx(snr_ratio(2.0, 4.0, params))
 
 
+@pytest.mark.parametrize("spacing", [Spacing.LOG, Spacing.LINEAR])
+@pytest.mark.parametrize("m_bar", [None, 3.7])
+def test_sweep_matches_per_point_scalar_laws_bit_for_bit(spacing, m_bar):
+    spec = SweepSpec(
+        g=2.3, n_min=0.07, n_max=41.0, points=500, spacing=spacing,
+        equal_sources=m_bar is None, m_bar=m_bar,
+    )
+    table = sweep_ratios(spec)
+    params = OpaParams(2.3)
+    companions = [n if m_bar is None else m_bar for n in table.n_bar]
+    signal = [signal_ratio(n, m, params) for n, m in zip(table.n_bar, companions)]
+    ratio = [snr_ratio(n, m, params) for n, m in zip(table.n_bar, companions)]
+    assert table.signal_ratio.tobytes() == np.array(signal).tobytes()
+    assert table.snr_ratio.tobytes() == np.array(ratio).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec(g=2.0, n_min=1e80, n_max=1e80, points=1),
+        SweepSpec(g=200.0, n_min=0.5, n_max=5.0, points=4),
+    ],
+)
+def test_sweep_overflow_raises_domain_error_naming_the_point(spec, recwarn):
+    with pytest.raises(DomainError, match="grid point 0"):
+        sweep_ratios(spec)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_snr_ratio_decreases_along_positive_gain_sweep():
     table = sweep_ratios(SweepSpec(g=2.0, n_min=0.15, n_max=100.0, points=120))
     assert np.all(np.diff(table.snr_ratio) < 0)
@@ -143,6 +172,18 @@ def test_phi_recovery_with_noise_is_calibrated():
         if estimate.converged and abs(estimate.phi - phi_true) <= 3.0 * estimate.stderr:
             hits += 1
     assert hits >= 99
+
+
+@pytest.mark.parametrize("seed", [120, 123, 124])
+def test_phi_stalled_line_search_at_the_optimum_converges(seed):
+    # These noisy scans stall the line search at the optimum; a residual
+    # test alone used to report them as not converged.
+    phi_true = 1e-8
+    r, clean = _scan(phi_true, points=128)
+    noisy = clean + 0.1 * np.random.default_rng(seed).standard_normal(r.size)
+    estimate = estimate_phi(r, noisy, K_BLUE)
+    assert estimate.converged
+    assert abs(estimate.phi - phi_true) <= 5.0 * estimate.stderr
 
 
 def test_phi_recovery_with_known_amplitude():

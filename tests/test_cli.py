@@ -1,6 +1,9 @@
 import json
 import os
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,20 @@ import opahbt.analysis
 from opahbt.cli import format_float, main
 
 K_BLUE = 1.42e7
+SRC = str(Path(opahbt.__file__).resolve().parents[1])
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout of the package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_format_float_examples():
@@ -133,6 +146,8 @@ def test_oracle_check_report_and_exit_code(tmp_path):
     assert code == 0
     report = json.loads(target.read_text())
     assert report["all_expected_pass_ok"] is True
+    assert report["n_grid"] == [0.0, 0.5, 1.0]
+    assert report["g_grid"] == [0.0, 0.25, 0.5, 1.0]
     by_name = {check["name"]: check for check in report["checks"]}
     misprint = by_name["published-third-moment"]
     assert misprint["expected"] == "fail" and not misprint["passed"]
@@ -218,3 +233,70 @@ def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     document = json.loads(capsys.readouterr().out)
     assert code == 5
     assert document["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig5", "--n-min", "1e80", "--n-max", "1e80", "--points", "1"],
+        ["fig5", "--g", "400"],
+        ["fig5", "--g", "200"],
+    ],
+)
+def test_overflowing_sweep_exits_2_without_output_or_warnings(tmp_path, args):
+    target = tmp_path / "fig5.csv"
+    result = run_python("-m", "opahbt", *args, "--out", str(target))
+    assert result.returncode == 2, result.stderr
+    assert not target.exists()
+    assert "RuntimeWarning" not in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "overflow" in result.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    result = run_python(
+        "-c",
+        "import sys, opahbt.cli; loaded = 'scipy' in sys.modules; import opahbt; "
+        "print(loaded, callable(opahbt.two_mode_squeeze), "
+        "callable(opahbt.run_oracle_checks))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True", "True"]
+
+
+@pytest.mark.parametrize("module", ["opahbt", "opahbt.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    result = run_python(
+        "-m", module, "fig4", "--g", "2", "--n-min", "10", "--n-max", "10", "--points", "1"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1].startswith("10.0,239.3")
+    assert run_python("-m", module).returncode == 2
+
+
+def test_estimate_phi_converges_on_a_noisy_scan_that_stalls(tmp_path):
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, 1e-8, noise=0.1, seed=120, points=128)
+    target = tmp_path / "phi.json"
+    code = run_cli(["estimate-phi", str(scan), "--k", str(K_BLUE), "--out", str(target)])
+    document = json.loads(target.read_text())
+    assert code == 0
+    assert document["converged"] is True
+    assert abs(document["phi"] - 1e-8) <= 5.0 * document["stderr"]
+
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--g-grid", "0,100"],
+        ["--n-grid", "0", "--g-grid", "0", "--g-noise", "200"],
+    ],
+)
+def test_oracle_check_overflow_exits_2_without_output(tmp_path, capsys, args):
+    target = tmp_path / "report.json"
+    code = run_cli(["oracle-check", *args, "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "overflow" in err
+    assert not target.exists()

@@ -27,6 +27,7 @@ from opahbt import (
     snr_ratio,
     thermal_moments,
 )
+from opahbt.hbt import relative_deviation
 
 G2 = OpaParams(2.0)
 
@@ -246,3 +247,92 @@ def test_consistency_report_values():
 def test_consistency_report_rejects_empty_grid():
     with pytest.raises(DomainError):
         consistency_report(G2, [])
+
+
+@pytest.mark.parametrize("value", [np.float32(1.0), np.int64(1), np.float64(1.0), 1])
+def test_real_numpy_scalars_are_accepted(value):
+    assert snr_ratio(value, 1.0, G2) == snr_ratio(1.0, 1.0, G2)
+    assert signal_ratio(1.0, value, G2) == signal_ratio(1.0, 1.0, G2)
+    gain = OpaParams(value * 2).gain
+    assert gain == 2.0 and type(gain) is float
+    assert Geometry(value, 1.0, 1.0).phase == 1.0
+    assert SourcePair(value, value).n_bar == 1.0
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), -1.0, np.float32(-1.0), "1.0", None, 1j]
+)
+def test_invalid_means_raise_domain_error(bad):
+    with pytest.raises(DomainError):
+        snr_ratio(bad, 1.0, G2)
+    with pytest.raises(DomainError):
+        noise_avg_printed(1.0, bad)
+    with pytest.raises(DomainError):
+        OpaParams(bad)
+    with pytest.raises(DomainError):
+        SourcePair(bad, 1.0)
+
+
+def test_invalid_array_element_is_named():
+    with pytest.raises(DomainError, match="nan"):
+        snr_ratio(np.array([1.0, 2.0, np.nan]), 1.0, G2)
+    with pytest.raises(DomainError, match="zero mean"):
+        signal_ratio(np.array([1.0, 0.0]), np.array([1.0, 1.0]), G2)
+
+
+def test_scalar_laws_return_python_floats():
+    for value in (
+        snr_ratio(1.0, 1.0, G2),
+        signal_ratio(1.0, 1.0, G2),
+        noise_avg_printed(1.0, 2.0),
+        opa_noise_avg_printed(1.0, 2.0, G2),
+        noise_avg_substitution(thermal_moments(1.0), thermal_moments(2.0)),
+        equivalent_thermal_mean(1.0, G2),
+        thermal_moments(1.0).m4,
+    ):
+        assert type(value) is float
+
+
+def test_array_laws_match_scalar_laws_bit_for_bit():
+    n = np.geomspace(0.05, 50.0, 301)
+    m = n[::-1].copy()
+    for law in (signal_ratio, snr_ratio, opa_noise_avg_printed):
+        expected = np.array([law(float(a), float(b), G2) for a, b in zip(n, m)])
+        assert law(n, m, G2).tobytes() == expected.tobytes()
+    expected = np.array([noise_avg_printed(float(a), float(b)) for a, b in zip(n, m)])
+    assert noise_avg_printed(n, m).tobytes() == expected.tobytes()
+
+
+def test_gain_overflowing_the_coefficients_raises_domain_error():
+    for g in (400.0, 800.0):
+        with pytest.raises(DomainError, match="overflows"):
+            signal_ratio(1.0, 1.0, OpaParams(g))
+
+
+def test_array_consistency_report_equals_per_pair_scalar_deviations():
+    values = np.geomspace(0.05, 20.0, 7).tolist()
+    grid = [(n, m) for n in values for m in values]
+    report = consistency_report(G2, grid)
+    for row, (n, m) in zip(report.rows, grid):
+        nm, mm = thermal_moments(n), thermal_moments(m)
+        plain = noise_avg_printed(n, m)
+        assert (row.n_bar, row.m_bar) == (n, m)
+        assert row.plain_vs_substitution == relative_deviation(
+            plain, noise_avg_substitution(nm, mm)
+        )
+        assert row.amplified_vs_substitution == relative_deviation(
+            opa_noise_avg_printed(n, m, G2),
+            noise_avg_substitution(propagate_moments(nm, G2), propagate_moments(mm, G2)),
+        )
+        assert row.zero_gain_reduction == relative_deviation(
+            opa_noise_avg_printed(n, m, OpaParams(0.0)), plain
+        )
+    deviations = [r.amplified_vs_substitution for r in report.rows]
+    assert report.max_amplified_vs_substitution == max(deviations)
+    assert report.mean_amplified_vs_substitution == sum(deviations) / len(deviations)
+
+
+def test_relative_deviation_is_elementwise():
+    got = relative_deviation(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 2.0]))
+    assert got.tolist() == [0.0, 0.5, 0.0]
+    assert relative_deviation(0.0, 0.0) == 0.0
