@@ -7,9 +7,10 @@ independent routes: direct summation for thermal moments, truncated
 Fock-space numerics for the amplifier, a Gaussian pairing-sum engine, and
 a generic substitution path for the noise polynomials.
 
-The Fock-space oracle (``fock``, which loads scipy.sparse) and the suites
-built on it (``oracle_checks``) are imported on first use of one of their
-names, so the closed-form laws and sweeps load with numpy alone.
+The Fock-space oracle (``fock``) and the suites built on it
+(``oracle_checks``) are imported on first use of one of their names.  The
+suites work on numpy population grids; scipy.sparse is loaded only when a
+full ``FockState`` density matrix is built.
 """
 
 from .analysis import (
@@ -123,11 +124,11 @@ __all__ = [
     "correlation_reading",
     "equivalent_thermal_mean",
     "estimate_phi",
-    "expm_taylor",
     "fit_inverse_law",
     "gaussian_wick_moment",
     "geometric_summation_moments",
     "hbt_two_mode_correlation",
+    "ladder_exponential",
     "moment_truncation_bound",
     "monte_carlo_semiclassical",
     "noise_avg_printed",
@@ -137,6 +138,7 @@ __all__ = [
     "opa_correlation_ac",
     "opa_noise_avg_printed",
     "partial_trace",
+    "population_moments",
     "product_state",
     "propagate_moments",
     "reduced_moments",
@@ -145,9 +147,11 @@ __all__ = [
     "snr",
     "snr_ratio",
     "space_for_squeezed_thermal",
+    "squeeze_populations",
     "sweep_ratios",
     "target_ratio_operating_point",
     "thermal_moments",
+    "thermal_populations",
     "thermal_state",
     "two_mode_squeeze",
     "vacuum_state",

@@ -178,8 +178,7 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _cmd_oracle_check(args) -> int:
-    # Imported here so the other commands never load the Fock-space oracle
-    # and scipy.sparse behind it.
+    # Imported here so the other commands never load the Fock-space oracle.
     from .oracle_checks import run_oracle_checks
 
     grids = {}  # an unset flag leaves the suite's own default grid

@@ -1,16 +1,20 @@
 """Truncated Fock-space numerics: the first-principles verification route.
 
-States are density matrices over one or two bosonic modes, stored sparse
-and subnormalized: the probability mass lost to truncation is carried
-explicitly in ``trace_deficit`` so trace + deficit = 1 holds exactly.
+The oracle suites work on joint population grids p[n_a, n_b], (dim, dim)
+numpy arrays.  Thermal and vacuum inputs are diagonal, the squeezer maps a
+diagonal two-mode input to a diagonal output, and the two-detector
+correlator only needs each operator's matrix elements next to the
+diagonal.  Full density matrices (:class:`FockState`, stored sparse) stay
+available for the public API; scipy.sparse is imported only by the
+functions that build them.  Every state is subnormalized: the probability
+mass lost to truncation is carried explicitly as a trace deficit so trace
++ deficit = 1 holds exactly.
 
-The two-mode squeezer is the matrix exponential of the anti-Hermitian
-generator g(adag bdag - a b) in the truncated space.  That generator
-preserves the photon-number difference between the modes, so the
-exponential is computed ladder by ladder (one small dense block per
-difference) and assembled into a sparse orthogonal propagator; this is
-exactly the exponential of the truncated generator, at a fraction of the
-dense cost.
+The two-mode squeezer is the exponential of the anti-Hermitian generator
+g(adag bdag - a b) in the truncated space.  That generator preserves the
+photon-number difference between the modes, so it is block diagonal over
+difference ladders, and each ladder's exponential comes from one
+eigendecomposition (:func:`ladder_exponential`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, TruncationError
 from .photon_stats import MomentVector
@@ -80,6 +83,8 @@ class FockState:
     """
 
     def __init__(self, rho, dims: tuple[int, ...], trace_deficit: float = 0.0):
+        import scipy.sparse as sp
+
         rho = sp.csr_matrix(rho)
         side = int(np.prod(dims))
         if rho.shape != (side, side):
@@ -109,6 +114,10 @@ class FockState:
     def to_dense(self) -> np.ndarray:
         return self.rho.toarray()
 
+    def populations(self) -> np.ndarray:
+        """The diagonal of ``rho``: p[n] for one mode, p[n_a, n_b] for two."""
+        return self.rho.diagonal().real.reshape(self.dims)
+
     def boundary_mass(self) -> float:
         """Population of the top retained Fock level of any mode.
 
@@ -116,13 +125,7 @@ class FockState:
         whatever flux the ideal dynamics would push past the cutoff first
         has to populate this shell.
         """
-        diag = self.rho.diagonal().real
-        if self.n_modes == 1:
-            return float(diag[-1])
-        dim = self.dim
-        idx = np.arange(dim * dim)
-        shell = (idx // dim == dim - 1) | (idx % dim == dim - 1)
-        return float(diag[shell].sum())
+        return _shell_mass(self.populations())
 
     def validate(self, eig_side_limit: int = 2048) -> None:
         """Check hermiticity, positivity and trace bookkeeping.
@@ -143,13 +146,21 @@ class FockState:
                 raise DomainError(f"density matrix has eigenvalue {floor:.3e} below floor")
 
 
+def _shell_mass(populations: np.ndarray) -> float:
+    # Mass on the top retained level of either mode.
+    if populations.ndim == 1:
+        return float(populations[-1])
+    return float(populations[-1, :].sum() + populations[:-1, -1].sum())
+
+
 def choose_dim(mean: float, tail: float = DEFAULT_TAIL, cap: int = DIM_CAP) -> int:
     """Smallest per-mode dimension whose thermal tail at ``mean`` is below ``tail``.
 
     Uses the geometric tail (mean/(1+mean))^dim of a thermal distribution.
 
     Raises:
-        TruncationError: if the required dimension exceeds ``cap``.
+        TruncationError: if the required dimension exceeds ``cap``, or the
+            mean is so large that mean/(1+mean) rounds to 1.
     """
     if not math.isfinite(mean) or mean < 0:
         raise DomainError(f"mean must be finite and >= 0, got {mean!r}")
@@ -158,6 +169,12 @@ def choose_dim(mean: float, tail: float = DEFAULT_TAIL, cap: int = DIM_CAP) -> i
     if mean == 0.0:
         return 8
     q = mean / (1.0 + mean)
+    if q == 1.0:
+        raise TruncationError(
+            f"at mean {mean:g}, mean/(1+mean) rounds to 1 in double precision, so "
+            f"no dimension has a thermal tail below {tail:g}; lower the gain or mean",
+            achieved=1.0,
+        )
     needed = max(8, int(math.ceil(math.log(tail) / math.log(q))))
     if needed > cap:
         raise TruncationError(
@@ -176,31 +193,38 @@ def space_for_squeezed_thermal(
 
     The output marginal is thermal at cosh(g)^2 n + sinh(g)^2, so the
     geometric tail rule applies to that mean.  The sizing is a-priori only;
-    :func:`two_mode_squeeze` re-checks the realized boundary mass.
+    the squeezers re-check the realized boundary mass.
     """
     mean_out = math.cosh(g) ** 2 * n_bar + math.sinh(g) ** 2
     return FockSpace(choose_dim(mean_out, tail, cap))
 
 
-def thermal_state(n_bar: float, space: FockSpace) -> FockState:
-    """Single-mode thermal state, diagonal p_n = N^n / (1+N)^(n+1), n < dim.
+def thermal_populations(n_bar: float, space: FockSpace) -> tuple[np.ndarray, float]:
+    """Thermal weights p_n = N^n / (1+N)^(n+1), n < dim, and the tail mass.
 
-    The retained block keeps the exact geometric weights; the tail mass
-    (N/(1+N))^dim is reported as the trace deficit.
+    The tail mass (N/(1+N))^dim is what truncation to ``space.dim`` levels
+    drops.
     """
     if not math.isfinite(n_bar) or n_bar < 0:
         raise DomainError(f"mean photon number must be finite and >= 0, got {n_bar!r}")
-    dim = space.dim
     if n_bar == 0.0:
-        probs = np.zeros(dim)
+        probs = np.zeros(space.dim)
         probs[0] = 1.0
-        deficit = 0.0
-    else:
-        q = n_bar / (1.0 + n_bar)
-        probs = (1.0 - q) * q ** np.arange(dim)
-        deficit = q**dim
-    rho = sp.diags(probs, format="csr")
-    return FockState(rho, (dim,), deficit)
+        return probs, 0.0
+    q = n_bar / (1.0 + n_bar)
+    return (1.0 - q) * q ** np.arange(space.dim), q**space.dim
+
+
+def thermal_state(n_bar: float, space: FockSpace) -> FockState:
+    """Single-mode thermal state with the weights of :func:`thermal_populations`.
+
+    The retained block keeps the exact geometric weights; the tail mass is
+    reported as the trace deficit.
+    """
+    import scipy.sparse as sp
+
+    probs, deficit = thermal_populations(n_bar, space)
+    return FockState(sp.diags(probs, format="csr"), (space.dim,), deficit)
 
 
 def vacuum_state(space: FockSpace) -> FockState:
@@ -209,6 +233,8 @@ def vacuum_state(space: FockSpace) -> FockState:
 
 def product_state(a: FockState, b: FockState) -> FockState:
     """Tensor product of two single-mode states (mode order preserved)."""
+    import scipy.sparse as sp
+
     if a.n_modes != 1 or b.n_modes != 1:
         raise DomainError("product_state expects two single-mode states")
     if a.dim != b.dim:
@@ -218,60 +244,50 @@ def product_state(a: FockState, b: FockState) -> FockState:
     return FockState(rho, (a.dim, b.dim), deficit)
 
 
-def destroy(dim: int) -> sp.csr_matrix:
-    """Single-mode annihilation operator on ``dim`` Fock levels."""
-    return sp.diags(np.sqrt(np.arange(1.0, dim)), offsets=1, format="csr")
+def _ladder_parts(difference: int, length: int, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """V cos(lam) V^T and V sin(lam) V^T for the ladder matrix S of :func:`ladder_exponential`."""
+    k = np.arange(length - 1)
+    couplings = g * np.sqrt((difference + k + 1.0) * (k + 1.0))
+    lam, vecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
+    return (vecs * np.cos(lam)) @ vecs.T, (vecs * np.sin(lam)) @ vecs.T
 
 
-def number_operator(dim: int) -> sp.csr_matrix:
-    return sp.diags(np.arange(float(dim)), format="csr")
+_RE_I_POWER = np.array([1.0, 0.0, -1.0, 0.0])  # Re(i^m) for m mod 4
 
 
-def expm_taylor(matrix: np.ndarray, series_tol: float = 1e-16) -> np.ndarray:
-    """Dense matrix exponential by scaling and squaring with a Taylor series.
+def ladder_exponential(difference: int, length: int, g: float) -> np.ndarray:
+    """exp(g (adag bdag - a b)) on one photon-difference ladder.
 
-    The matrix is scaled by powers of two until its 1-norm is below 0.5,
-    the series is summed until terms fall under ``series_tol`` relative to
-    the accumulated result, and the result is squared back up.
+    Along the ladder |difference + k, k>, k = 0 .. length-1, the generator
+    is real, antisymmetric and tridiagonal, with couplings
+    c_k = g sqrt((difference + k + 1)(k + 1)) below the diagonal.  With
+    D = diag(i^k) it equals D (-i S) D*, where S is the symmetric
+    tridiagonal matrix of the same couplings, so one eigendecomposition
+    S = V diag(lam) V^T gives exp = D V exp(-i lam) V^T D*.  Entry (j, k)
+    is i^(j-k) times [V cos(lam) V^T - i V sin(lam) V^T]_jk; its real value
+    takes the cosine part where j - k is even and the sine part where it
+    is odd.  The result is the real orthogonal ladder propagator.
     """
-    a = np.asarray(matrix, dtype=float if np.isrealobj(matrix) else complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {a.shape}")
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    scaled = a / (2.0**squarings)
-    result = np.eye(a.shape[0], dtype=scaled.dtype)
-    term = np.eye(a.shape[0], dtype=scaled.dtype)
-    for k in range(1, 64):
-        term = term @ scaled / k
-        result = result + term
-        if np.linalg.norm(term, 1) <= series_tol * np.linalg.norm(result, 1):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    cos_part, sin_part = _ladder_parts(difference, length, g)
+    power = np.subtract.outer(np.arange(length), np.arange(length)) % 4
+    return _RE_I_POWER[power] * cos_part - _RE_I_POWER[(power + 1) % 4] * sin_part
 
 
 @lru_cache(maxsize=16)
-def _squeeze_propagator(dim: int, g: float) -> sp.csr_matrix:
-    """exp(g (adag bdag - a b)) on the truncated two-mode space.
+def _squeeze_propagator(dim: int, g: float):
+    """exp(g (adag bdag - a b)) on the truncated two-mode space, as CSR.
 
-    The generator only couples states of fixed photon-number difference, so
-    it is block diagonal over difference ladders; each ladder gives a small
-    real antisymmetric tridiagonal block whose exponential is orthogonal.
-    The blocks for difference +d and -d coincide up to the mode swap and
-    are computed once.
+    The generator is block diagonal over difference ladders.  The blocks
+    for difference +d and -d coincide up to the mode swap and are
+    computed once.
     """
+    import scipy.sparse as sp
+
     rows, cols, vals = [], [], []
     for d in range(dim):
-        length = dim - d
+        exp_block = ladder_exponential(d, dim - d, g)
         n_upper = np.arange(d, dim)  # signal-mode occupation along the ladder
         n_lower = n_upper - d
-        couplings = g * np.sqrt((n_upper[:-1] + 1.0) * (n_lower[:-1] + 1.0))
-        block = np.zeros((length, length))
-        block[np.arange(1, length), np.arange(length - 1)] = couplings
-        block[np.arange(length - 1), np.arange(1, length)] = -couplings
-        exp_block = expm_taylor(block)
         for flip in (False, True):
             if flip and d == 0:
                 continue
@@ -281,11 +297,75 @@ def _squeeze_propagator(dim: int, g: float) -> sp.csr_matrix:
             cols.append(c.ravel())
             vals.append(exp_block.ravel())
     side = dim * dim
-    propagator = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(side, side),
     )
-    return propagator
+
+
+def _check_gain(g: float) -> None:
+    if not math.isfinite(g) or g < 0:
+        raise DomainError(f"gain must be finite and >= 0, got {g!r}")
+
+
+def _check_squeezed_tail(
+    populations: np.ndarray, trace_deficit: float, g: float, max_tail: float
+) -> None:
+    """Raise when input deficit plus output boundary-shell mass exceeds ``max_tail``."""
+    tail_estimate = trace_deficit + _shell_mass(populations)
+    if tail_estimate <= max_tail:
+        return
+    dim = populations.shape[0]
+    mean_out = float(populations.sum(axis=1) @ np.arange(dim))
+    suggestion = None
+    if 0.0 < mean_out:
+        q = mean_out / (1.0 + mean_out)
+        suggestion = int(math.ceil(math.log(max_tail / 100.0) / math.log(q)))
+    raise TruncationError(
+        f"truncation tail estimate {tail_estimate:.3e} exceeds bound "
+        f"{max_tail:.3e} after squeezing at g={g}"
+        + (f"; retry with dim >= {suggestion}" if suggestion else ""),
+        achieved=tail_estimate,
+        suggested_dim=suggestion,
+    )
+
+
+def squeeze_populations(
+    populations: np.ndarray,
+    g: float,
+    trace_deficit: float = 0.0,
+    max_tail: float = 1e-9,
+) -> np.ndarray:
+    """Squeeze a diagonal two-mode state given by its populations p[n_a, n_b].
+
+    A diagonal input has no coherences, so each output population on a
+    difference ladder is sum_k |U_jk|^2 p_k with U that ladder's
+    exponential, and |U_jk|^2 is the sum of the squared cosine and sine
+    parts of :func:`ladder_exponential`.  The result is the diagonal
+    :func:`two_mode_squeeze` would give, without forming any density
+    matrix.  Truncation is checked as in :func:`two_mode_squeeze`, with
+    ``trace_deficit`` the input's.
+
+    Raises:
+        TruncationError: when the combined tail estimate exceeds
+            ``max_tail``; the error suggests a larger dimension.
+    """
+    populations = np.asarray(populations, dtype=float)
+    if populations.ndim != 2 or populations.shape[0] != populations.shape[1]:
+        raise DomainError(f"populations must be a square grid, got shape {populations.shape}")
+    _check_gain(g)
+    dim = populations.shape[0]
+    out = np.empty_like(populations)
+    for d in range(dim):
+        upper, lower = np.arange(d, dim), np.arange(dim - d)
+        # Columns: the ladder with n_a = n_b + d and its mode swap.
+        ladders = np.column_stack((populations[upper, lower], populations[lower, upper]))
+        cos_part, sin_part = _ladder_parts(d, dim - d, float(g))
+        moved = (cos_part**2 + sin_part**2) @ ladders
+        out[upper, lower] = moved[:, 0]
+        out[lower, upper] = moved[:, 1]
+    _check_squeezed_tail(out, trace_deficit, g, max_tail)
+    return out
 
 
 def two_mode_squeeze(
@@ -300,7 +380,9 @@ def two_mode_squeeze(
     therefore the stored deficit are preserved exactly.  Truncation quality
     is verified a posteriori: the input deficit plus the realized boundary
     shell mass must stay below ``max_tail``.  ``space``, when given, must
-    match the state and supplies the operator footprint cap.
+    match the state and supplies the operator footprint cap.  For a
+    diagonal input whose output diagonal is all that is needed,
+    :func:`squeeze_populations` is the cheaper route.
 
     Raises:
         TruncationError: when the combined tail estimate exceeds
@@ -308,8 +390,7 @@ def two_mode_squeeze(
     """
     if state.n_modes != 2:
         raise DomainError("two_mode_squeeze expects a two-mode state")
-    if not math.isfinite(g) or g < 0:
-        raise DomainError(f"gain must be finite and >= 0, got {g!r}")
+    _check_gain(g)
     dim = state.dim
     if space is None:
         space = FockSpace(dim)
@@ -319,28 +400,14 @@ def two_mode_squeeze(
     propagator = _squeeze_propagator(dim, float(g))
     rho_out = (propagator @ state.rho @ propagator.T).tocsr()
     out = FockState(rho_out, state.dims, state.trace_deficit)
-
-    tail_estimate = state.trace_deficit + out.boundary_mass()
-    if tail_estimate > max_tail:
-        mean_out = float(
-            (out.rho.diagonal().real * (np.arange(dim * dim) // dim)).sum()
-        )
-        suggestion = None
-        if 0.0 < mean_out:
-            q = mean_out / (1.0 + mean_out)
-            suggestion = int(math.ceil(math.log(max_tail / 100.0) / math.log(q)))
-        raise TruncationError(
-            f"truncation tail estimate {tail_estimate:.3e} exceeds bound "
-            f"{max_tail:.3e} after squeezing at g={g}"
-            + (f"; retry with dim >= {suggestion}" if suggestion else ""),
-            achieved=tail_estimate,
-            suggested_dim=suggestion,
-        )
+    _check_squeezed_tail(out.populations(), state.trace_deficit, g, max_tail)
     return out
 
 
 def partial_trace(state: FockState, mode: int) -> FockState:
     """Reduce a two-mode state to the given mode (0 or 1)."""
+    import scipy.sparse as sp
+
     if state.n_modes != 2:
         raise DomainError("partial_trace expects a two-mode state")
     if mode not in (0, 1):
@@ -358,6 +425,22 @@ def partial_trace(state: FockState, mode: int) -> FockState:
     return FockState(sp.csr_matrix(reduced), (dim,), state.trace_deficit)
 
 
+def population_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
+    """Photon-number moments <n^j>, j = 1..4, of one mode of a population grid.
+
+    ``populations`` is p[n] for one mode or p[n_a, n_b] for two.  The
+    moments are those of the subnormalized marginal, as for
+    :func:`reduced_moments`.
+    """
+    if mode not in range(populations.ndim):
+        raise DomainError(
+            f"a {populations.ndim}-mode state has modes 0..{populations.ndim - 1}, got {mode!r}"
+        )
+    marginal = populations if populations.ndim == 1 else populations.sum(axis=1 - mode)
+    occupation = np.arange(marginal.size, dtype=float)
+    return MomentVector(*(float(marginal @ occupation**j) for j in (1, 2, 3, 4)))
+
+
 def reduced_moments(state: FockState, mode: int = 0) -> MomentVector:
     """Photon-number moments <n^j>, j = 1..4, of one mode of a state.
 
@@ -365,17 +448,7 @@ def reduced_moments(state: FockState, mode: int = 0) -> MomentVector:
     The truncation error of the result is bounded by
     :func:`moment_truncation_bound`.
     """
-    diag = state.rho.diagonal().real
-    if state.n_modes == 1:
-        if mode != 0:
-            raise DomainError(f"single-mode state has only mode 0, got {mode!r}")
-        occupation = np.arange(state.dim, dtype=float)
-    else:
-        if mode not in (0, 1):
-            raise DomainError(f"mode must be 0 or 1, got {mode!r}")
-        idx = np.arange(state.dim * state.dim)
-        occupation = (idx // state.dim if mode == 0 else idx % state.dim).astype(float)
-    return MomentVector(*(float((diag * occupation**j).sum()) for j in (1, 2, 3, 4)))
+    return population_moments(state.populations(), mode)
 
 
 def moment_truncation_bound(state: FockState, order: int = 4) -> float:
@@ -388,21 +461,78 @@ def moment_truncation_bound(state: FockState, order: int = 4) -> float:
     return missing * float(state.dim - 1) ** order
 
 
-def _mode_op(op_a, op_b, dim: int) -> sp.csr_matrix:
-    eye = sp.identity(dim, format="csr")
-    left = op_a if op_a is not None else eye
-    right = op_b if op_b is not None else eye
-    return sp.kron(left, right, format="csr")
+# Each correlator is a sum of terms coeff * e^(i k delta) * A (x) B, where A
+# and B are words in adag ("d") and a ("a") read as matrix products.
+# Detector j sees A_j = a e^(i delta_j) + b with delta_1 = delta, delta_2 = 0,
+# so it contributes adag b e^(-i delta_j) + bdag a e^(+i delta_j).
+_INTENSITY_1 = (("da", "", 1.0, 0), ("d", "a", 1.0, -1), ("a", "d", 1.0, 1), ("", "da", 1.0, 0))
+_INTENSITY_2 = tuple((wa, wb, c, 0) for wa, wb, c, _ in _INTENSITY_1)
+_CORRELATOR_TERMS = {
+    OrderingConvention.AS_WRITTEN: tuple(
+        (a1 + a2, b1 + b2, c1 * c2, k1)
+        for a1, b1, c1, k1 in _INTENSITY_1
+        for a2, b2, c2, _ in _INTENSITY_2
+    ),
+    OrderingConvention.NORMAL_ORDERED: (
+        # (n_a + n_b)^2 as written
+        ("dada", "", 1.0, 0),
+        ("da", "da", 2.0, 0),
+        ("", "dada", 1.0, 0),
+        # double transfers b -> a and a -> b, and the number-number cross term
+        ("dd", "aa", 1.0, -1),
+        ("aa", "dd", 1.0, 1),
+        ("da", "da", 1.0, 1),
+        ("da", "da", 1.0, -1),
+        # single transfers, from detector 1 (k = -1, +1) and detector 2 (k = 0)
+        ("dda", "a", 1.0, -1),
+        ("dda", "a", 1.0, 0),
+        ("d", "daa", 1.0, -1),
+        ("d", "daa", 1.0, 0),
+        ("daa", "d", 1.0, 1),
+        ("daa", "d", 1.0, 0),
+        ("a", "dda", 1.0, 1),
+        ("a", "dda", 1.0, 0),
+    ),
+}
 
 
-def _diag_expectation(prob_diag: np.ndarray, operator: sp.spmatrix) -> complex:
-    # Tr(rho O) for diagonal rho.
-    return complex((prob_diag * operator.diagonal()).sum())
+def _word_elements(word: str, dim: int) -> tuple[int, np.ndarray]:
+    """Shift s and elements <n + s| word |n>, n < dim, of a truncated operator word.
+
+    The word acts right to left; a raising step off the top level gives
+    zero, exactly as for the product of truncated matrices.
+    """
+    level = np.arange(dim)
+    amp = np.ones(dim)
+    for op in reversed(word):
+        if op == "a":
+            amp = amp * np.sqrt(np.maximum(level, 0))
+            level = level - 1
+        else:
+            level = level + 1
+            amp = amp * np.sqrt(np.maximum(level, 0)) * (level < dim)
+    return word.count("d") - word.count("a"), amp
 
 
-def _product_diagonal(x: sp.spmatrix, y: sp.spmatrix) -> np.ndarray:
-    # diag(X @ Y) without forming the product.
-    return np.asarray(x.multiply(y.T).sum(axis=1)).ravel()
+@lru_cache(maxsize=8)
+def _correlator_elements(dim: int, ordering: OrderingConvention) -> dict:
+    """Matrix elements of a correlator, grouped by shift and phase power.
+
+    Returns {(s_a, s_b): {k: M}} with M[n_a, n_b] the coefficient of
+    e^(i k delta) in <n_a + s_a, n_b + s_b| C |n_a, n_b>.
+    """
+    grouped: dict = {}
+    for word_a, word_b, coeff, k in _CORRELATOR_TERMS[ordering]:
+        shift_a, amp_a = _word_elements(word_a, dim)
+        shift_b, amp_b = _word_elements(word_b, dim)
+        by_phase = grouped.setdefault((shift_a, shift_b), {})
+        by_phase[k] = by_phase.get(k, 0.0) + coeff * np.outer(amp_a, amp_b)
+    return grouped
+
+
+def _window(shift: int, dim: int) -> tuple[slice, slice]:
+    # Indices n with 0 <= n + shift < dim, and the indices n + shift.
+    return slice(max(0, -shift), dim - max(0, shift)), slice(max(0, shift), dim - max(0, -shift))
 
 
 def hbt_two_mode_correlation(
@@ -412,7 +542,7 @@ def hbt_two_mode_correlation(
     space: FockSpace | None = None,
     ordering: OrderingConvention = OrderingConvention.NORMAL_ORDERED,
 ) -> tuple[float, float]:
-    """Two-detector intensity correlator on thermal light, from the matrices.
+    """Two-detector intensity correlator on thermal light, from Fock matrix elements.
 
     Each detector sees the superposition field A_j = a e^(i delta_j) + b
     with delta_1 - delta_2 = ``delta`` and measures I_j = Adag_j A_j.  The
@@ -426,60 +556,31 @@ def hbt_two_mode_correlation(
       exceeds the normal-ordered one by commutator terms proportional to
       (n_bar + m_bar) cos(delta); the antisymmetric imaginary part of the
       literal product is dropped from the returned reading.
+
+    The thermal state is diagonal, so <C> = sum_n p_n C_nn and
+    <C^2> = sum_n p_n sum_m C_nm C_mn only need the correlator's elements
+    on the few shifts m - n it reaches.
     """
     for name, value in (("n_bar", n_bar), ("m_bar", m_bar)):
         if not math.isfinite(value) or value < 0:
             raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    if ordering not in _CORRELATOR_TERMS:
+        raise DomainError(f"unknown ordering convention {ordering!r}")
     if space is None:
         space = FockSpace(choose_dim(max(n_bar, m_bar)))
     dim = space.dim
-    space.check_two_mode_footprint(40 * dim * dim)
 
-    rho = product_state(thermal_state(n_bar, space), thermal_state(m_bar, space))
-    prob = rho.rho.diagonal().real
-
-    a = destroy(dim)
-    ad = a.T.tocsr()
-    n_op = number_operator(dim)
-    phase1 = np.exp(1j * float(delta))
-
-    if ordering is OrderingConvention.AS_WRITTEN:
-        field1 = _mode_op(a, None, dim) * phase1 + _mode_op(None, a, dim)
-        field2 = _mode_op(a, None, dim) + _mode_op(None, a, dim)
-        i1 = (field1.getH() @ field1).tocsr()
-        i2 = (field2.getH() @ field2).tocsr()
-        product = (i1 @ i2).tocsr()
-        c0 = _diag_expectation(prob, product).real
-        second = float((prob * _product_diagonal(product, product)).sum().real)
-        return c0, second - c0**2
-
-    if ordering is not OrderingConvention.NORMAL_ORDERED:
-        raise DomainError(f"unknown ordering convention {ordering!r}")
-
-    total_number = _mode_op(n_op, None, dim) + _mode_op(None, n_op, dim)
-    direct = (total_number @ total_number).tocsr()
-
-    # Normal-ordered interference monomials.  Phases: detector j contributes
-    # adag b e^(-i delta_j) + bdag a e^(+i delta_j), with delta_2 = 0.
-    ad2a = (ad @ ad @ a).tocsr()
-    ada2 = (ad @ a @ a).tocsr()
-    ad2 = (ad @ ad).tocsr()
-    a2 = (a @ a).tocsr()
-    adaa_b = _mode_op(ad2a, a, dim)  # adag adag a (x) b
-    ad_bd_b2 = _mode_op(ad, (ad @ a @ a).tocsr(), dim)  # adag (x) bdag b b
-    ada2_bd = _mode_op(ada2, ad, dim)  # adag a a (x) bdag
-    a_bd2b = _mode_op(a, (ad @ ad @ a).tocsr(), dim)  # a (x) bdag bdag b
-    mixing_lower = adaa_b + ad_bd_b2  # lowers the mode-a excess by one
-    mixing_raise = ada2_bd + a_bd2b
-
-    interference = (
-        _mode_op(ad2, a2, dim) * np.conj(phase1)  # double transfer b -> a
-        + _mode_op(n_op, n_op, dim) * (phase1 + np.conj(phase1))
-        + _mode_op(a2, ad2, dim) * phase1  # double transfer a -> b
-        + mixing_lower * (np.conj(phase1) + 1.0)  # single transfers, X1 and X2
-        + mixing_raise * (phase1 + 1.0)
-    )
-    correlator = (direct + interference).tocsr()
-    c0 = _diag_expectation(prob, correlator).real
-    second = float((prob * _product_diagonal(correlator, correlator)).sum().real)
-    return c0, second - c0**2
+    prob = np.outer(thermal_populations(n_bar, space)[0], thermal_populations(m_bar, space)[0])
+    phase = np.exp(1j * float(delta))
+    powers = {-1: np.conj(phase), 0: 1.0, 1: phase}
+    elements = {
+        shift: sum(powers[k] * m for k, m in by_phase.items())
+        for shift, by_phase in _correlator_elements(dim, ordering).items()
+    }
+    c0 = complex((prob * elements[(0, 0)]).sum()).real
+    second = 0.0
+    for (shift_a, shift_b), forward in elements.items():
+        back = elements[(-shift_a, -shift_b)]
+        (rows, rows_to), (cols, cols_to) = _window(shift_a, dim), _window(shift_b, dim)
+        second += (prob[rows, cols] * forward[rows, cols] * back[rows_to, cols_to]).sum()
+    return c0, float(second.real) - c0**2

@@ -167,6 +167,16 @@ def test_oracle_check_infeasible_gain_exits_4(tmp_path, capsys):
     assert "truncation" in err.lower()
 
 
+def test_oracle_check_gain_beyond_double_resolution_exits_4(tmp_path):
+    # At g = 20 the squeezed mean is about 6e16, where mean/(1+mean) rounds to 1.
+    target = tmp_path / "r.json"
+    result = run_python("-m", "opahbt", "oracle-check", "--g-grid", "0,20", "--out", str(target))
+    assert result.returncode == 4, result.stderr
+    assert "truncation" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not target.exists()
+
+
 def _write_scan(path, phi, noise=0.0, seed=0, points=64):
     r = np.linspace(0.0, 40.0, points)
     y = 0.9 * np.cos(K_BLUE * phi * r)
@@ -262,6 +272,16 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True", "True"]
+
+
+def test_oracle_checks_import_leaves_scipy_unloaded():
+    result = run_python(
+        "-c",
+        "import sys, opahbt.oracle_checks; "
+        "print(any(m.startswith('scipy') for m in sys.modules))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("module", ["opahbt", "opahbt.cli"])

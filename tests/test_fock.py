@@ -13,20 +13,23 @@ from opahbt import (
     TruncationError,
     choose_dim,
     correlation_full,
-    expm_taylor,
     Geometry,
     hbt_two_mode_correlation,
+    ladder_exponential,
     moment_truncation_bound,
     partial_trace,
+    population_moments,
     product_state,
     propagate_moments,
     reduced_moments,
     space_for_squeezed_thermal,
+    squeeze_populations,
     thermal_moments,
     thermal_state,
     two_mode_squeeze,
     vacuum_state,
 )
+from opahbt.oracle_checks import DEFAULT_G_GRID, DEFAULT_N_GRID
 
 
 def test_thermal_state_geometric_weights_and_deficit():
@@ -73,14 +76,26 @@ def test_choose_dim_rule_and_cap():
     assert excinfo.value.suggested_dim > 256
 
 
-def test_expm_taylor_matches_scipy():
-    rng = np.random.default_rng(7)
-    for side in (1, 4, 23, 60):
-        a = rng.standard_normal((side, side))
-        a = a - a.T  # antisymmetric, like the squeezer generator
-        np.testing.assert_allclose(
-            expm_taylor(a), scipy.linalg.expm(a), rtol=1e-12, atol=1e-12
-        )
+def test_choose_dim_rejects_mean_beyond_double_resolution():
+    # mean/(1+mean) rounds to 1.0 here, so no dimension meets the tail.
+    with pytest.raises(TruncationError):
+        choose_dim(1e17)
+    assert choose_dim(1e3, tail=1e-12, cap=10**6) == 27645  # the rule below that
+
+
+@pytest.mark.parametrize("difference", [0, 1, 60, 113, 150, 183])
+def test_ladder_exponential_matches_scipy(difference):
+    # Ladders of the dim-184 space, the largest the oracle grids reach at
+    # g = 1.25.  The block couples |d+k, k> to |d+k+1, k+1> through adag bdag.
+    g, length = 1.25, 184 - difference
+    k = np.arange(length - 1)
+    couplings = g * np.sqrt((difference + k + 1.0) * (k + 1.0))
+    block = np.zeros((length, length))
+    block[k + 1, k] = couplings
+    block[k, k + 1] = -couplings
+    got = ladder_exponential(difference, length, g)
+    np.testing.assert_allclose(got, scipy.linalg.expm(block), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got @ got.T, np.eye(length), atol=1e-13)
 
 
 def test_squeeze_matches_dense_generator_exponential():
@@ -97,6 +112,43 @@ def test_squeeze_matches_dense_generator_exponential():
     expected = unitary @ rho_dense @ unitary.T
     squeezed = two_mode_squeeze(state, g, max_tail=1.0)
     np.testing.assert_allclose(squeezed.to_dense(), expected, atol=1e-12)
+
+
+def test_squeeze_populations_match_full_squeeze_with_thermal_idler():
+    space = FockSpace(12)
+    state = product_state(thermal_state(0.4, space), thermal_state(0.2, space))
+    full = two_mode_squeeze(state, 0.4, max_tail=1.0).rho.diagonal().real
+    got = squeeze_populations(
+        state.populations(), 0.4, trace_deficit=state.trace_deficit, max_tail=1.0
+    )
+    np.testing.assert_allclose(got.ravel(), full, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", DEFAULT_N_GRID)
+@pytest.mark.parametrize("g", DEFAULT_G_GRID)
+def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
+    space = space_for_squeezed_thermal(n, g, tail=1e-12)
+    state = product_state(thermal_state(n, space), vacuum_state(space))
+    full = two_mode_squeeze(state, g)
+    got = squeeze_populations(state.populations(), g, trace_deficit=state.trace_deficit)
+    np.testing.assert_allclose(got.ravel(), full.rho.diagonal().real, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        population_moments(got, 0).as_array(),
+        reduced_moments(full, 0).as_array(),
+        rtol=1e-12,
+    )
+
+
+def test_squeeze_populations_raise_the_full_route_truncation_error():
+    space = FockSpace(12)
+    state = product_state(thermal_state(1.0, space), vacuum_state(space))
+    with pytest.raises(TruncationError) as full:
+        two_mode_squeeze(state, 1.5)
+    with pytest.raises(TruncationError) as diagonal:
+        squeeze_populations(state.populations(), 1.5, trace_deficit=state.trace_deficit)
+    assert diagonal.value.suggested_dim == full.value.suggested_dim
+    assert diagonal.value.suggested_dim > 12
+    assert diagonal.value.achieved == pytest.approx(full.value.achieved, rel=1e-12)
 
 
 def test_zero_gain_squeeze_is_identity():
@@ -240,6 +292,23 @@ def test_correlator_noise_is_nonnegative():
     for ordering in OrderingConvention:
         _, noise_sq = hbt_two_mode_correlation(1.0, 0.5, 0.7, ordering=ordering)
         assert noise_sq > 0.0
+
+
+@pytest.mark.parametrize(
+    "ordering, delta, mean, variance",
+    [
+        # Literal order: the Wick pairing sums of the Gaussian state.
+        (OrderingConvention.AS_WRITTEN, 0.0, 12.0, 1056.0),
+        (OrderingConvention.AS_WRITTEN, math.pi / 2, 8.0, 536.0),
+        (OrderingConvention.NORMAL_ORDERED, 0.0, 10.0, 836.0),
+        (OrderingConvention.NORMAL_ORDERED, math.pi / 2, 8.0, 468.0),
+    ],
+    ids=["as-written-0", "as-written-pi/2", "normal-ordered-0", "normal-ordered-pi/2"],
+)
+def test_correlator_second_moment_at_unit_means(ordering, delta, mean, variance):
+    c0, noise_sq = hbt_two_mode_correlation(1.0, 1.0, delta, ordering=ordering)
+    assert c0 == pytest.approx(mean, rel=1e-6)
+    assert noise_sq == pytest.approx(variance, rel=1e-6)
 
 
 def test_fock_space_validation_and_footprint_cap():
