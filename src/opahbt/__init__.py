@@ -8,9 +8,9 @@ Fock-space numerics for the amplifier, a Gaussian pairing-sum engine, and
 a generic substitution path for the noise polynomials.
 
 The Fock-space oracle (``fock``) and the suites built on it
-(``oracle_checks``) are imported on first use of one of their names.  The
-suites work on numpy population grids; scipy.sparse is loaded only when a
-full ``FockState`` density matrix is built.
+(``oracle_checks``) are imported on first use of one of their names.  A
+Fock state is its photon-number population grid, a numpy array; the
+package needs only numpy at run time.
 """
 
 from .analysis import (
@@ -40,7 +40,6 @@ from .hbt import (
     ConsistencyReport,
     CorrelationReading,
     Geometry,
-    SourcePair,
     UndefinedSnrWarning,
     consistency_report,
     correlation_ac,
@@ -106,7 +105,6 @@ __all__ = [
     "OrderingConvention",
     "PhiEstimate",
     "RatioTable",
-    "SourcePair",
     "Spacing",
     "SummationLimitError",
     "SweepSpec",

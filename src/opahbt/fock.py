@@ -1,14 +1,13 @@
 """Truncated Fock-space numerics: the first-principles verification route.
 
-The oracle suites work on joint population grids p[n_a, n_b], (dim, dim)
-numpy arrays.  Thermal and vacuum inputs are diagonal, the squeezer maps a
-diagonal two-mode input to a diagonal output, and the two-detector
-correlator only needs each operator's matrix elements next to the
-diagonal.  Full density matrices (:class:`FockState`, stored sparse) stay
-available for the public API; scipy.sparse is imported only by the
-functions that build them.  Every state is subnormalized: the probability
-mass lost to truncation is carried explicitly as a trace deficit so trace
-+ deficit = 1 holds exactly.
+A state is its photon-number distribution: p[n] for one mode or
+p[n_a, n_b] for two, a numpy array held by :class:`FockState`.  That is
+all the modelled amplifier needs.  Thermal and vacuum inputs are diagonal,
+the two-mode squeezer maps a diagonal input to a diagonal output, and the
+two-detector correlator only needs each operator's matrix elements next to
+the diagonal.  Every state is subnormalized: the probability mass lost to
+truncation is carried explicitly as a trace deficit so trace + deficit = 1
+holds exactly.  The module needs only numpy.
 
 The two-mode squeezer is the exponential of the anti-Hermitian generator
 g(adag bdag - a b) in the truncated space.  That generator preserves the
@@ -26,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._domain import nonnegative_scalar
 from .errors import DomainError, TruncationError
 from .photon_stats import MomentVector
 
@@ -49,74 +49,61 @@ class OrderingConvention(Enum):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncation setup: ``dim`` Fock levels per mode.
-
-    ``max_operator_bytes`` caps the estimated footprint of two-mode
-    operators before they are built.
-    """
+    """Truncation setup: ``dim`` Fock levels per mode."""
 
     dim: int
-    max_operator_bytes: int = 1 << 31
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 2:
             raise DomainError(f"dim must be an integer >= 2, got {self.dim!r}")
 
-    def check_two_mode_footprint(self, nnz_estimate: int, itemsize: int = 16) -> None:
-        required = int(nnz_estimate) * (itemsize + 8)  # data plus index overhead
-        if required > self.max_operator_bytes:
-            raise TruncationError(
-                f"two-mode operators at dim={self.dim} need about {required} bytes, "
-                f"over the configured cap of {self.max_operator_bytes}; reduce dim "
-                "or raise max_operator_bytes",
-                achieved=required,
-            )
 
-
+@dataclass(frozen=True, eq=False)
 class FockState:
-    """Subnormalized density operator over one or two modes.
+    """Subnormalized photon-number distribution of one or two modes.
 
     Attributes:
-        rho: CSR matrix of the retained-block density operator.
-        dims: Fock dimension of each mode.
-        trace_deficit: probability mass lying outside the retained block.
+        probs: read-only populations, p[n] for one mode or p[n_a, n_b]
+            for two (equal per-mode dims).
+        trace_deficit: probability mass lying outside the retained levels.
     """
 
-    def __init__(self, rho, dims: tuple[int, ...], trace_deficit: float = 0.0):
-        import scipy.sparse as sp
+    probs: np.ndarray
+    trace_deficit: float = 0.0
 
-        rho = sp.csr_matrix(rho)
-        side = int(np.prod(dims))
-        if rho.shape != (side, side):
-            raise DomainError(f"density matrix shape {rho.shape} does not match dims {dims}")
-        if len(dims) not in (1, 2):
-            raise DomainError(f"only one- and two-mode states are supported, got dims {dims}")
-        if len(dims) == 2 and dims[0] != dims[1]:
-            raise DomainError(f"two-mode states need equal per-mode dims, got {dims}")
-        if not (0.0 <= trace_deficit <= 1.0):
-            raise DomainError(f"trace deficit must be in [0, 1], got {trace_deficit}")
-        self.rho = rho
-        self.dims = tuple(int(d) for d in dims)
-        self.trace_deficit = float(trace_deficit)
+    def __post_init__(self):
+        probs = np.array(self.probs, dtype=float)
+        if probs.ndim not in (1, 2):
+            raise DomainError(
+                f"only one- and two-mode states are supported, got shape {probs.shape}"
+            )
+        if probs.ndim == 2 and probs.shape[0] != probs.shape[1]:
+            raise DomainError(f"two-mode states need equal per-mode dims, got {probs.shape}")
+        if not (0.0 <= self.trace_deficit <= 1.0):
+            raise DomainError(f"trace deficit must be in [0, 1], got {self.trace_deficit}")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "trace_deficit", float(self.trace_deficit))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.probs.shape
 
     @property
     def n_modes(self) -> int:
-        return len(self.dims)
+        return self.probs.ndim
 
     @property
     def dim(self) -> int:
-        return self.dims[0]
+        return self.probs.shape[0]
 
     @property
     def trace(self) -> float:
-        return float(self.rho.diagonal().sum().real)
-
-    def to_dense(self) -> np.ndarray:
-        return self.rho.toarray()
+        return float(self.probs.sum())
 
     def populations(self) -> np.ndarray:
-        """The diagonal of ``rho``: p[n] for one mode, p[n_a, n_b] for two."""
-        return self.rho.diagonal().real.reshape(self.dims)
+        """p[n] for one mode, p[n_a, n_b] for two (read-only)."""
+        return self.probs
 
     def boundary_mass(self) -> float:
         """Population of the top retained Fock level of any mode.
@@ -125,25 +112,16 @@ class FockState:
         whatever flux the ideal dynamics would push past the cutoff first
         has to populate this shell.
         """
-        return _shell_mass(self.populations())
+        return _shell_mass(self.probs)
 
-    def validate(self, eig_side_limit: int = 2048) -> None:
-        """Check hermiticity, positivity and trace bookkeeping.
-
-        The eigenvalue floor is only checked when the matrix side is at
-        most ``eig_side_limit`` (dense diagonalisation).
-        """
-        herm_gap = abs(self.rho - self.rho.getH()).max()
-        if herm_gap > 1e-12:
-            raise DomainError(f"density matrix not Hermitian: max deviation {herm_gap:.3e}")
+    def validate(self) -> None:
+        """Check that the populations are finite and >= 0 and that trace + deficit = 1."""
+        if not (np.isfinite(self.probs).all() and (self.probs >= 0.0).all()):
+            raise DomainError("populations must be finite and >= 0")
         if abs(self.trace + self.trace_deficit - 1.0) > 1e-10:
             raise DomainError(
                 f"trace {self.trace} plus deficit {self.trace_deficit} is not 1"
             )
-        if self.rho.shape[0] <= eig_side_limit:
-            floor = float(np.linalg.eigvalsh(self.to_dense()).min())
-            if floor < -1e-10:
-                raise DomainError(f"density matrix has eigenvalue {floor:.3e} below floor")
 
 
 def _shell_mass(populations: np.ndarray) -> float:
@@ -162,8 +140,7 @@ def choose_dim(mean: float, tail: float = DEFAULT_TAIL, cap: int = DIM_CAP) -> i
         TruncationError: if the required dimension exceeds ``cap``, or the
             mean is so large that mean/(1+mean) rounds to 1.
     """
-    if not math.isfinite(mean) or mean < 0:
-        raise DomainError(f"mean must be finite and >= 0, got {mean!r}")
+    mean = nonnegative_scalar("mean", mean)
     if not (0.0 < tail < 1.0):
         raise DomainError(f"tail must be in (0, 1), got {tail!r}")
     if mean == 0.0:
@@ -193,7 +170,7 @@ def space_for_squeezed_thermal(
 
     The output marginal is thermal at cosh(g)^2 n + sinh(g)^2, so the
     geometric tail rule applies to that mean.  The sizing is a-priori only;
-    the squeezers re-check the realized boundary mass.
+    the squeezer re-checks the realized boundary mass.
     """
     mean_out = math.cosh(g) ** 2 * n_bar + math.sinh(g) ** 2
     return FockSpace(choose_dim(mean_out, tail, cap))
@@ -205,8 +182,7 @@ def thermal_populations(n_bar: float, space: FockSpace) -> tuple[np.ndarray, flo
     The tail mass (N/(1+N))^dim is what truncation to ``space.dim`` levels
     drops.
     """
-    if not math.isfinite(n_bar) or n_bar < 0:
-        raise DomainError(f"mean photon number must be finite and >= 0, got {n_bar!r}")
+    n_bar = nonnegative_scalar("mean photon number", n_bar)
     if n_bar == 0.0:
         probs = np.zeros(space.dim)
         probs[0] = 1.0
@@ -221,10 +197,7 @@ def thermal_state(n_bar: float, space: FockSpace) -> FockState:
     The retained block keeps the exact geometric weights; the tail mass is
     reported as the trace deficit.
     """
-    import scipy.sparse as sp
-
-    probs, deficit = thermal_populations(n_bar, space)
-    return FockState(sp.diags(probs, format="csr"), (space.dim,), deficit)
+    return FockState(*thermal_populations(n_bar, space))
 
 
 def vacuum_state(space: FockSpace) -> FockState:
@@ -233,15 +206,12 @@ def vacuum_state(space: FockSpace) -> FockState:
 
 def product_state(a: FockState, b: FockState) -> FockState:
     """Tensor product of two single-mode states (mode order preserved)."""
-    import scipy.sparse as sp
-
     if a.n_modes != 1 or b.n_modes != 1:
         raise DomainError("product_state expects two single-mode states")
     if a.dim != b.dim:
         raise DomainError(f"per-mode dims must match, got {a.dim} and {b.dim}")
-    rho = sp.kron(a.rho, b.rho, format="csr")
     deficit = 1.0 - (1.0 - a.trace_deficit) * (1.0 - b.trace_deficit)
-    return FockState(rho, (a.dim, b.dim), deficit)
+    return FockState(np.outer(a.probs, b.probs), deficit)
 
 
 def _ladder_parts(difference: int, length: int, g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -271,41 +241,6 @@ def ladder_exponential(difference: int, length: int, g: float) -> np.ndarray:
     cos_part, sin_part = _ladder_parts(difference, length, g)
     power = np.subtract.outer(np.arange(length), np.arange(length)) % 4
     return _RE_I_POWER[power] * cos_part - _RE_I_POWER[(power + 1) % 4] * sin_part
-
-
-@lru_cache(maxsize=16)
-def _squeeze_propagator(dim: int, g: float):
-    """exp(g (adag bdag - a b)) on the truncated two-mode space, as CSR.
-
-    The generator is block diagonal over difference ladders.  The blocks
-    for difference +d and -d coincide up to the mode swap and are
-    computed once.
-    """
-    import scipy.sparse as sp
-
-    rows, cols, vals = [], [], []
-    for d in range(dim):
-        exp_block = ladder_exponential(d, dim - d, g)
-        n_upper = np.arange(d, dim)  # signal-mode occupation along the ladder
-        n_lower = n_upper - d
-        for flip in (False, True):
-            if flip and d == 0:
-                continue
-            idx = (n_lower * dim + n_upper) if flip else (n_upper * dim + n_lower)
-            r, c = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(exp_block.ravel())
-    side = dim * dim
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(side, side),
-    )
-
-
-def _check_gain(g: float) -> None:
-    if not math.isfinite(g) or g < 0:
-        raise DomainError(f"gain must be finite and >= 0, got {g!r}")
 
 
 def _check_squeezed_tail(
@@ -341,10 +276,10 @@ def squeeze_populations(
     A diagonal input has no coherences, so each output population on a
     difference ladder is sum_k |U_jk|^2 p_k with U that ladder's
     exponential, and |U_jk|^2 is the sum of the squared cosine and sine
-    parts of :func:`ladder_exponential`.  The result is the diagonal
-    :func:`two_mode_squeeze` would give, without forming any density
-    matrix.  Truncation is checked as in :func:`two_mode_squeeze`, with
-    ``trace_deficit`` the input's.
+    parts of :func:`ladder_exponential`.  Each U is orthogonal on the
+    retained block, so the trace is preserved.  Truncation quality is
+    verified a posteriori: ``trace_deficit``, the input's, plus the
+    realized boundary-shell mass must stay below ``max_tail``.
 
     Raises:
         TruncationError: when the combined tail estimate exceeds
@@ -353,14 +288,14 @@ def squeeze_populations(
     populations = np.asarray(populations, dtype=float)
     if populations.ndim != 2 or populations.shape[0] != populations.shape[1]:
         raise DomainError(f"populations must be a square grid, got shape {populations.shape}")
-    _check_gain(g)
+    g = nonnegative_scalar("gain", g)
     dim = populations.shape[0]
     out = np.empty_like(populations)
     for d in range(dim):
         upper, lower = np.arange(d, dim), np.arange(dim - d)
         # Columns: the ladder with n_a = n_b + d and its mode swap.
         ladders = np.column_stack((populations[upper, lower], populations[lower, upper]))
-        cos_part, sin_part = _ladder_parts(d, dim - d, float(g))
+        cos_part, sin_part = _ladder_parts(d, dim - d, g)
         moved = (cos_part**2 + sin_part**2) @ ladders
         out[upper, lower] = moved[:, 0]
         out[lower, upper] = moved[:, 1]
@@ -368,21 +303,11 @@ def squeeze_populations(
     return out
 
 
-def two_mode_squeeze(
-    state: FockState,
-    g: float,
-    space: FockSpace | None = None,
-    max_tail: float = 1e-9,
-) -> FockState:
+def two_mode_squeeze(state: FockState, g: float, max_tail: float = 1e-9) -> FockState:
     """Apply the two-mode squeezer with gain ``g`` to a two-mode state.
 
-    The propagator is orthogonal on the retained block, so the trace and
-    therefore the stored deficit are preserved exactly.  Truncation quality
-    is verified a posteriori: the input deficit plus the realized boundary
-    shell mass must stay below ``max_tail``.  ``space``, when given, must
-    match the state and supplies the operator footprint cap.  For a
-    diagonal input whose output diagonal is all that is needed,
-    :func:`squeeze_populations` is the cheaper route.
+    The output keeps the input's trace deficit; see
+    :func:`squeeze_populations` for the algorithm and the truncation check.
 
     Raises:
         TruncationError: when the combined tail estimate exceeds
@@ -390,39 +315,17 @@ def two_mode_squeeze(
     """
     if state.n_modes != 2:
         raise DomainError("two_mode_squeeze expects a two-mode state")
-    _check_gain(g)
-    dim = state.dim
-    if space is None:
-        space = FockSpace(dim)
-    elif space.dim != dim:
-        raise DomainError(f"space dim {space.dim} does not match state dim {dim}")
-    space.check_two_mode_footprint(2 * dim**3 // 3 + dim**2)
-    propagator = _squeeze_propagator(dim, float(g))
-    rho_out = (propagator @ state.rho @ propagator.T).tocsr()
-    out = FockState(rho_out, state.dims, state.trace_deficit)
-    _check_squeezed_tail(out.populations(), state.trace_deficit, g, max_tail)
-    return out
+    squeezed = squeeze_populations(state.probs, g, state.trace_deficit, max_tail)
+    return FockState(squeezed, state.trace_deficit)
 
 
 def partial_trace(state: FockState, mode: int) -> FockState:
-    """Reduce a two-mode state to the given mode (0 or 1)."""
-    import scipy.sparse as sp
-
+    """Marginal populations of the given mode (0 or 1) of a two-mode state."""
     if state.n_modes != 2:
         raise DomainError("partial_trace expects a two-mode state")
     if mode not in (0, 1):
         raise DomainError(f"mode must be 0 or 1, got {mode!r}")
-    dim = state.dim
-    coo = state.rho.tocoo()
-    row_kept, row_other = divmod(coo.row, dim)
-    col_kept, col_other = divmod(coo.col, dim)
-    if mode == 1:
-        row_kept, row_other = row_other, row_kept
-        col_kept, col_other = col_other, col_kept
-    keep = row_other == col_other
-    reduced = np.zeros((dim, dim), dtype=coo.data.dtype)
-    np.add.at(reduced, (row_kept[keep], col_kept[keep]), coo.data[keep])
-    return FockState(sp.csr_matrix(reduced), (dim,), state.trace_deficit)
+    return FockState(state.probs.sum(axis=1 - mode), state.trace_deficit)
 
 
 def population_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
@@ -444,7 +347,6 @@ def population_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
 def reduced_moments(state: FockState, mode: int = 0) -> MomentVector:
     """Photon-number moments <n^j>, j = 1..4, of one mode of a state.
 
-    Only the joint diagonal enters, so no explicit partial trace is needed.
     The truncation error of the result is bounded by
     :func:`moment_truncation_bound`.
     """
@@ -561,9 +463,7 @@ def hbt_two_mode_correlation(
     <C^2> = sum_n p_n sum_m C_nm C_mn only need the correlator's elements
     on the few shifts m - n it reaches.
     """
-    for name, value in (("n_bar", n_bar), ("m_bar", m_bar)):
-        if not math.isfinite(value) or value < 0:
-            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    n_bar, m_bar = nonnegative_scalar("n_bar", n_bar), nonnegative_scalar("m_bar", m_bar)
     if ordering not in _CORRELATOR_TERMS:
         raise DomainError(f"unknown ordering convention {ordering!r}")
     if space is None:

@@ -50,18 +50,6 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class SourcePair:
-    """Mean photon numbers of the two source modes."""
-
-    n_bar: float
-    m_bar: float
-
-    def __post_init__(self):
-        for name in ("n_bar", "m_bar"):
-            object.__setattr__(self, name, nonnegative_scalar(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
 class CorrelationReading:
     """One correlator configuration: AC signal, DC offset, averaged noise, SNR."""
 
@@ -273,19 +261,19 @@ def signal_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) ->
 def snr_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
     """Amplified over plain SNR at peak signal (cos of the phase set to 1).
 
-    Both SNRs use the published phase-averaged noise laws.
+    Both SNRs use the published phase-averaged noise laws.  Where either
+    law overflows to a non-finite value the ratio is nan, not the 0 or inf
+    its quotient would give.
     """
     n, m = _means(n_bar, m_bar)
     _nonzero(n, m, "SNR ratio")
     c = coeffs(params)
-    amplified = (
-        2.0
-        * (c.mu2 * n + c.nu2)
-        * (c.mu2 * m + c.nu2)
-        / np.sqrt(opa_noise_avg_printed(n, m, params))
-    )
-    plain = 2.0 * n * m / np.sqrt(noise_avg_printed(n, m))
-    return unwrap(amplified / plain)
+    amplified_noise = opa_noise_avg_printed(n, m, params)
+    plain_noise = noise_avg_printed(n, m)
+    amplified = 2.0 * (c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) / np.sqrt(amplified_noise)
+    plain = 2.0 * n * m / np.sqrt(plain_noise)
+    finite = np.isfinite(amplified_noise) & np.isfinite(plain_noise)
+    return unwrap(np.where(finite, amplified / plain, np.nan))
 
 
 def correlation_reading(

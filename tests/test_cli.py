@@ -251,6 +251,8 @@ def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
         ["fig5", "--n-min", "1e80", "--n-max", "1e80", "--points", "1"],
         ["fig5", "--g", "400"],
         ["fig5", "--g", "200"],
+        # The amplified noise overflows while the ratio's other terms stay finite.
+        ["fig5", "--g", "10", "--n-min", "1e70", "--n-max", "1e70", "--points", "1"],
     ],
 )
 def test_overflowing_sweep_exits_2_without_output_or_warnings(tmp_path, args):
@@ -282,6 +284,32 @@ def test_oracle_checks_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"]
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every scipy import fail.
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from opahbt import (FockSpace, partial_trace, product_state, reduced_moments,
+                    thermal_state, two_mode_squeeze, vacuum_state)
+from opahbt.cli import main
+space = FockSpace(40)
+squeezed = two_mode_squeeze(product_state(thermal_state(0.5, space), vacuum_state(space)), 0.5)
+squeezed.validate()
+partial_trace(squeezed, 1).validate()
+print(f"{{reduced_moments(squeezed, 0).m1:.6f}}")
+sys.exit(
+    main(["oracle-check", "--n-grid", "0,0.5", "--g-grid", "0,0.25",
+          "--out", {str(tmp_path / "report.json")!r}])
+    or main(["fig5", "--out", {str(tmp_path / "fig5.csv")!r}])
+)
+"""
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [f"{math.cosh(0.5) ** 2 * 0.5 + math.sinh(0.5) ** 2:.6f}"]
+    assert json.loads((tmp_path / "report.json").read_text())["all_expected_pass_ok"]
+    assert (tmp_path / "fig5.csv").read_text().startswith("n_bar,ratio\n")
 
 
 @pytest.mark.parametrize("module", ["opahbt", "opahbt.cli"])

@@ -9,7 +9,6 @@ from opahbt import (
     DomainError,
     Geometry,
     OpaParams,
-    SourcePair,
     UndefinedSnrWarning,
     consistency_report,
     correlation_ac,
@@ -47,12 +46,6 @@ def test_geometry_phase_product():
     assert geom.phase == pytest.approx(1.42e7 * 20.0 * 1e-8)
     with pytest.raises(DomainError):
         Geometry(-1.0, 1.0, 1.0)
-
-
-def test_source_pair_validation():
-    SourcePair(0.0, 2.5)
-    with pytest.raises(DomainError):
-        SourcePair(-1.0, 1.0)
 
 
 def test_correlation_full_worked_values():
@@ -256,7 +249,6 @@ def test_real_numpy_scalars_are_accepted(value):
     gain = OpaParams(value * 2).gain
     assert gain == 2.0 and type(gain) is float
     assert Geometry(value, 1.0, 1.0).phase == 1.0
-    assert SourcePair(value, value).n_bar == 1.0
 
 
 @pytest.mark.parametrize(
@@ -270,7 +262,7 @@ def test_invalid_means_raise_domain_error(bad):
     with pytest.raises(DomainError):
         OpaParams(bad)
     with pytest.raises(DomainError):
-        SourcePair(bad, 1.0)
+        Geometry(1.0, bad, 1.0)
 
 
 def test_invalid_array_element_is_named():
