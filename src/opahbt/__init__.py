@@ -34,7 +34,6 @@ from .errors import (
     SummationLimitError,
     TruncationError,
     UnreachableTargetError,
-    UnsupportedConfigurationError,
 )
 from .hbt import (
     ConsistencyReport,
@@ -112,7 +111,6 @@ __all__ = [
     "TruncationError",
     "UndefinedSnrWarning",
     "UnreachableTargetError",
-    "UnsupportedConfigurationError",
     "choose_dim",
     "coeffs",
     "consistency_report",
@@ -126,7 +124,6 @@ __all__ = [
     "gaussian_wick_moment",
     "geometric_summation_moments",
     "hbt_two_mode_correlation",
-    "ladder_exponential",
     "moment_truncation_bound",
     "monte_carlo_semiclassical",
     "noise_avg_printed",

@@ -24,6 +24,7 @@ from .hbt import signal_ratio, snr_ratio
 from .opa import OpaParams
 
 MC_BLOCK_SIZE = 262_144
+PHI_MAX_ITERATIONS = 200
 
 
 class Spacing(Enum):
@@ -201,17 +202,17 @@ def estimate_phi(
     c_values: np.ndarray,
     k: float,
     amplitude_known: float | None = None,
-    max_iterations: int = 200,
     seed: int = 0,
 ) -> PhiEstimate:
     """Recover the angular size from a scan of the AC correlation vs baseline.
 
     Fits C(r0) = S * cos(k * r0 * phi) by damped Gauss-Newton, with the
     spatial frequency initialised from the dominant peak of the scan's
-    discrete spectrum.  The linearised standard error of phi comes from the
-    residual variance and the Jacobian at the solution.  If the damped
-    iteration stalls, a few seeded perturbations of the initial frequency
-    are tried before reporting a non-converged estimate.
+    discrete spectrum, for at most :data:`PHI_MAX_ITERATIONS` steps.  The
+    linearised standard error of phi comes from the residual variance and
+    the Jacobian at the solution.  If the damped iteration stalls, a few
+    seeded perturbations of the initial frequency are tried before
+    reporting a non-converged estimate.
 
     Raises:
         DomainError: for fewer than 4 points or non-finite input.
@@ -256,7 +257,7 @@ def estimate_phi(
         cost = float(res @ res)
         iterations = 0
         converged = False
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, PHI_MAX_ITERATIONS + 1):
             cos_wr = np.cos(w * r)
             sin_wr = np.sin(w * r)
             if fixed_amplitude:
@@ -359,7 +360,6 @@ def monte_carlo_semiclassical(
     delta: float,
     samples: int,
     seed: int,
-    block_size: int = MC_BLOCK_SIZE,
 ) -> McEstimate:
     """Sample the intensity product of the classical-field interferometer.
 
@@ -370,23 +370,21 @@ def monte_carlo_semiclassical(
     2 n^2 + 2 m^2 + 2 n m (1 + cos delta), below the photon-number value by
     the diagonal-moment gap n + m.
 
-    Each block of ``block_size`` samples draws from a substream derived
-    deterministically from (seed, block index).
+    Each block of :data:`MC_BLOCK_SIZE` samples draws from a substream
+    derived deterministically from (seed, block index).
     """
     n_bar = nonnegative_scalar("n_bar", n_bar)
     m_bar = nonnegative_scalar("m_bar", m_bar)
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(block_size, int) or block_size < 1:
-        raise DomainError(f"block_size must be a positive integer, got {block_size!r}")
 
-    n_blocks = (samples + block_size - 1) // block_size
+    n_blocks = (samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     phase = complex(math.cos(delta), math.sin(delta))
     sums = np.zeros(4)
     remaining = samples
     for children in streams:
-        count = min(block_size, remaining)
+        count = min(MC_BLOCK_SIZE, remaining)
         remaining -= count
         rng = np.random.default_rng(children)
         e_n = math.sqrt(n_bar / 2.0) * (

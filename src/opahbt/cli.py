@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or input error, 3 degenerate fit,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,14 +21,7 @@ import tempfile
 import numpy as np
 
 from .analysis import Spacing, SweepSpec, estimate_phi, fit_inverse_law, sweep_ratios
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    FringeCoverageError,
-    OpaHbtError,
-    TruncationError,
-    UnsupportedConfigurationError,
-)
+from .errors import DegenerateFitError, DomainError, OpaHbtError, TruncationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,21 +128,9 @@ def _cmd_fit(args) -> int:
     spec = _sweep_spec(args)
     fit = fit_inverse_law(sweep_ratios(spec))
     sensitivity = []
-    seen = set()
-    for n_min, n_max in ((spec.n_min, spec.n_max),) + _SENSITIVITY_RANGES:
-        if (n_min, n_max) in seen:
-            continue
-        seen.add((n_min, n_max))
-        alt_spec = SweepSpec(
-            g=spec.g,
-            n_min=n_min,
-            n_max=n_max,
-            points=spec.points,
-            spacing=spec.spacing,
-            equal_sources=spec.equal_sources,
-            m_bar=spec.m_bar,
-        )
-        alt = fit_inverse_law(sweep_ratios(alt_spec))
+    for n_min, n_max in dict.fromkeys(((spec.n_min, spec.n_max),) + _SENSITIVITY_RANGES):
+        window = dataclasses.replace(spec, n_min=n_min, n_max=n_max)
+        alt = fit_inverse_law(sweep_ratios(window))
         sensitivity.append(
             {"n_min": n_min, "n_max": n_max, "A": alt.A, "B": alt.B, "rss": alt.rss}
         )
@@ -320,9 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationError as exc:
         print(f"opahbt: truncation infeasible: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (FringeCoverageError, DomainError, UnsupportedConfigurationError) as exc:
-        print(f"opahbt: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OpaHbtError as exc:
         print(f"opahbt: {exc}", file=sys.stderr)
         return EXIT_USAGE

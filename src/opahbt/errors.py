@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so new failure modes should
-reuse an existing class where the meaning fits.
+The CLI maps these onto process exit codes: DegenerateFitError exits 3,
+TruncationError 4 and every other :class:`OpaHbtError` 2.  New failure
+modes should reuse an existing class where the meaning fits.
 """
 
 
@@ -11,15 +12,6 @@ class OpaHbtError(Exception):
 
 class DomainError(OpaHbtError, ValueError):
     """An input is outside the mathematical domain of an operation."""
-
-
-class UnsupportedConfigurationError(OpaHbtError, ValueError):
-    """A configuration is stored in the data model but has no computable path.
-
-    The main case is a nonzero amplifier pump phase: the moment-propagation
-    algebra is only valid at zero phase, and erroring beats silently
-    ignoring the phase.
-    """
 
 
 class SummationLimitError(OpaHbtError, RuntimeError):

@@ -13,7 +13,7 @@ The two-mode squeezer is the exponential of the anti-Hermitian generator
 g(adag bdag - a b) in the truncated space.  That generator preserves the
 photon-number difference between the modes, so it is block diagonal over
 difference ladders, and each ladder's exponential comes from one
-eigendecomposition (:func:`ladder_exponential`).
+eigendecomposition (:func:`_ladder_parts`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from ._domain import nonnegative_scalar
 from .errors import DomainError, TruncationError
+from .opa import OpaParams, equivalent_thermal_mean
 from .photon_stats import MomentVector
 
 DEFAULT_TAIL = 1e-12
@@ -131,14 +132,14 @@ def _shell_mass(populations: np.ndarray) -> float:
     return float(populations[-1, :].sum() + populations[:-1, -1].sum())
 
 
-def choose_dim(mean: float, tail: float = DEFAULT_TAIL, cap: int = DIM_CAP) -> int:
+def choose_dim(mean: float, tail: float = DEFAULT_TAIL) -> int:
     """Smallest per-mode dimension whose thermal tail at ``mean`` is below ``tail``.
 
     Uses the geometric tail (mean/(1+mean))^dim of a thermal distribution.
 
     Raises:
-        TruncationError: if the required dimension exceeds ``cap``, or the
-            mean is so large that mean/(1+mean) rounds to 1.
+        TruncationError: if the required dimension exceeds :data:`DIM_CAP`,
+            or the mean is so large that mean/(1+mean) rounds to 1.
     """
     mean = nonnegative_scalar("mean", mean)
     if not (0.0 < tail < 1.0):
@@ -153,27 +154,30 @@ def choose_dim(mean: float, tail: float = DEFAULT_TAIL, cap: int = DIM_CAP) -> i
             achieved=1.0,
         )
     needed = max(8, int(math.ceil(math.log(tail) / math.log(q))))
-    if needed > cap:
+    if needed > DIM_CAP:
         raise TruncationError(
             f"a thermal tail below {tail:g} at mean {mean:g} needs dim {needed}, "
-            f"over the cap of {cap}; lower the gain or mean, or raise the cap",
-            achieved=q**cap,
+            f"over the cap of {DIM_CAP}; lower the gain or mean",
+            achieved=q**DIM_CAP,
             suggested_dim=needed,
         )
     return needed
 
 
-def space_for_squeezed_thermal(
-    n_bar: float, g: float, tail: float = DEFAULT_TAIL, cap: int = DIM_CAP
-) -> FockSpace:
+def space_for_squeezed_thermal(n_bar: float, g: float, tail: float = DEFAULT_TAIL) -> FockSpace:
     """Truncation sized a priori for squeezing thermal light against vacuum.
 
-    The output marginal is thermal at cosh(g)^2 n + sinh(g)^2, so the
-    geometric tail rule applies to that mean.  The sizing is a-priori only;
-    the squeezer re-checks the realized boundary mass.
+    The output marginal is thermal at the amplified mean
+    cosh(g)^2 n + sinh(g)^2 (:func:`~opahbt.opa.equivalent_thermal_mean`),
+    so the geometric tail rule applies to that mean.  The sizing is
+    a-priori only; the squeezer re-checks the realized boundary mass.
+
+    Raises:
+        DomainError: if ``n_bar`` or ``g`` is not a finite real >= 0, or
+            cosh(g)^2 overflows.
+        TruncationError: as for :func:`choose_dim`.
     """
-    mean_out = math.cosh(g) ** 2 * n_bar + math.sinh(g) ** 2
-    return FockSpace(choose_dim(mean_out, tail, cap))
+    return FockSpace(choose_dim(equivalent_thermal_mean(n_bar, OpaParams(g)), tail))
 
 
 def thermal_populations(n_bar: float, space: FockSpace) -> tuple[np.ndarray, float]:
@@ -215,32 +219,23 @@ def product_state(a: FockState, b: FockState) -> FockState:
 
 
 def _ladder_parts(difference: int, length: int, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """V cos(lam) V^T and V sin(lam) V^T for the ladder matrix S of :func:`ladder_exponential`."""
+    """V cos(lam) V^T and V sin(lam) V^T for one photon-difference ladder.
+
+    Along the ladder |difference + k, k>, k = 0 .. length-1, the generator
+    g (adag bdag - a b) is real, antisymmetric and tridiagonal, with
+    couplings c_k = g sqrt((difference + k + 1)(k + 1)) below the diagonal.
+    With D = diag(i^k) it equals D (-i S) D*, where S is the symmetric
+    tridiagonal matrix of the same couplings, so one eigendecomposition
+    S = V diag(lam) V^T gives the ladder exponential U = D V exp(-i lam) V^T D*.
+    Entry (j, k) of U is i^(j-k) times [V cos(lam) V^T - i V sin(lam) V^T]_jk:
+    U is real and orthogonal, taking the cosine part where j - k is even and
+    the sine part where it is odd, and |U_jk|^2 is the sum of the squared
+    cosine and sine parts.
+    """
     k = np.arange(length - 1)
     couplings = g * np.sqrt((difference + k + 1.0) * (k + 1.0))
     lam, vecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
     return (vecs * np.cos(lam)) @ vecs.T, (vecs * np.sin(lam)) @ vecs.T
-
-
-_RE_I_POWER = np.array([1.0, 0.0, -1.0, 0.0])  # Re(i^m) for m mod 4
-
-
-def ladder_exponential(difference: int, length: int, g: float) -> np.ndarray:
-    """exp(g (adag bdag - a b)) on one photon-difference ladder.
-
-    Along the ladder |difference + k, k>, k = 0 .. length-1, the generator
-    is real, antisymmetric and tridiagonal, with couplings
-    c_k = g sqrt((difference + k + 1)(k + 1)) below the diagonal.  With
-    D = diag(i^k) it equals D (-i S) D*, where S is the symmetric
-    tridiagonal matrix of the same couplings, so one eigendecomposition
-    S = V diag(lam) V^T gives exp = D V exp(-i lam) V^T D*.  Entry (j, k)
-    is i^(j-k) times [V cos(lam) V^T - i V sin(lam) V^T]_jk; its real value
-    takes the cosine part where j - k is even and the sine part where it
-    is odd.  The result is the real orthogonal ladder propagator.
-    """
-    cos_part, sin_part = _ladder_parts(difference, length, g)
-    power = np.subtract.outer(np.arange(length), np.arange(length)) % 4
-    return _RE_I_POWER[power] * cos_part - _RE_I_POWER[(power + 1) % 4] * sin_part
 
 
 def _check_squeezed_tail(
@@ -276,7 +271,7 @@ def squeeze_populations(
     A diagonal input has no coherences, so each output population on a
     difference ladder is sum_k |U_jk|^2 p_k with U that ladder's
     exponential, and |U_jk|^2 is the sum of the squared cosine and sine
-    parts of :func:`ladder_exponential`.  Each U is orthogonal on the
+    parts of :func:`_ladder_parts`.  Each U is orthogonal on the
     retained block, so the trace is preserved.  Truncation quality is
     verified a posteriori: ``trace_deficit``, the input's, plus the
     realized boundary-shell mass must stay below ``max_tail``.

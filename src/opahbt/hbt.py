@@ -239,9 +239,11 @@ def snr(ac_signal: float, noise: float) -> float:
     A zero noise with nonzero signal raises ZeroDivisionError; the 0/0 case
     is defined as 0 and flagged with :class:`UndefinedSnrWarning` so sweeps
     touching vacuum endpoints do not abort.
+
+    Raises:
+        DomainError: if ``noise`` is not a finite real >= 0.
     """
-    if not math.isfinite(noise) or noise < 0:
-        raise DomainError(f"noise must be finite and >= 0, got {noise!r}")
+    noise = nonnegative_scalar("noise", noise)
     if noise == 0.0:
         if ac_signal == 0.0:
             warnings.warn("0/0 SNR reported as 0", UndefinedSnrWarning, stacklevel=2)
@@ -364,7 +366,6 @@ class ConsistencyReport:
     def to_dict(self) -> dict:
         return {
             "gain": self.params.gain,
-            "pump_phase": self.params.pump_phase,
             "rows": [asdict(r) for r in self.rows],
             "max_plain_vs_substitution": self.max_plain_vs_substitution,
             "mean_plain_vs_substitution": self.mean_plain_vs_substitution,

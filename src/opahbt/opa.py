@@ -1,10 +1,12 @@
 """Optical parametric amplifier model.
 
 An ideal OPA acts on its two input modes as a two-mode squeezer with
-hyperbolic coefficients mu = cosh(g), nu = sinh(g) (zero pump phase).  With
-vacuum on the idler port, the photon-number moments of the amplified signal
-mode follow closed-form propagation rules that are polynomial in mu, nu and
-the input moments; those rules are implemented here verbatim.
+hyperbolic coefficients mu = cosh(g), nu = sinh(g).  The pump phase is
+taken as zero, as in the published model, so every law depends on the gain
+alone.  With vacuum on the idler port, the photon-number moments of the
+amplified signal mode follow closed-form propagation rules that are
+polynomial in mu, nu and the input moments; those rules are implemented
+here verbatim.
 """
 
 from __future__ import annotations
@@ -13,31 +15,18 @@ import math
 from dataclasses import dataclass
 
 from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
-from .errors import DomainError, UnsupportedConfigurationError
+from .errors import DomainError
 from .photon_stats import MomentVector
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class OpaParams:
-    """Amplifier settings: parametric gain g >= 0 and pump phase in [0, 2*pi).
-
-    The pump phase is part of the data model but every moment-propagation
-    path in this package requires zero phase and rejects anything else.
-    """
+    """Amplifier settings: the parametric gain g >= 0 of a zero-phase amplifier."""
 
     gain: float
-    pump_phase: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "gain", nonnegative_scalar("gain", self.gain))
-        if not math.isfinite(self.pump_phase):
-            raise DomainError(f"pump phase must be finite, got {self.pump_phase!r}")
-        phase = math.fmod(self.pump_phase, _TWO_PI)
-        if phase < 0.0:
-            phase += _TWO_PI
-        object.__setattr__(self, "pump_phase", phase)
 
 
 @dataclass(frozen=True)
@@ -57,19 +46,11 @@ class BogoliubovCoeffs:
 
 
 def coeffs(params: OpaParams) -> BogoliubovCoeffs:
-    """Bogoliubov coefficients (cosh g, sinh g) for a zero-phase amplifier.
+    """Bogoliubov coefficients (cosh g, sinh g) of the amplifier.
 
     Raises:
-        UnsupportedConfigurationError: if the pump phase is nonzero; the
-            phase is carried in :class:`OpaParams` but has no computable
-            path here.
         DomainError: if cosh(g)^2 overflows the float range.
     """
-    if params.pump_phase != 0.0:
-        raise UnsupportedConfigurationError(
-            f"pump phase {params.pump_phase} is not supported; only the "
-            "zero-phase transformation is computable"
-        )
     try:
         mu = math.cosh(params.gain)
         mu**2

@@ -91,7 +91,7 @@ def _make(name, description, expected, tol, deviation, note=""):
     )
 
 
-def check_thermal_closed_forms(n_grid, tol=1e-9) -> CheckResult:
+def check_thermal_closed_forms(n_grid) -> CheckResult:
     """Corrected closed-form moments against the direct-summation oracle."""
     oracle = np.column_stack(
         [geometric_summation_moments(n, tail_bound=1e-13).as_array() for n in n_grid]
@@ -103,12 +103,12 @@ def check_thermal_closed_forms(n_grid, tol=1e-9) -> CheckResult:
         "corrected thermal moment polynomials vs direct summation of the "
         "geometric distribution",
         "pass",
-        tol,
+        1e-9,
         worst,
     )
 
 
-def check_published_third_moment(n_grid, tol=1e-9) -> CheckResult:
+def check_published_third_moment(n_grid) -> CheckResult:
     """The as-published third moment against the summation oracle."""
     n = np.array([x for x in n_grid if x != 0.0], dtype=float)
     oracle_m3 = np.array([geometric_summation_moments(x, tail_bound=1e-13).m3 for x in n])
@@ -125,13 +125,13 @@ def check_published_third_moment(n_grid, tol=1e-9) -> CheckResult:
         "published-third-moment",
         "as-published thermal third moment vs direct summation",
         "fail",
-        tol,
+        1e-9,
         worst,
         note,
     )
 
 
-def check_thermal_closure(n_grid, g_grid, tol=1e-9) -> CheckResult:
+def check_thermal_closure(n_grid, g_grid) -> CheckResult:
     """Moment propagation against the equivalent-thermal identity."""
     n = np.asarray(n_grid, dtype=float)
     worst = 0.0
@@ -145,7 +145,7 @@ def check_thermal_closure(n_grid, g_grid, tol=1e-9) -> CheckResult:
         "thermal-closure",
         "propagated thermal moments vs thermal moments at the amplified mean",
         "pass",
-        tol,
+        1e-9,
         worst,
     )
 
@@ -165,7 +165,7 @@ def _squeezed_thermal(n: float, g: float, tail: float) -> tuple[MomentVector, fl
     return population_moments(squeezed, mode=0), float(squeezed.sum())
 
 
-def check_squeeze_propagation(n_grid, g_grid, tail, tol=1e-6) -> CheckResult:
+def check_squeeze_propagation(n_grid, g_grid, tail) -> CheckResult:
     """Truncated-Fock reduced moments against the propagation polynomials."""
     worst = 0.0
     for n in n_grid:
@@ -181,12 +181,12 @@ def check_squeeze_propagation(n_grid, g_grid, tail, tol=1e-6) -> CheckResult:
         "reduced moments of the squeezed thermal (x) vacuum state vs the "
         "closed-form propagation polynomials",
         "pass",
-        tol,
+        1e-6,
         worst,
     )
 
 
-def check_wick_vs_fock(n_grid, g_grid, tail, tol=1e-6) -> CheckResult:
+def check_wick_vs_fock(n_grid, g_grid, tail) -> CheckResult:
     """Pairing-sum Gaussian moments against the truncated-Fock moments."""
     worst = 0.0
     for n in n_grid:
@@ -204,12 +204,12 @@ def check_wick_vs_fock(n_grid, g_grid, tail, tol=1e-6) -> CheckResult:
         "Gaussian pairing-sum moments vs truncated-Fock reduced moments of "
         "the amplifier output",
         "pass",
-        tol,
+        1e-6,
         worst,
     )
 
 
-def check_normal_ordered_correlator(n_grid, delta_grid, tol=1e-6) -> CheckResult:
+def check_normal_ordered_correlator(n_grid, delta_grid) -> CheckResult:
     """The matrix correlator against the analytic correlation law."""
     worst = 0.0
     for n in n_grid:
@@ -232,12 +232,12 @@ def check_normal_ordered_correlator(n_grid, delta_grid, tol=1e-6) -> CheckResult
         "two-mode matrix correlator under the normal-ordered convention vs "
         "the analytic correlation law",
         "pass",
-        tol,
+        1e-6,
         worst,
     )
 
 
-def check_ordering_gap(n_grid, delta_grid, tol=1e-9) -> CheckResult:
+def check_ordering_gap(n_grid, delta_grid) -> CheckResult:
     """Literal versus normal-ordered correlator (documented commutator gap)."""
     worst = 0.0
     gap_confirmed = True
@@ -268,7 +268,7 @@ def check_ordering_gap(n_grid, delta_grid, tol=1e-9) -> CheckResult:
         "ordering-gap",
         "literal operator-product correlator vs normal-ordered convention",
         "fail",
-        tol,
+        1e-9,
         worst,
         note,
     )
@@ -307,7 +307,7 @@ def check_noise_consistency(params: OpaParams, pair_grid) -> list[CheckResult]:
     return [plain, amplified, zero_gain]
 
 
-def check_amplified_noise_swap(params: OpaParams, pair_grid, tol=1e-9) -> CheckResult:
+def check_amplified_noise_swap(params: OpaParams, pair_grid) -> CheckResult:
     """Source-swap symmetry of the published amplified noise law."""
     n, m = np.asarray(pair_grid, dtype=float).T
     direct = opa_noise_avg_printed(n, m, params)
@@ -327,7 +327,7 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid, tol=1e-9) -> CheckR
         "amplified-noise-swap-symmetry",
         "published amplified noise law under swapping the two source means",
         "fail" if params.gain > 0 else "pass",
-        tol,
+        1e-9,
         worst,
         note,
     )
@@ -336,7 +336,6 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid, tol=1e-9) -> CheckR
 def run_oracle_checks(
     n_grid: Sequence[float] = DEFAULT_N_GRID,
     g_grid: Sequence[float] = DEFAULT_G_GRID,
-    delta_grid: Sequence[float] = DEFAULT_DELTA_GRID,
     tail: float = 1e-12,
     gain_for_noise: float = 2.0,
 ) -> dict:
@@ -348,7 +347,6 @@ def run_oracle_checks(
     """
     n_grid = tuple(float(x) for x in n_grid)
     g_grid = tuple(float(x) for x in g_grid)
-    delta_grid = tuple(float(x) for x in delta_grid)
     params = OpaParams(float(gain_for_noise))
 
     pair_values = np.geomspace(0.05, 20.0, 20)
@@ -364,8 +362,8 @@ def run_oracle_checks(
             check_thermal_closure(n_grid + (5.0, 50.0), g_grid + (2.0, 3.0)),
             check_squeeze_propagation(n_grid, g_grid, tail),
             check_wick_vs_fock(n_grid, g_grid, tail),
-            check_normal_ordered_correlator(n_grid, delta_grid),
-            check_ordering_gap(n_grid, delta_grid),
+            check_normal_ordered_correlator(n_grid, DEFAULT_DELTA_GRID),
+            check_ordering_gap(n_grid, DEFAULT_DELTA_GRID),
             *check_noise_consistency(params, pair_grid),
             check_amplified_noise_swap(params, small_pairs),
         ]
@@ -373,7 +371,7 @@ def run_oracle_checks(
     return {
         "n_grid": list(n_grid),
         "g_grid": list(g_grid),
-        "delta_grid": list(delta_grid),
+        "delta_grid": list(DEFAULT_DELTA_GRID),
         "tail": tail,
         "gain_for_noise": params.gain,
         "checks": [c.to_dict() for c in checks],

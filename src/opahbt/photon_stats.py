@@ -106,9 +106,7 @@ def thermal_moments(
 
 
 def geometric_summation_moments(
-    source: ThermalSource | float,
-    tail_bound: float = 1e-12,
-    max_terms: int = SUMMATION_TERM_CAP,
+    source: ThermalSource | float, tail_bound: float = 1e-12
 ) -> MomentVector:
     """Moments of the thermal distribution by direct summation.
 
@@ -120,8 +118,8 @@ def geometric_summation_moments(
 
     Raises:
         DomainError: if ``tail_bound`` is not in (0, 1).
-        SummationLimitError: if ``max_terms`` terms do not reach the bound;
-            the error reports the relative bound actually achieved.
+        SummationLimitError: if :data:`SUMMATION_TERM_CAP` terms do not
+            reach the bound; the error reports the relative bound achieved.
     """
     if not (0.0 < tail_bound < 1.0):
         raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound!r}")
@@ -136,8 +134,8 @@ def geometric_summation_moments(
     sums = np.zeros(4)
     achieved = math.inf
     start = 0
-    while start < max_terms:
-        stop = min(start + _CHUNK, max_terms)
+    while start < SUMMATION_TERM_CAP:
+        stop = min(start + _CHUNK, SUMMATION_TERM_CAP)
         n = np.arange(start, stop, dtype=float)
         p = (1.0 - q) * np.exp(n * log_q)
         powers = np.vstack([n, n * n, n**3, n**4])
@@ -156,7 +154,7 @@ def geometric_summation_moments(
                 return MomentVector(*sums)
 
     raise SummationLimitError(
-        f"summation cap of {max_terms} terms reached at mean {n_mean}; "
+        f"summation cap of {SUMMATION_TERM_CAP} terms reached at mean {n_mean}; "
         f"achieved relative tail bound {achieved:.3e} > requested {tail_bound:.3e}",
         achieved_bound=achieved,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import opahbt.fock
 from opahbt import (
     DomainError,
     FockSpace,
@@ -15,7 +16,6 @@ from opahbt import (
     correlation_full,
     Geometry,
     hbt_two_mode_correlation,
-    ladder_exponential,
     moment_truncation_bound,
     partial_trace,
     population_moments,
@@ -81,6 +81,34 @@ def test_fock_inputs_share_the_domain_validator(bad):
         hbt_two_mode_correlation(bad, 1.0, 0.0, space)
     with pytest.raises(DomainError):
         hbt_two_mode_correlation(1.0, bad, 0.0, space)
+    with pytest.raises(DomainError):
+        space_for_squeezed_thermal(bad, 1.0)
+    with pytest.raises(DomainError):
+        space_for_squeezed_thermal(1.0, bad)
+
+
+def test_squeezed_thermal_sizing_rejects_an_overflowing_gain():
+    # cosh(400)^2 overflows: an input error, not an OverflowError.
+    with pytest.raises(DomainError, match="overflows"):
+        space_for_squeezed_thermal(1.0, 400.0)
+
+
+def test_squeezed_thermal_sizing_uses_the_amplified_mean():
+    # The amplified mean and the hand-written cosh(g)^2 n + sinh(g)^2 differ
+    # in the last bit at some points; the chosen dims (or the cap's
+    # suggested dims) agree everywhere.
+    for n in np.concatenate([np.linspace(0.0, 3.0, 31), [5.0, 50.0]]):
+        for g in np.linspace(0.0, 1.6, 33):
+            mean = math.cosh(g) ** 2 * n + math.sinh(g) ** 2
+            try:
+                expected = choose_dim(mean)
+            except TruncationError as exc:
+                expected = exc.suggested_dim
+            try:
+                got = space_for_squeezed_thermal(n, g).dim
+            except TruncationError as exc:
+                got = exc.suggested_dim
+            assert got == expected, (n, g)
 
 
 def test_fock_state_is_a_read_only_population_grid():
@@ -106,15 +134,16 @@ def test_choose_dim_rule_and_cap():
     dim = choose_dim(1.0, tail=1e-12)
     assert 0.5**dim < 1e-12 <= 0.5 ** (dim - 1)
     with pytest.raises(TruncationError) as excinfo:
-        choose_dim(27.3, tail=1e-12, cap=256)
+        choose_dim(27.3, tail=1e-12)
     assert excinfo.value.suggested_dim > 256
 
 
-def test_choose_dim_rejects_mean_beyond_double_resolution():
+def test_choose_dim_rejects_mean_beyond_double_resolution(monkeypatch):
     # mean/(1+mean) rounds to 1.0 here, so no dimension meets the tail.
     with pytest.raises(TruncationError):
         choose_dim(1e17)
-    assert choose_dim(1e3, tail=1e-12, cap=10**6) == 27645  # the rule below that
+    monkeypatch.setattr(opahbt.fock, "DIM_CAP", 10**6)
+    assert choose_dim(1e3, tail=1e-12) == 27645  # the rule below that
 
 
 def _ladder_generator(difference, length, g):
@@ -131,12 +160,23 @@ def _ladder_generator(difference, length, g):
 @pytest.mark.parametrize("difference", [0, 1, 60, 113, 150, 183])
 def test_ladder_exponential_matches_scipy(difference):
     # Ladders of the dim-184 space, the largest the oracle grids reach at
-    # g = 1.25.
-    g, length = 1.25, 184 - difference
-    want = scipy.linalg.expm(_ladder_generator(difference, length, g))
-    got = ladder_exponential(difference, length, g)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(got @ got.T, np.eye(length), atol=1e-13)
+    # g = 1.25.  squeeze_populations moves an input on the ladder
+    # n_a = n_b + difference, and on its mode swap, by |expm(block)|^2.
+    dim, g = 184, 1.25
+    length = dim - difference
+    k = np.arange(length)
+    weights = np.random.default_rng(difference).random((2, length))
+    weights /= weights.sum()
+    populations = np.zeros((dim, dim))
+    populations[k + difference, k] += weights[0]
+    populations[k, k + difference] += weights[1]
+    moved = scipy.linalg.expm(_ladder_generator(difference, length, g)) ** 2 @ weights.T
+    want = np.zeros((dim, dim))
+    want[k + difference, k] += moved[:, 0]
+    want[k, k + difference] += moved[:, 1]
+    got = squeeze_populations(populations, g, max_tail=math.inf)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert got.sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_squeeze_matches_dense_generator_exponential():
@@ -205,18 +245,6 @@ def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     squeezed = two_mode_squeeze(state, g)
     np.testing.assert_array_equal(squeezed.populations(), got)
     assert squeezed.trace_deficit == state.trace_deficit
-
-
-def test_squeeze_populations_raise_the_full_route_truncation_error():
-    space = FockSpace(12)
-    state = product_state(thermal_state(1.0, space), vacuum_state(space))
-    with pytest.raises(TruncationError) as full:
-        two_mode_squeeze(state, 1.5)
-    with pytest.raises(TruncationError) as diagonal:
-        squeeze_populations(state.populations(), 1.5, trace_deficit=state.trace_deficit)
-    assert diagonal.value.suggested_dim == full.value.suggested_dim
-    assert diagonal.value.suggested_dim > 12
-    assert diagonal.value.achieved == pytest.approx(full.value.achieved, rel=1e-12)
 
 
 def test_zero_gain_squeeze_is_identity():

@@ -263,6 +263,8 @@ def test_invalid_means_raise_domain_error(bad):
         OpaParams(bad)
     with pytest.raises(DomainError):
         Geometry(1.0, bad, 1.0)
+    with pytest.raises(DomainError):
+        snr(1.0, bad)  # the noise goes through the same validator
 
 
 def test_invalid_array_element_is_named():

@@ -9,7 +9,6 @@ from opahbt import (
     DomainError,
     MomentVector,
     OpaParams,
-    UnsupportedConfigurationError,
     coeffs,
     equivalent_thermal_mean,
     propagate_moments,
@@ -37,19 +36,6 @@ def test_coeffs_at_gain_half():
     assert c.mu2 == pytest.approx(1.2715403, rel=1e-7)
     assert c.nu2 == pytest.approx(0.2715403, rel=1e-7)
     assert c.mu2 - c.nu2 == pytest.approx(1.0, rel=1e-12)
-
-
-def test_nonzero_pump_phase_is_rejected():
-    params = OpaParams(1.0, pump_phase=0.3)
-    assert params.pump_phase == pytest.approx(0.3)  # carried in the data model
-    with pytest.raises(UnsupportedConfigurationError):
-        coeffs(params)
-    with pytest.raises(UnsupportedConfigurationError):
-        propagate_moments(thermal_moments(1.0), params)
-
-
-def test_full_turn_pump_phase_normalises_to_zero():
-    assert OpaParams(1.0, pump_phase=2 * math.pi).pump_phase == 0.0
 
 
 def test_gain_validation():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opahbt.photon_stats
 from opahbt import (
     DomainError,
     MomentConvention,
@@ -95,9 +96,10 @@ def test_summation_tail_bound_validation():
         geometric_summation_moments(1.0, tail_bound=1.5)
 
 
-def test_summation_iteration_cap_reports_achieved_bound():
+def test_summation_iteration_cap_reports_achieved_bound(monkeypatch):
+    monkeypatch.setattr(opahbt.photon_stats, "SUMMATION_TERM_CAP", 64)
     with pytest.raises(SummationLimitError) as excinfo:
-        geometric_summation_moments(50.0, tail_bound=1e-12, max_terms=64)
+        geometric_summation_moments(50.0, tail_bound=1e-12)
     assert excinfo.value.achieved_bound > 1e-12
 
 
