@@ -51,8 +51,9 @@ class SweepSpec:
     m_bar: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.n_min) and math.isfinite(self.n_max)):
-            raise DomainError("sweep bounds must be finite")
+        nonnegative_scalar("gain", self.g)
+        nonnegative_scalar("n_min", self.n_min)
+        nonnegative_scalar("n_max", self.n_max)
         if not (0.0 < self.n_min <= self.n_max):
             raise DomainError(
                 f"need 0 < n_min <= n_max, got [{self.n_min}, {self.n_max}]"
@@ -62,7 +63,7 @@ class SweepSpec:
         if self.points == 1 and self.n_min != self.n_max:
             raise DomainError("a single-point sweep requires n_min == n_max")
         if not self.equal_sources:
-            if self.m_bar is None or not math.isfinite(self.m_bar) or self.m_bar <= 0:
+            if self.m_bar is None or nonnegative_scalar("m_bar", self.m_bar) == 0.0:
                 raise DomainError(
                     "an unequal-sources sweep needs a positive fixed m_bar"
                 )
@@ -159,11 +160,11 @@ def target_ratio_operating_point(fit: FitResult, target: float) -> float:
     Inverts target = A + B / n_bar.
 
     Raises:
+        DomainError: if the target is not a finite real >= 0.
         UnreachableTargetError: if the target does not exceed the fitted
             asymptote A, or the fitted B is not positive.
     """
-    if not math.isfinite(target):
-        raise DomainError(f"target must be finite, got {target!r}")
+    target = nonnegative_scalar("target", target)
     if target <= fit.A:
         raise UnreachableTargetError(
             f"target {target} is at or below the fitted asymptote {fit.A:.6g}"
@@ -215,7 +216,8 @@ def estimate_phi(
     reporting a non-converged estimate.
 
     Raises:
-        DomainError: for fewer than 4 points or non-finite input.
+        DomainError: for fewer than 4 points, non-finite input or a wavenumber
+            that is not a finite real > 0.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
@@ -227,8 +229,8 @@ def estimate_phi(
         raise DomainError(f"need at least 4 scan points, got {r.size}")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(y))):
         raise DomainError("scan contains non-finite values")
-    if not (math.isfinite(k) and k > 0):
-        raise DomainError(f"wavenumber must be finite and > 0, got {k!r}")
+    if nonnegative_scalar("wavenumber", k) == 0.0:
+        raise DomainError(f"wavenumber must be > 0, got {k!r}")
     span = float(r.max() - r.min())
     if span <= 0:
         raise DomainError("scan baselines are all identical")

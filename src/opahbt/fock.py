@@ -10,10 +10,12 @@ truncation is carried explicitly as a trace deficit so trace + deficit = 1
 holds exactly.  The module needs only numpy.
 
 The two-mode squeezer is the exponential of the anti-Hermitian generator
-g(adag bdag - a b) in the truncated space.  That generator preserves the
-photon-number difference between the modes, so it is block diagonal over
-difference ladders, and each ladder's exponential comes from one
-eigendecomposition (:func:`_ladder_parts`).
+g(adag bdag - a b) in the truncated space.  It keeps the photon-number
+difference d between the modes, and the amplifier's idler starts in
+vacuum, so each ladder |d + k, k> starts in its bottom level |d, 0> and
+only that column of its exponential is needed.  All those columns are
+propagated together, in one real array, by one Chebyshev series with
+Bessel-function coefficients (:func:`_squeeze_strip`).
 """
 
 from __future__ import annotations
@@ -25,13 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._domain import nonnegative_scalar
+from ._domain import nonnegative, nonnegative_scalar
 from .errors import DomainError, TruncationError
 from .opa import OpaParams, equivalent_thermal_mean
 from .photon_stats import MomentVector
 
 DEFAULT_TAIL = 1e-12
-DIM_CAP = 256
+DIM_CAP = 1024
+# Largest input deficit plus output boundary-shell mass a squeeze may leave.
+SQUEEZED_TAIL_BOUND = 1e-9
+# Ladders with less input weight than this are not propagated.
+LADDER_WEIGHT_FLOOR = 1e-18
 
 
 class OrderingConvention(Enum):
@@ -218,42 +224,91 @@ def product_state(a: FockState, b: FockState) -> FockState:
     return FockState(np.outer(a.probs, b.probs), deficit)
 
 
-def _ladder_parts(difference: int, length: int, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """V cos(lam) V^T and V sin(lam) V^T for one photon-difference ladder.
+def _bessel_j(z: float) -> np.ndarray:
+    """J_k(z) for k = 0, 1, ... up to the last k with |J_k(z)| above 1e-17.
 
-    Along the ladder |difference + k, k>, k = 0 .. length-1, the generator
-    g (adag bdag - a b) is real, antisymmetric and tridiagonal, with
-    couplings c_k = g sqrt((difference + k + 1)(k + 1)) below the diagonal.
-    With D = diag(i^k) it equals D (-i S) D*, where S is the symmetric
-    tridiagonal matrix of the same couplings, so one eigendecomposition
-    S = V diag(lam) V^T gives the ladder exponential U = D V exp(-i lam) V^T D*.
-    Entry (j, k) of U is i^(j-k) times [V cos(lam) V^T - i V sin(lam) V^T]_jk:
-    U is real and orthogonal, taking the cosine part where j - k is even and
-    the sine part where it is odd, and |U_jk|^2 is the sum of the squared
-    cosine and sine parts.
+    Miller's algorithm: the recurrence J_(k-1) = (2k/z) J_k - J_(k+1) run
+    downward from an order well past z, where J_k(z) is negligible, picks
+    out the decaying solution; rescaling keeps it in range, and
+    J_0^2 + 2 sum_k J_k^2 = 1 normalizes it, with the sign fixed by
+    J_0 + 2 sum_k J_2k = 1.  Past k = z, J_k(z) falls off faster than
+    geometrically, so the cut-off tail is of the order of the last term.
     """
-    k = np.arange(length - 1)
-    couplings = g * np.sqrt((difference + k + 1.0) * (k + 1.0))
-    lam, vecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
-    return (vecs * np.cos(lam)) @ vecs.T, (vecs * np.sin(lam)) @ vecs.T
+    if z == 0.0:
+        return np.ones(1)
+    top = int(z + 25.0 * z ** (1.0 / 3.0)) + 40
+    values = [0.0] * (top + 2)
+    values[top] = 1.0
+    for k in range(top, 0, -1):
+        values[k - 1] = (2.0 * k / z) * values[k] - values[k + 1]
+        if abs(values[k - 1]) > 1e250:
+            values[k - 1 :] = [v * 1e-250 for v in values[k - 1 :]]
+    j = np.array(values[: top + 1])
+    j /= np.abs(j).max()
+    sign = math.copysign(1.0, j[0] + 2.0 * j[2::2].sum())
+    j *= sign / math.sqrt(j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
+    return j[: np.flatnonzero(np.abs(j) > 1e-17)[-1] + 1]
 
 
-def _check_squeezed_tail(
-    populations: np.ndarray, trace_deficit: float, g: float, max_tail: float
-) -> None:
-    """Raise when input deficit plus output boundary-shell mass exceeds ``max_tail``."""
+def _squeeze_strip(ladders: np.ndarray, dim: int, g: float) -> np.ndarray:
+    """Amplitudes psi[k, i] of exp(g G)|d, 0> on |d + k, k>, for d = ladders[i].
+
+    Along the ladder |d + k, k>, k < dim - d, the generator
+    G = adag bdag - a b is real, antisymmetric and tridiagonal, with
+    couplings c_k = sqrt((d + k + 1)(k + 1)) from level k to k + 1, and
+    its spectrum lies in i[-rho, rho] with rho a Gershgorin bound.  The
+    Chebyshev series of the exponential (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)) then stays real:
+
+        exp(g G) v = J_0(g rho) w_0 + 2 sum_k J_k(g rho) w_k,
+        w_0 = v,  w_1 = (G/rho) v,  w_(k+1) = 2 (G/rho) w_k + w_(k-1),
+
+    and ||w_k|| <= ||v||, so the series is cut where J_k(g rho) drops below
+    1e-17 (:func:`_bessel_j`).  All ladders share rho and the series, so
+    they propagate together as the columns of one array, padded with zeros
+    past each ladder's top level; w_k reaches level k at most, so term k
+    only touches the first k + 1 rows.
+    """
+    width = dim - int(ladders.min())
+    k = np.arange(width, dtype=float)[:, None]
+    upper = ladders + k + 1.0  # signal level d + k + 1 at the top of step k
+    couplings = np.where(upper < dim, np.sqrt(upper * (k + 1.0)), 0.0)[:-1]
+    bound = np.zeros((width, ladders.size))
+    bound[:-1] += couplings
+    bound[1:] += couplings
+    rho = float(bound.max())
+    w = np.zeros((width, ladders.size))
+    w[0] = 1.0
+    if rho == 0.0:  # a lone top-level ladder has no couplings
+        return w
+    series = _bessel_j(g * rho)
+    psi = series[0] * w
+    step = couplings * (2.0 / rho)
+    w_prev = np.zeros_like(w)
+    w_prev[1] = -0.5 * step[0]  # w_(-1) = -w_1, so the recurrence also gives w_1
+    for order, coefficient in enumerate(2.0 * series[1:], start=1):
+        span = min(order + 1, width)
+        w_prev[1:span] += step[: span - 1] * w[: span - 1]
+        w_prev[: span - 1] -= step[: span - 1] * w[1:span]
+        w_prev, w = w, w_prev
+        psi[:span] += coefficient * w[:span]
+    return psi
+
+
+def _check_squeezed_tail(populations: np.ndarray, trace_deficit: float, g: float) -> None:
+    """Raise when deficit plus output boundary-shell mass exceeds the bound."""
     tail_estimate = trace_deficit + _shell_mass(populations)
-    if tail_estimate <= max_tail:
+    if tail_estimate <= SQUEEZED_TAIL_BOUND:
         return
     dim = populations.shape[0]
     mean_out = float(populations.sum(axis=1) @ np.arange(dim))
     suggestion = None
     if 0.0 < mean_out:
         q = mean_out / (1.0 + mean_out)
-        suggestion = int(math.ceil(math.log(max_tail / 100.0) / math.log(q)))
+        suggestion = int(math.ceil(math.log(SQUEEZED_TAIL_BOUND / 100.0) / math.log(q)))
     raise TruncationError(
         f"truncation tail estimate {tail_estimate:.3e} exceeds bound "
-        f"{max_tail:.3e} after squeezing at g={g}"
+        f"{SQUEEZED_TAIL_BOUND:.3e} after squeezing at g={g}"
         + (f"; retry with dim >= {suggestion}" if suggestion else ""),
         achieved=tail_estimate,
         suggested_dim=suggestion,
@@ -261,57 +316,67 @@ def _check_squeezed_tail(
 
 
 def squeeze_populations(
-    populations: np.ndarray,
-    g: float,
-    trace_deficit: float = 0.0,
-    max_tail: float = 1e-9,
-) -> np.ndarray:
-    """Squeeze a diagonal two-mode state given by its populations p[n_a, n_b].
+    signal: np.ndarray, g: float, trace_deficit: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Squeeze signal populations p[d] against an idler in vacuum.
 
-    A diagonal input has no coherences, so each output population on a
-    difference ladder is sum_k |U_jk|^2 p_k with U that ladder's
-    exponential, and |U_jk|^2 is the sum of the squared cosine and sine
-    parts of :func:`_ladder_parts`.  Each U is orthogonal on the
-    retained block, so the trace is preserved.  Truncation quality is
-    verified a posteriori: ``trace_deficit``, the input's, plus the
-    realized boundary-shell mass must stay below ``max_tail``.
+    The input |d, 0> starts ladder d in its bottom level, and the squeezer
+    keeps the ladder, so the output population of |d + k, k> is p[d]
+    times the squared amplitude that :func:`_squeeze_strip` propagates
+    from |d, 0>.  Ladders whose
+    input weight is below :data:`LADDER_WEIGHT_FLOOR` are not propagated;
+    their mass joins the trace deficit.  Truncation quality is verified a
+    posteriori: that deficit, ``trace_deficit`` (the input's) included,
+    plus the realized boundary-shell mass must stay below
+    :data:`SQUEEZED_TAIL_BOUND`.
+
+    Returns:
+        The output populations p[n_a, n_b] on a dim x dim grid, dim the
+        length of ``signal``, and the output's trace deficit.
 
     Raises:
-        TruncationError: when the combined tail estimate exceeds
-            ``max_tail``; the error suggests a larger dimension.
+        TruncationError: when the combined tail estimate exceeds the
+            bound; the error suggests a larger dimension.
     """
-    populations = np.asarray(populations, dtype=float)
-    if populations.ndim != 2 or populations.shape[0] != populations.shape[1]:
-        raise DomainError(f"populations must be a square grid, got shape {populations.shape}")
+    signal = nonnegative("signal populations", signal)
+    if signal.ndim != 1 or signal.size < 2:
+        raise DomainError(
+            f"signal populations must be 1-D with >= 2 levels, got shape {signal.shape}"
+        )
     g = nonnegative_scalar("gain", g)
-    dim = populations.shape[0]
-    out = np.empty_like(populations)
-    for d in range(dim):
-        upper, lower = np.arange(d, dim), np.arange(dim - d)
-        # Columns: the ladder with n_a = n_b + d and its mode swap.
-        ladders = np.column_stack((populations[upper, lower], populations[lower, upper]))
-        cos_part, sin_part = _ladder_parts(d, dim - d, g)
-        moved = (cos_part**2 + sin_part**2) @ ladders
-        out[upper, lower] = moved[:, 0]
-        out[lower, upper] = moved[:, 1]
-    _check_squeezed_tail(out, trace_deficit, g, max_tail)
-    return out
+    dim = signal.size
+    kept = signal >= LADDER_WEIGHT_FLOOR
+    deficit = trace_deficit + float(signal[~kept].sum())
+    out = np.zeros((dim, dim))
+    ladders = np.flatnonzero(kept)
+    if ladders.size:
+        psi = _squeeze_strip(ladders, dim, g)
+        idler = np.arange(psi.shape[0])[:, None]
+        inside = ladders + idler < dim
+        out[(ladders + idler)[inside], np.broadcast_to(idler, psi.shape)[inside]] = (
+            signal[ladders] * psi**2
+        )[inside]
+    _check_squeezed_tail(out, deficit, g)
+    return out, deficit
 
 
-def two_mode_squeeze(state: FockState, g: float, max_tail: float = 1e-9) -> FockState:
-    """Apply the two-mode squeezer with gain ``g`` to a two-mode state.
+def two_mode_squeeze(state: FockState, g: float) -> FockState:
+    """Apply the two-mode squeezer with gain ``g`` to a signal (x) vacuum state.
 
-    The output keeps the input's trace deficit; see
-    :func:`squeeze_populations` for the algorithm and the truncation check.
+    See :func:`squeeze_populations` for the algorithm, the trace deficit
+    and the truncation check.
 
     Raises:
-        TruncationError: when the combined tail estimate exceeds
-            ``max_tail``; the error suggests a larger dimension.
+        DomainError: unless the state has two modes and mode 1, the idler,
+            is in vacuum.
+        TruncationError: when the combined tail estimate exceeds the
+            bound; the error suggests a larger dimension.
     """
     if state.n_modes != 2:
         raise DomainError("two_mode_squeeze expects a two-mode state")
-    squeezed = squeeze_populations(state.probs, g, state.trace_deficit, max_tail)
-    return FockState(squeezed, state.trace_deficit)
+    if state.probs[:, 1:].any():
+        raise DomainError("two_mode_squeeze needs the idler (mode 1) in vacuum")
+    return FockState(*squeeze_populations(state.probs[:, 0], g, state.trace_deficit))
 
 
 def partial_trace(state: FockState, mode: int) -> FockState:

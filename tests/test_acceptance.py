@@ -114,7 +114,7 @@ def test_c06_moment_propagation_oracle():
             for g in (0.0, 0.25, 0.5, 1.0):
                 space = space_for_squeezed_thermal(n, g, tail=1e-12)
                 joint = product_state(thermal_state(n, space), vacuum_state(space))
-                squeezed = two_mode_squeeze(joint, g, max_tail=1e-9)
+                squeezed = two_mode_squeeze(joint, g)
                 assert squeezed.trace_deficit + squeezed.boundary_mass() < 1e-9
                 got = reduced_moments(squeezed, 0).as_array()
                 want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()

@@ -39,6 +39,16 @@ def test_sweep_spec_validation():
     assert single.grid().tolist() == [1.0]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "0.1"])
+def test_sweep_spec_inputs_share_the_domain_validator(bad):
+    for field, name in (("g", "gain"), ("n_min", "n_min"), ("n_max", "n_max")):
+        settings = {"g": 1.0, "n_min": 0.1, "n_max": 0.1, "points": 1, field: bad}
+        with pytest.raises(DomainError, match=name):
+            SweepSpec(**settings)
+    with pytest.raises(DomainError, match="m_bar"):
+        SweepSpec(g=1.0, equal_sources=False, m_bar=bad)
+
+
 def test_sweep_single_point_worked_values():
     table = sweep_ratios(SweepSpec(g=2.0, n_min=1.0, n_max=1.0, points=1))
     assert table.snr_ratio[0] == pytest.approx(1.660, abs=5e-3)
@@ -147,6 +157,15 @@ def test_operating_point_inversion():
         target_ratio_operating_point(fit, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "2"])
+def test_operating_point_target_shares_the_domain_validator(bad):
+    spec = SweepSpec(g=2.0, n_min=0.2, n_max=30.0, points=50)
+    grid = spec.grid()
+    fit = fit_inverse_law(RatioTable(spec, grid, np.ones_like(grid), 1.082 + 0.584 / grid))
+    with pytest.raises(DomainError, match="target"):
+        target_ratio_operating_point(fit, bad)
+
+
 def _scan(phi, points=64, r_max=40.0, amplitude=0.9):
     r = np.linspace(0.0, r_max, points)
     return r, amplitude * np.cos(K_BLUE * phi * r)
@@ -198,6 +217,13 @@ def test_phi_estimation_rejects_short_scans():
     r, y = _scan(1e-8, points=3)
     with pytest.raises(DomainError):
         estimate_phi(r, y, K_BLUE)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0, "1"])
+def test_phi_wavenumber_shares_the_domain_validator(bad):
+    r, y = _scan(1e-8)
+    with pytest.raises(DomainError, match="wavenumber"):
+        estimate_phi(r, y, k=bad)
 
 
 def test_phi_estimation_rejects_sub_quarter_fringe():

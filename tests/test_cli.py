@@ -158,9 +158,20 @@ def test_oracle_check_report_and_exit_code(tmp_path):
     assert substitution["expected"] == "fail" and not substitution["passed"]
 
 
+def test_oracle_check_reaches_the_papers_gain(tmp_path):
+    target = tmp_path / "r.json"
+    code = run_cli(["oracle-check", "--g-grid", "0,1,2", "--out", str(target)])
+    report = json.loads(target.read_text())
+    assert code == 0
+    assert report["all_expected_pass_ok"] is True
+    by_name = {check["name"]: check for check in report["checks"]}
+    assert by_name["squeeze-moment-propagation"]["passed"]
+
+
 def test_oracle_check_infeasible_gain_exits_4(tmp_path, capsys):
+    # g = 3 at n = 1 needs dim of about 5500, over the cap.
     code = run_cli(
-        ["oracle-check", "--g-grid", "0,2", "--out", str(tmp_path / "r.json")]
+        ["oracle-check", "--g-grid", "0,3", "--out", str(tmp_path / "r.json")]
     )
     err = capsys.readouterr().err
     assert code == 4

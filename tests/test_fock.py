@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import opahbt.fock
 from opahbt import (
@@ -76,7 +77,7 @@ def test_fock_inputs_share_the_domain_validator(bad):
     with pytest.raises(DomainError):
         thermal_populations(bad, space)
     with pytest.raises(DomainError):
-        squeeze_populations(np.eye(8) / 8, bad)
+        squeeze_populations(np.full(8, 1.0 / 8), bad)
     with pytest.raises(DomainError):
         hbt_two_mode_correlation(bad, 1.0, 0.0, space)
     with pytest.raises(DomainError):
@@ -134,8 +135,8 @@ def test_choose_dim_rule_and_cap():
     dim = choose_dim(1.0, tail=1e-12)
     assert 0.5**dim < 1e-12 <= 0.5 ** (dim - 1)
     with pytest.raises(TruncationError) as excinfo:
-        choose_dim(27.3, tail=1e-12)
-    assert excinfo.value.suggested_dim > 256
+        choose_dim(40.0, tail=1e-12)
+    assert excinfo.value.suggested_dim > 1024
 
 
 def test_choose_dim_rejects_mean_beyond_double_resolution(monkeypatch):
@@ -157,60 +158,84 @@ def _ladder_generator(difference, length, g):
     return block
 
 
-@pytest.mark.parametrize("difference", [0, 1, 60, 113, 150, 183])
-def test_ladder_exponential_matches_scipy(difference):
-    # Ladders of the dim-184 space, the largest the oracle grids reach at
-    # g = 1.25.  squeeze_populations moves an input on the ladder
-    # n_a = n_b + difference, and on its mode swap, by |expm(block)|^2.
+@pytest.mark.parametrize("z", [0.0, 0.3, 5.0, 77.7, 500.0, 3000.0])
+def test_miller_bessel_sequence_matches_scipy(z):
+    # Up to z = 3000, about g rho at g = 2 and dim 769.  The sequence stops
+    # where |J_k(z)| drops below 1e-17, and everything past it is below that.
+    got = opahbt.fock._bessel_j(z)
+    order = np.arange(got.size + 40)
+    want = scipy.special.jv(order, z)
+    np.testing.assert_allclose(got, want[: got.size], rtol=0, atol=1e-13)
+    assert np.abs(got[-1]) > 1e-17
+    assert np.all(np.abs(want[got.size :]) <= 1e-17)
+
+
+def test_squeeze_strip_matches_scipy_on_every_ladder():
+    # Every ladder of the dim-184 space, the largest the benchmark's oracle
+    # grids reach (at g = 1.25): the strip holds column 0 of each ladder's
+    # exponential, zero-padded past the ladder's top level.
     dim, g = 184, 1.25
-    length = dim - difference
-    k = np.arange(length)
-    weights = np.random.default_rng(difference).random((2, length))
-    weights /= weights.sum()
-    populations = np.zeros((dim, dim))
-    populations[k + difference, k] += weights[0]
-    populations[k, k + difference] += weights[1]
-    moved = scipy.linalg.expm(_ladder_generator(difference, length, g)) ** 2 @ weights.T
-    want = np.zeros((dim, dim))
-    want[k + difference, k] += moved[:, 0]
-    want[k, k + difference] += moved[:, 1]
-    got = squeeze_populations(populations, g, max_tail=math.inf)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert got.sum() == pytest.approx(1.0, abs=1e-13)
+    psi = opahbt.fock._squeeze_strip(np.arange(dim), dim, g)
+    assert psi.shape == (dim, dim)
+    for d in range(dim):
+        length = dim - d
+        column = scipy.linalg.expm(_ladder_generator(d, length, g))[:, 0]
+        np.testing.assert_allclose(psi[:length, d], column, rtol=0, atol=1e-12)
+        assert not psi[length:, d].any()
 
 
 def test_squeeze_matches_dense_generator_exponential():
     # Independent route: exponentiate the full two-mode generator densely
-    # and take the diagonal of U rho U^T.
-    dim = 12
-    space = FockSpace(dim)
+    # and take the diagonal of U rho U^T, at a dim where the tail
+    # certificate holds.
     g = 0.4
+    space = space_for_squeezed_thermal(0.4, g)
+    dim = space.dim
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     ad = a.T
     unitary = scipy.linalg.expm(g * (np.kron(ad, ad) - np.kron(a, a)))
-    for idler in (thermal_state(0.2, space), vacuum_state(space)):
-        state = product_state(thermal_state(0.4, space), idler)
-        rho = np.diag(state.populations().ravel())
-        expected = np.diag(unitary @ rho @ unitary.T).reshape(dim, dim)
-        squeezed = two_mode_squeeze(state, g, max_tail=1.0)
-        np.testing.assert_allclose(squeezed.populations(), expected, rtol=0, atol=1e-13)
-
-
-def test_squeeze_populations_match_full_squeeze_with_thermal_idler():
-    # squeeze_populations on a thermal (x) thermal input, against the diagonal
-    # of U rho U^T with U the dense exponential of the full two-mode generator.
-    dim, g = 12, 0.4
-    space = FockSpace(dim)
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    ad = a.T
-    unitary = scipy.linalg.expm(g * (np.kron(ad, ad) - np.kron(a, a)))
-    state = product_state(thermal_state(0.4, space), thermal_state(0.2, space))
+    state = product_state(thermal_state(0.4, space), vacuum_state(space))
     rho = np.diag(state.populations().ravel())
-    full = np.diag(unitary @ rho @ unitary.T)
-    got = squeeze_populations(
-        state.populations(), g, trace_deficit=state.trace_deficit, max_tail=1.0
-    )
-    np.testing.assert_allclose(got.ravel(), full, rtol=0, atol=1e-13)
+    expected = np.diag(unitary @ rho @ unitary.T).reshape(dim, dim)
+    squeezed = two_mode_squeeze(state, g)
+    np.testing.assert_allclose(squeezed.populations(), expected, rtol=0, atol=1e-13)
+
+
+def test_squeezing_a_thermal_idler_is_a_domain_error():
+    space = FockSpace(12)
+    state = product_state(thermal_state(0.4, space), thermal_state(0.2, space))
+    with pytest.raises(DomainError, match="vacuum"):
+        two_mode_squeeze(state, 0.4)
+
+
+def test_squeeze_matches_the_untruncated_su11_column_at_g2():
+    # |<d+j, j| S |d, 0>|^2 = C(d+j, j) tanh(g)^2j / cosh(g)^2(d+1) (Schumaker
+    # and Caves, Phys. Rev. A 31, 3068 (1985)), weighted by the thermal
+    # input at the oracle's dim for n = 1, g = 2.
+    n, g = 1.0, 2.0
+    space = space_for_squeezed_thermal(n, g)
+    probs, deficit = thermal_populations(n, space)
+    got, _ = squeeze_populations(probs, g, trace_deficit=deficit)
+    want = np.zeros_like(got)
+    for d in range(space.dim):
+        j = np.arange(space.dim - d)
+        log_column = (
+            scipy.special.gammaln(d + j + 1.0)
+            - scipy.special.gammaln(d + 1.0)
+            - scipy.special.gammaln(j + 1.0)
+            + 2.0 * j * math.log(math.tanh(g))
+            - 2.0 * (d + 1.0) * math.log(math.cosh(g))
+        )
+        want[d + j, j] = probs[d] * np.exp(log_column)
+    assert np.abs(got - want).sum() <= 1e-10
+
+
+def test_ladders_below_the_weight_floor_join_the_deficit():
+    signal = np.array([0.6, 0.4, 1e-20, 0.0, 0.0, 0.0, 0.0, 0.0])
+    got, deficit = squeeze_populations(signal, 0.1, trace_deficit=1e-12)
+    assert deficit == 1e-12 + 1e-20
+    assert not got.diagonal(-2).any()  # ladder 2, |2 + k, k>, is not propagated
+    assert got.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def _ladder_expm_squeeze(populations, g):
@@ -235,7 +260,9 @@ def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     space = space_for_squeezed_thermal(n, g, tail=1e-12)
     state = product_state(thermal_state(n, space), vacuum_state(space))
     want = _ladder_expm_squeeze(state.populations(), g)
-    got = squeeze_populations(state.populations(), g, trace_deficit=state.trace_deficit)
+    got, deficit = squeeze_populations(
+        state.populations()[:, 0], g, trace_deficit=state.trace_deficit
+    )
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(
         population_moments(got, 0).as_array(),
@@ -244,14 +271,16 @@ def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     )
     squeezed = two_mode_squeeze(state, g)
     np.testing.assert_array_equal(squeezed.populations(), got)
-    assert squeezed.trace_deficit == state.trace_deficit
+    assert squeezed.trace_deficit == deficit >= state.trace_deficit
 
 
 def test_zero_gain_squeeze_is_identity():
     space = FockSpace(40)
     state = product_state(thermal_state(0.7, space), vacuum_state(space))
-    out = two_mode_squeeze(state, 0.0)
-    np.testing.assert_allclose(out.populations(), state.populations(), rtol=0, atol=1e-12)
+    # At g = 1e-20 the Chebyshev series is its J_0 term alone.
+    for g in (0.0, 1e-20):
+        out = two_mode_squeeze(state, g)
+        np.testing.assert_array_equal(out.populations(), state.populations())
 
 
 def test_two_mode_squeezed_vacuum_arm_is_thermal():
@@ -296,6 +325,9 @@ def test_squeeze_truncation_error_names_tail_and_suggestion():
         two_mode_squeeze(state, 1.5)
     assert excinfo.value.achieved > 1e-9
     assert excinfo.value.suggested_dim > 12
+    # Only the top ladder, with no couplings, carries weight.
+    with pytest.raises(TruncationError):
+        squeeze_populations(np.array([0.0, 1.0]), 0.5)
 
 
 def test_partial_trace_of_product_state():
