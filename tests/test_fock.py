@@ -184,6 +184,27 @@ def test_squeeze_strip_matches_scipy_on_every_ladder():
         assert not psi[length:, d].any()
 
 
+@pytest.mark.parametrize("difference", [0, 1, 60, 113, 150, 183])
+def test_ladder_exponential_matches_scipy(difference, monkeypatch):
+    # Ladders of the dim-184 space, the largest the oracle grids reach at
+    # g = 1.25.  squeeze_populations moves the signal weight of |d, 0> onto
+    # |d + k, k> by |expm(block)[k, 0]|^2.  The whole ladder is compared,
+    # boundary shell included, so the tail certificate is lifted here.
+    monkeypatch.setattr(opahbt.fock, "SQUEEZED_TAIL_BOUND", math.inf)
+    dim, g = 184, 1.25
+    length = dim - difference
+    k = np.arange(length)
+    signal = np.zeros(dim)
+    signal[difference] = 1.0
+    moved = scipy.linalg.expm(_ladder_generator(difference, length, g))[:, 0] ** 2
+    want = np.zeros((dim, dim))
+    want[k + difference, k] = moved
+    got, deficit = squeeze_populations(signal, g)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert got.sum() == pytest.approx(1.0, abs=1e-13)
+    assert deficit == 0.0
+
+
 def test_squeeze_matches_dense_generator_exponential():
     # Independent route: exponentiate the full two-mode generator densely
     # and take the diagonal of U rho U^T, at a dim where the tail
