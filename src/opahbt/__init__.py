@@ -15,14 +15,12 @@ package needs only numpy at run time.
 
 from .analysis import (
     FitResult,
-    McEstimate,
     PhiEstimate,
     RatioTable,
     Spacing,
     SweepSpec,
     estimate_phi,
     fit_inverse_law,
-    monte_carlo_semiclassical,
     sweep_ratios,
     target_ratio_operating_point,
 )
@@ -37,21 +35,16 @@ from .errors import (
 )
 from .hbt import (
     ConsistencyReport,
-    CorrelationReading,
     Geometry,
-    UndefinedSnrWarning,
     consistency_report,
     correlation_ac,
-    correlation_dc,
     correlation_full,
-    correlation_reading,
     noise_avg_printed,
     noise_avg_substitution,
     noise_full,
     opa_correlation_ac,
     opa_noise_avg_printed,
     signal_ratio,
-    snr,
     snr_ratio,
 )
 from .opa import (
@@ -64,7 +57,6 @@ from .opa import (
 from .photon_stats import (
     MomentConvention,
     MomentVector,
-    ThermalSource,
     geometric_summation_moments,
     thermal_moments,
 )
@@ -87,7 +79,6 @@ def __getattr__(name: str):
 __all__ = [
     "BogoliubovCoeffs",
     "ConsistencyReport",
-    "CorrelationReading",
     "DegenerateFitError",
     "DomainError",
     "FitResult",
@@ -96,7 +87,6 @@ __all__ = [
     "FringeCoverageError",
     "GaussianSecondMoments",
     "Geometry",
-    "McEstimate",
     "MomentConvention",
     "MomentVector",
     "OpaHbtError",
@@ -107,17 +97,13 @@ __all__ = [
     "Spacing",
     "SummationLimitError",
     "SweepSpec",
-    "ThermalSource",
     "TruncationError",
-    "UndefinedSnrWarning",
     "UnreachableTargetError",
     "choose_dim",
     "coeffs",
     "consistency_report",
     "correlation_ac",
-    "correlation_dc",
     "correlation_full",
-    "correlation_reading",
     "equivalent_thermal_mean",
     "estimate_phi",
     "fit_inverse_law",
@@ -125,7 +111,6 @@ __all__ = [
     "geometric_summation_moments",
     "hbt_two_mode_correlation",
     "moment_truncation_bound",
-    "monte_carlo_semiclassical",
     "noise_avg_printed",
     "noise_avg_substitution",
     "noise_full",
@@ -139,7 +124,6 @@ __all__ = [
     "reduced_moments",
     "run_oracle_checks",
     "signal_ratio",
-    "snr",
     "snr_ratio",
     "space_for_squeezed_thermal",
     "squeeze_populations",

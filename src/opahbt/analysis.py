@@ -1,8 +1,7 @@
-"""Parameter sweeps, SNR-law fitting, fringe inversion and a classical sampler.
+"""Parameter sweeps, SNR-law fitting and fringe inversion.
 
-Everything here is deterministic given its inputs; the Monte Carlo sampler
-derives one substream per fixed-size block from the seed, so results do not
-depend on how the blocks are scheduled.
+Everything here is deterministic given its inputs; the only seed is the one
+:func:`estimate_phi` uses to perturb the start of a stalled fit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import (
 from .hbt import signal_ratio, snr_ratio
 from .opa import OpaParams
 
-MC_BLOCK_SIZE = 262_144
 PHI_MAX_ITERATIONS = 200
 
 
@@ -332,99 +330,4 @@ def estimate_phi(
         iterations=iterations,
         converged=converged,
         amplitude=s,
-    )
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Sampler output with the closed-form references it is checked against.
-
-    ``classical_mean`` is the exact mean of the sampled classical model;
-    ``quantum_correlation`` is the photon-number prediction at the same
-    settings, whose excess over the classical mean is the diagonal-moment
-    gap n_bar + m_bar (the classical field lacks the +n shot terms).
-    """
-
-    mean: float
-    variance: float
-    mean_stderr: float
-    variance_stderr: float
-    samples: int
-    seed: int
-    classical_mean: float
-    quantum_correlation: float
-    diagonal_moment_gap: float
-
-
-def monte_carlo_semiclassical(
-    n_bar: float,
-    m_bar: float,
-    delta: float,
-    samples: int,
-    seed: int,
-) -> McEstimate:
-    """Sample the intensity product of the classical-field interferometer.
-
-    The two source fields are independent circular complex Gaussians with
-    mean square moduli n_bar and m_bar; detector intensities are formed
-    with relative interference phase ``delta`` and multiplied.  This is the
-    classical model by construction: its exact mean is
-    2 n^2 + 2 m^2 + 2 n m (1 + cos delta), below the photon-number value by
-    the diagonal-moment gap n + m.
-
-    Each block of :data:`MC_BLOCK_SIZE` samples draws from a substream
-    derived deterministically from (seed, block index).
-    """
-    n_bar = nonnegative_scalar("n_bar", n_bar)
-    m_bar = nonnegative_scalar("m_bar", m_bar)
-    if not isinstance(samples, int) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
-
-    n_blocks = (samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    phase = complex(math.cos(delta), math.sin(delta))
-    sums = np.zeros(4)
-    remaining = samples
-    for children in streams:
-        count = min(MC_BLOCK_SIZE, remaining)
-        remaining -= count
-        rng = np.random.default_rng(children)
-        e_n = math.sqrt(n_bar / 2.0) * (
-            rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        )
-        e_m = math.sqrt(m_bar / 2.0) * (
-            rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        )
-        intensity1 = np.abs(e_n * phase + e_m) ** 2
-        intensity2 = np.abs(e_n + e_m) ** 2
-        w = intensity1 * intensity2
-        sums += [w.sum(), (w**2).sum(), (w**3).sum(), (w**4).sum()]
-
-    mean = sums[0] / samples
-    raw2, raw3, raw4 = sums[1] / samples, sums[2] / samples, sums[3] / samples
-    variance = raw2 - mean**2
-    if samples > 1:
-        variance *= samples / (samples - 1.0)
-    central4 = raw4 - 4 * mean * raw3 + 6 * mean**2 * raw2 - 3 * mean**4
-    mean_stderr = math.sqrt(max(variance, 0.0) / samples)
-    variance_stderr = math.sqrt(max(central4 - variance**2, 0.0) / samples)
-
-    classical_mean = (
-        2 * n_bar**2 + 2 * m_bar**2 + 2 * n_bar * m_bar * (1.0 + math.cos(delta))
-    )
-    quantum = (
-        (2 * n_bar**2 + n_bar)
-        + (2 * m_bar**2 + m_bar)
-        + 2 * n_bar * m_bar * (1.0 + math.cos(delta))
-    )
-    return McEstimate(
-        mean=float(mean),
-        variance=float(variance),
-        mean_stderr=float(mean_stderr),
-        variance_stderr=float(variance_stderr),
-        samples=samples,
-        seed=seed,
-        classical_mean=classical_mean,
-        quantum_correlation=quantum,
-        diagonal_moment_gap=n_bar + m_bar,
     )

@@ -168,7 +168,7 @@ def _cmd_oracle_check(args) -> int:
         grids["n_grid"] = _parse_grid(args.n_grid, "--n-grid")
     if args.g_grid is not None:
         grids["g_grid"] = _parse_grid(args.g_grid, "--g-grid")
-    report = run_oracle_checks(**grids, tail=args.tail, gain_for_noise=args.g_noise)
+    report = run_oracle_checks(**grids, gain_for_noise=args.g_noise)
     _write_output(args.out, _json_payload(report))
     return EXIT_OK if report["all_expected_pass_ok"] else 1
 
@@ -255,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--n-grid", help="comma-separated thermal means")
     oracle.add_argument(
         "--g-grid", help="comma-separated gains for the Fock-space suites"
-    )
-    oracle.add_argument(
-        "--tail", type=float, default=1e-12, help="thermal tail used to size truncation"
     )
     oracle.add_argument(
         "--g-noise",

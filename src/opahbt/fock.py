@@ -138,8 +138,8 @@ def _shell_mass(populations: np.ndarray) -> float:
     return float(populations[-1, :].sum() + populations[:-1, -1].sum())
 
 
-def choose_dim(mean: float, tail: float = DEFAULT_TAIL) -> int:
-    """Smallest per-mode dimension whose thermal tail at ``mean`` is below ``tail``.
+def choose_dim(mean: float) -> int:
+    """Smallest per-mode dimension whose thermal tail is below :data:`DEFAULT_TAIL`.
 
     Uses the geometric tail (mean/(1+mean))^dim of a thermal distribution.
 
@@ -148,29 +148,27 @@ def choose_dim(mean: float, tail: float = DEFAULT_TAIL) -> int:
             or the mean is so large that mean/(1+mean) rounds to 1.
     """
     mean = nonnegative_scalar("mean", mean)
-    if not (0.0 < tail < 1.0):
-        raise DomainError(f"tail must be in (0, 1), got {tail!r}")
     if mean == 0.0:
         return 8
     q = mean / (1.0 + mean)
     if q == 1.0:
         raise TruncationError(
-            f"at mean {mean:g}, mean/(1+mean) rounds to 1 in double precision, so "
-            f"no dimension has a thermal tail below {tail:g}; lower the gain or mean",
+            f"at mean {mean:g}, mean/(1+mean) rounds to 1 in double precision, so no "
+            f"dimension has a thermal tail below {DEFAULT_TAIL:g}; lower the gain or mean",
             achieved=1.0,
         )
-    needed = max(8, int(math.ceil(math.log(tail) / math.log(q))))
+    needed = max(8, int(math.ceil(math.log(DEFAULT_TAIL) / math.log(q))))
     if needed > DIM_CAP:
         raise TruncationError(
-            f"a thermal tail below {tail:g} at mean {mean:g} needs dim {needed}, "
-            f"over the cap of {DIM_CAP}; lower the gain or mean",
+            f"a thermal tail below {DEFAULT_TAIL:g} at mean {mean:g} needs dim "
+            f"{needed}, over the cap of {DIM_CAP}; lower the gain or mean",
             achieved=q**DIM_CAP,
             suggested_dim=needed,
         )
     return needed
 
 
-def space_for_squeezed_thermal(n_bar: float, g: float, tail: float = DEFAULT_TAIL) -> FockSpace:
+def space_for_squeezed_thermal(n_bar: float, g: float) -> FockSpace:
     """Truncation sized a priori for squeezing thermal light against vacuum.
 
     The output marginal is thermal at the amplified mean
@@ -183,7 +181,7 @@ def space_for_squeezed_thermal(n_bar: float, g: float, tail: float = DEFAULT_TAI
             cosh(g)^2 overflows.
         TruncationError: as for :func:`choose_dim`.
     """
-    return FockSpace(choose_dim(equivalent_thermal_mean(n_bar, OpaParams(g)), tail))
+    return FockSpace(choose_dim(equivalent_thermal_mean(n_bar, OpaParams(g))))
 
 
 def thermal_populations(n_bar: float, space: FockSpace) -> tuple[np.ndarray, float]:

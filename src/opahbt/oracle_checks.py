@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import (
+    DEFAULT_TAIL,
     FockSpace,
     OrderingConvention,
     choose_dim,
@@ -94,7 +95,7 @@ def _make(name, description, expected, tol, deviation, note=""):
 def check_thermal_closed_forms(n_grid) -> CheckResult:
     """Corrected closed-form moments against the direct-summation oracle."""
     oracle = np.column_stack(
-        [geometric_summation_moments(n, tail_bound=1e-13).as_array() for n in n_grid]
+        [geometric_summation_moments(n).as_array() for n in n_grid]
     )
     closed = thermal_moments(np.asarray(n_grid, dtype=float), MomentConvention.CORRECTED)
     worst = np.max(relative_deviation(closed.as_array(), oracle))
@@ -111,7 +112,7 @@ def check_thermal_closed_forms(n_grid) -> CheckResult:
 def check_published_third_moment(n_grid) -> CheckResult:
     """The as-published third moment against the summation oracle."""
     n = np.array([x for x in n_grid if x != 0.0], dtype=float)
-    oracle_m3 = np.array([geometric_summation_moments(x, tail_bound=1e-13).m3 for x in n])
+    oracle_m3 = np.array([geometric_summation_moments(x).m3 for x in n])
     printed_m3 = thermal_moments(n, MomentConvention.PAPER_PRINTED).m3
     worst = np.max(relative_deviation(printed_m3, oracle_m3), initial=0.0)
     gap = oracle_m3 - printed_m3
@@ -151,24 +152,24 @@ def check_thermal_closure(n_grid, g_grid) -> CheckResult:
 
 
 @lru_cache(maxsize=64)
-def _squeezed_thermal(n: float, g: float, tail: float) -> tuple[MomentVector, float]:
+def _squeezed_thermal(n: float, g: float) -> tuple[MomentVector, float]:
     """Signal-mode moments and trace of thermal(n) (x) vacuum squeezed at gain g.
 
-    Both Fock suites read the same squeezed states, so each (n, g, tail)
-    is squeezed once.  The states are subnormalized, hence the trace.
+    Both Fock suites read the same squeezed states, so each (n, g) is
+    squeezed once.  The states are subnormalized, hence the trace.
     """
-    space = space_for_squeezed_thermal(n, g, tail)
+    space = space_for_squeezed_thermal(n, g)
     probs, deficit = thermal_populations(n, space)
     squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
     return population_moments(squeezed, mode=0), float(squeezed.sum())
 
 
-def check_squeeze_propagation(n_grid, g_grid, tail) -> CheckResult:
+def check_squeeze_propagation(n_grid, g_grid) -> CheckResult:
     """Truncated-Fock reduced moments against the propagation polynomials."""
     worst = 0.0
     for n in n_grid:
         for g in g_grid:
-            got, trace = _squeezed_thermal(n, g, tail)
+            got, trace = _squeezed_thermal(n, g)
             want = propagate_moments(thermal_moments(n), OpaParams(g))
             worst = np.maximum(
                 worst,
@@ -184,7 +185,7 @@ def check_squeeze_propagation(n_grid, g_grid, tail) -> CheckResult:
     )
 
 
-def check_wick_vs_fock(n_grid, g_grid, tail) -> CheckResult:
+def check_wick_vs_fock(n_grid, g_grid) -> CheckResult:
     """Pairing-sum Gaussian moments against the truncated-Fock moments."""
     worst = 0.0
     for n in n_grid:
@@ -192,7 +193,7 @@ def check_wick_vs_fock(n_grid, g_grid, tail) -> CheckResult:
             params = OpaParams(g)
             table = GaussianSecondMoments.amplified_thermal(n, params)
             wick = number_moments(table, mode=0)
-            got, trace = _squeezed_thermal(n, g, tail)
+            got, trace = _squeezed_thermal(n, g)
             worst = np.maximum(
                 worst,
                 np.max(relative_deviation(got.as_array(), wick.as_array() * trace)),
@@ -334,14 +335,15 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid) -> CheckResult:
 def run_oracle_checks(
     n_grid: Sequence[float] = DEFAULT_N_GRID,
     g_grid: Sequence[float] = DEFAULT_G_GRID,
-    tail: float = 1e-12,
     gain_for_noise: float = 2.0,
 ) -> dict:
     """Run every verification suite and assemble the JSON-ready report.
 
     The overall verdict ``all_expected_pass_ok`` covers only the checks
     expected to pass; the documented defects of the published algebra are
-    reported but never change the verdict.
+    reported but never change the verdict.  The Fock spaces are sized for
+    the fixed thermal tail :data:`~opahbt.fock.DEFAULT_TAIL`, which the
+    report echoes as ``tail``.
     """
     n_grid = tuple(float(x) for x in n_grid)
     g_grid = tuple(float(x) for x in g_grid)
@@ -358,8 +360,8 @@ def run_oracle_checks(
             check_thermal_closed_forms(tuple(x for x in n_grid) + (2.0, 10.0)),
             check_published_third_moment(tuple(x for x in n_grid) + (2.0, 10.0)),
             check_thermal_closure(n_grid + (5.0, 50.0), g_grid + (2.0, 3.0)),
-            check_squeeze_propagation(n_grid, g_grid, tail),
-            check_wick_vs_fock(n_grid, g_grid, tail),
+            check_squeeze_propagation(n_grid, g_grid),
+            check_wick_vs_fock(n_grid, g_grid),
             check_normal_ordered_correlator(n_grid),
             check_ordering_gap(n_grid),
             *check_noise_consistency(params, pair_grid),
@@ -370,7 +372,7 @@ def run_oracle_checks(
         "n_grid": list(n_grid),
         "g_grid": list(g_grid),
         "delta_grid": list(DEFAULT_DELTA_GRID),
-        "tail": tail,
+        "tail": DEFAULT_TAIL,
         "gain_for_noise": params.gain,
         "checks": [c.to_dict() for c in checks],
         "all_expected_pass_ok": verdict,

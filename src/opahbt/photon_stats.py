@@ -4,6 +4,8 @@ Provides the closed-form first four moments of the thermal distribution in
 two conventions (the corrected algebra and the form as published, whose
 third moment is a known misprint), together with a direct-summation oracle
 that computes the same moments from the geometric distribution itself.
+A thermal source is given by its mean photon number alone, and the oracle
+sums to the fixed relative tail bound :data:`SUMMATION_TAIL_BOUND`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwr
 from .errors import DomainError, SummationLimitError
 
 SUMMATION_TERM_CAP = 10_000_000
+SUMMATION_TAIL_BOUND = 1e-13
 _CHUNK = 4096
 
 
@@ -62,37 +65,24 @@ class MomentVector:
             raise DomainError(f"fourth moment below squared second moment in {m}")
 
 
-@dataclass(frozen=True)
-class ThermalSource:
-    """A single-mode thermal source described by its mean photon number."""
-
-    mean_photon_number: float
-
-    def __post_init__(self):
-        n = nonnegative_scalar("mean photon number", self.mean_photon_number)
-        object.__setattr__(self, "mean_photon_number", n)
-
-
 def thermal_moments(
-    source: ThermalSource | FloatOrArray,
+    n_bar: FloatOrArray,
     convention: MomentConvention = MomentConvention.CORRECTED,
 ) -> MomentVector:
     """Closed-form moments <n^j>, j = 1..4, of a thermal state.
 
     Parameters
     ----------
-    source : ThermalSource, float or array
-        The source, or directly its mean photon number N.  For an array of
-        means each moment is an array of the same shape.
+    n_bar : float or array
+        The mean photon number N of the source.  For an array of means each
+        moment is an array of the same shape.
     convention : MomentConvention
         CORRECTED uses the Bose-Einstein value 6N^3 + 6N^2 + N for the third
         moment.  PAPER_PRINTED reproduces the published closed form
         N^3 + 6N^2 + N, which the direct-summation oracle shows to be a
         misprint (it is low by exactly 5N^3).
     """
-    if isinstance(source, ThermalSource):
-        source = source.mean_photon_number
-    n = nonnegative("mean photon number", source)
+    n = nonnegative("mean photon number", n_bar)
     n2, n3, n4 = powers(n)
     m2 = 2 * n2 + n
     if convention is MomentConvention.CORRECTED:
@@ -105,27 +95,21 @@ def thermal_moments(
     return MomentVector(*(unwrap(x) for x in (n, m2, m3, m4)))
 
 
-def geometric_summation_moments(
-    source: ThermalSource | float, tail_bound: float = 1e-12
-) -> MomentVector:
+def geometric_summation_moments(n_bar: float) -> MomentVector:
     """Moments of the thermal distribution by direct summation.
 
     Sums p_n * n^j over the geometric distribution p_n = N^n / (1+N)^(n+1)
     until the remaining weighted tail, bounded analytically through the
-    geometric series, drops below ``tail_bound`` times each accumulated
-    moment.  This is the independent oracle for the closed forms in
-    :func:`thermal_moments` and stays deliberately free of them.
+    geometric series, drops below :data:`SUMMATION_TAIL_BOUND` times each
+    accumulated moment.  This is the independent oracle for the closed forms
+    in :func:`thermal_moments` and stays deliberately free of them.
 
     Raises:
-        DomainError: if ``tail_bound`` is not in (0, 1).
+        DomainError: if ``n_bar`` is not a finite real >= 0.
         SummationLimitError: if :data:`SUMMATION_TERM_CAP` terms do not
             reach the bound; the error reports the relative bound achieved.
     """
-    if not (0.0 < tail_bound < 1.0):
-        raise DomainError(f"tail_bound must be in (0, 1), got {tail_bound!r}")
-    if not isinstance(source, ThermalSource):
-        source = ThermalSource(source)
-    n_mean = source.mean_photon_number
+    n_mean = nonnegative_scalar("mean photon number", n_bar)
     if n_mean == 0.0:
         return MomentVector(0.0, 0.0, 0.0, 0.0)
 
@@ -150,11 +134,11 @@ def geometric_summation_moments(
             p_next = (1.0 - q) * math.exp((m_last + 1) * log_q)
             tails = p_next * (m_last + 1.0) ** np.arange(1, 5) / (1.0 - ratio)
             achieved = float(np.max(tails / sums))
-            if achieved <= tail_bound:
+            if achieved <= SUMMATION_TAIL_BOUND:
                 return MomentVector(*sums)
 
     raise SummationLimitError(
         f"summation cap of {SUMMATION_TERM_CAP} terms reached at mean {n_mean}; "
-        f"achieved relative tail bound {achieved:.3e} > requested {tail_bound:.3e}",
+        f"achieved relative tail bound {achieved:.3e} > {SUMMATION_TAIL_BOUND:.3e}",
         achieved_bound=achieved,
     )

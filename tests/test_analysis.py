@@ -14,7 +14,6 @@ from opahbt import (
     UnreachableTargetError,
     estimate_phi,
     fit_inverse_law,
-    monte_carlo_semiclassical,
     signal_ratio,
     snr_ratio,
     sweep_ratios,
@@ -230,37 +229,3 @@ def test_phi_estimation_rejects_sub_quarter_fringe():
     r, y = _scan(1e-10)  # far below a quarter fringe over 40 m
     with pytest.raises(FringeCoverageError):
         estimate_phi(r, y, K_BLUE)
-
-
-def test_monte_carlo_matches_classical_closed_form():
-    estimate = monte_carlo_semiclassical(1.0, 1.0, 0.0, 200_000, seed=3)
-    assert estimate.classical_mean == 8.0
-    assert abs(estimate.mean - 8.0) <= 5.0 * estimate.mean_stderr
-    assert estimate.quantum_correlation == 10.0
-    assert estimate.diagonal_moment_gap == 2.0
-
-
-def test_monte_carlo_vacuum_is_exactly_zero():
-    estimate = monte_carlo_semiclassical(0.0, 0.0, 0.0, 1000, seed=0)
-    assert estimate.mean == 0.0
-    assert estimate.variance == 0.0
-
-
-def test_monte_carlo_phase_dependence():
-    peak = monte_carlo_semiclassical(1.0, 1.0, 0.0, 400_000, seed=11)
-    quarter = monte_carlo_semiclassical(1.0, 1.0, math.pi / 2, 400_000, seed=12)
-    gap = peak.mean - quarter.mean
-    tolerance = 5.0 * math.hypot(peak.mean_stderr, quarter.mean_stderr)
-    assert abs(gap - 2.0) <= tolerance  # 2 n m cos(0) - 2 n m cos(pi/2)
-
-
-def test_monte_carlo_is_reproducible_and_blocking_invariant():
-    a = monte_carlo_semiclassical(1.0, 0.5, 0.3, 50_000, seed=9)
-    b = monte_carlo_semiclassical(1.0, 0.5, 0.3, 50_000, seed=9)
-    assert a.mean == b.mean and a.variance == b.variance
-
-
-def test_monte_carlo_error_scales_as_inverse_root_samples():
-    small = monte_carlo_semiclassical(1.0, 1.0, 0.0, 100_000, seed=21)
-    large = monte_carlo_semiclassical(1.0, 1.0, 0.0, 400_000, seed=21)
-    assert large.mean_stderr == pytest.approx(small.mean_stderr / 2.0, rel=0.15)

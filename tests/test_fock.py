@@ -132,10 +132,10 @@ def test_fock_state_is_a_read_only_population_grid():
 
 def test_choose_dim_rule_and_cap():
     # Smallest dim with (mean/(1+mean))^dim below the tail.
-    dim = choose_dim(1.0, tail=1e-12)
+    dim = choose_dim(1.0)
     assert 0.5**dim < 1e-12 <= 0.5 ** (dim - 1)
     with pytest.raises(TruncationError) as excinfo:
-        choose_dim(40.0, tail=1e-12)
+        choose_dim(40.0)
     assert excinfo.value.suggested_dim > 1024
 
 
@@ -144,7 +144,7 @@ def test_choose_dim_rejects_mean_beyond_double_resolution(monkeypatch):
     with pytest.raises(TruncationError):
         choose_dim(1e17)
     monkeypatch.setattr(opahbt.fock, "DIM_CAP", 10**6)
-    assert choose_dim(1e3, tail=1e-12) == 27645  # the rule below that
+    assert choose_dim(1e3) == 27645  # the rule below that
 
 
 def _ladder_generator(difference, length, g):
@@ -278,7 +278,7 @@ def _ladder_expm_squeeze(populations, g):
 def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     # The oracle's thermal (x) vacuum inputs at their real dims, against the
     # full per-ladder propagator from scipy.linalg.expm.
-    space = space_for_squeezed_thermal(n, g, tail=1e-12)
+    space = space_for_squeezed_thermal(n, g)
     state = product_state(thermal_state(n, space), vacuum_state(space))
     want = _ladder_expm_squeeze(state.populations(), g)
     got, deficit = squeeze_populations(
@@ -331,7 +331,7 @@ def test_squeezed_thermal_mode_means():
 @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 1.0])
 def test_reduced_moments_match_propagation_polynomials(n, g):
-    space = space_for_squeezed_thermal(n, g, tail=1e-12)
+    space = space_for_squeezed_thermal(n, g)
     state = product_state(thermal_state(n, space), vacuum_state(space))
     squeezed = two_mode_squeeze(state, g)
     got = reduced_moments(squeezed, 0).as_array()
@@ -445,7 +445,7 @@ def test_fock_space_validation():
 
 
 def test_state_invariants_maintained_through_pipeline():
-    space = space_for_squeezed_thermal(1.0, 0.5, tail=1e-12)
+    space = space_for_squeezed_thermal(1.0, 0.5)
     state = product_state(thermal_state(1.0, space), vacuum_state(space))
     assert state.trace + state.trace_deficit == pytest.approx(1.0, abs=1e-10)
     squeezed = two_mode_squeeze(state, 0.5)

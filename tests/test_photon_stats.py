@@ -9,7 +9,6 @@ from opahbt import (
     MomentConvention,
     MomentVector,
     SummationLimitError,
-    ThermalSource,
     geometric_summation_moments,
     thermal_moments,
 )
@@ -34,28 +33,28 @@ def test_unit_mean_printed_third_moment():
 def test_summation_oracle_frozen_values():
     # Frozen from the oracle itself; the integer values are exact.
     np.testing.assert_allclose(
-        geometric_summation_moments(1.0, 1e-12).as_array(),
+        geometric_summation_moments(1.0).as_array(),
         [1.0, 3.0, 13.0, 75.0],
         rtol=1e-9,
     )
     np.testing.assert_allclose(
-        geometric_summation_moments(2.0, 1e-12).as_array(),
+        geometric_summation_moments(2.0).as_array(),
         [2.0, 10.0, 74.0, 730.0],
         rtol=1e-9,
     )
-    assert geometric_summation_moments(0.5, 1e-12).m2 == pytest.approx(1.0, rel=1e-9)
+    assert geometric_summation_moments(0.5).m2 == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", GRID)
 def test_summation_agrees_with_corrected_closed_forms(n):
-    oracle = geometric_summation_moments(n, 1e-13)
+    oracle = geometric_summation_moments(n)
     closed = thermal_moments(n, MomentConvention.CORRECTED)
     np.testing.assert_allclose(closed.as_array(), oracle.as_array(), rtol=1e-9)
 
 
 @pytest.mark.parametrize("n", GRID)
 def test_printed_third_moment_low_by_five_cubes(n):
-    oracle = geometric_summation_moments(n, 1e-13)
+    oracle = geometric_summation_moments(n)
     printed = thermal_moments(n, MomentConvention.PAPER_PRINTED)
     assert oracle.m3 - printed.m3 == pytest.approx(5.0 * n**3, rel=1e-9)
 
@@ -81,26 +80,17 @@ def test_super_poissonian_variance(n):
 
 
 def test_source_validation():
-    with pytest.raises(DomainError):
-        ThermalSource(-0.5)
-    with pytest.raises(DomainError):
-        ThermalSource(float("nan"))
-    with pytest.raises(DomainError):
-        thermal_moments(float("inf"))
-
-
-def test_summation_tail_bound_validation():
-    with pytest.raises(DomainError):
-        geometric_summation_moments(1.0, tail_bound=0.0)
-    with pytest.raises(DomainError):
-        geometric_summation_moments(1.0, tail_bound=1.5)
+    for moments in (thermal_moments, geometric_summation_moments):
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="mean photon number"):
+                moments(bad)
 
 
 def test_summation_iteration_cap_reports_achieved_bound(monkeypatch):
     monkeypatch.setattr(opahbt.photon_stats, "SUMMATION_TERM_CAP", 64)
     with pytest.raises(SummationLimitError) as excinfo:
-        geometric_summation_moments(50.0, tail_bound=1e-12)
-    assert excinfo.value.achieved_bound > 1e-12
+        geometric_summation_moments(50.0)
+    assert excinfo.value.achieved_bound > opahbt.photon_stats.SUMMATION_TAIL_BOUND
 
 
 def test_moment_vector_validate_rejects_bad_vectors():

@@ -1,0 +1,54 @@
+"""Every public name, and every name the benchmark binds, resolves.
+
+A deletion that breaks ``perfbench/`` shows up here in seconds, not only
+in a traced benchmark run.  The benchmark files are read, never edited.
+"""
+
+import ast
+import importlib
+import runpy
+from pathlib import Path
+
+import opahbt
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_all_names_resolve_without_duplicates():
+    assert len(opahbt.__all__) == len(set(opahbt.__all__))
+    for name in opahbt.__all__:
+        assert getattr(opahbt, name) is not None, name
+
+
+def test_traced_benchmark_bindings_resolve():
+    tracer = runpy.run_path(str(PERFBENCH / "tracer.py"))
+    bindings = list(tracer["SPANNED"]) + list(tracer["COUNTED"])
+    assert bindings
+    for module, name in bindings:
+        assert hasattr(importlib.import_module(f"opahbt.{module}"), name), (module, name)
+
+
+def _package_imports(source):
+    # (module, name) for each ``from opahbt... import name`` and (module, None)
+    # for each ``import opahbt...``, also inside launcher code kept in strings.
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "opahbt":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "opahbt"]
+        elif isinstance(node, ast.Constant) and "opahbt" in str(node.value):
+            try:
+                found += _package_imports(node.value)
+            except SyntaxError:  # prose, not launcher code
+                pass
+    return found
+
+
+def test_benchmark_imports_from_the_package_resolve():
+    for script in ("verify.py", "run.py", "traced_job.py"):
+        imports = _package_imports((PERFBENCH / script).read_text(encoding="utf-8"))
+        assert imports, script
+        for module, name in imports:
+            target = importlib.import_module(module)
+            assert name is None or hasattr(target, name), (script, module, name)

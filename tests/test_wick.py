@@ -89,7 +89,7 @@ def test_amplified_table_agrees_with_fock_oracle():
     # Two independent oracles for the same state.
     n, g = 0.5, 0.5
     table = GaussianSecondMoments.amplified_thermal(n, OpaParams(g))
-    space = space_for_squeezed_thermal(n, g, tail=1e-12)
+    space = space_for_squeezed_thermal(n, g)
     state = product_state(thermal_state(n, space), vacuum_state(space))
     squeezed = two_mode_squeeze(state, g)
     for mode in (0, 1):
