@@ -9,8 +9,9 @@ a generic substitution path for the noise polynomials.
 
 The Fock-space oracle (``fock``) and the suites built on it
 (``oracle_checks``) are imported on first use of one of their names.  A
-Fock state is its photon-number population grid, a numpy array; the
-package needs only numpy at run time.
+Fock state is a numpy array of photon-number populations plus its trace
+deficit, truncated at an int number of levels per mode; the package needs
+only numpy at run time.
 """
 
 from .analysis import (
@@ -67,13 +68,14 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # Every public name not imported above lives in fock or oracle_checks.
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import fock, oracle_checks
+    if name in __all__:
+        from . import fock, oracle_checks
 
-    value = getattr(fock, name, None) or getattr(oracle_checks, name)
-    globals()[name] = value
-    return value
+        for module in (fock, oracle_checks):
+            if hasattr(module, name):
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -82,8 +84,6 @@ __all__ = [
     "DegenerateFitError",
     "DomainError",
     "FitResult",
-    "FockSpace",
-    "FockState",
     "FringeCoverageError",
     "GaussianSecondMoments",
     "Geometry",
@@ -110,16 +110,12 @@ __all__ = [
     "gaussian_wick_moment",
     "geometric_summation_moments",
     "hbt_two_mode_correlation",
-    "moment_truncation_bound",
     "noise_avg_printed",
     "noise_avg_substitution",
     "noise_full",
     "number_moments",
     "opa_correlation_ac",
     "opa_noise_avg_printed",
-    "partial_trace",
-    "population_moments",
-    "product_state",
     "propagate_moments",
     "reduced_moments",
     "run_oracle_checks",
@@ -131,7 +127,5 @@ __all__ = [
     "target_ratio_operating_point",
     "thermal_moments",
     "thermal_populations",
-    "thermal_state",
     "two_mode_squeeze",
-    "vacuum_state",
 ]

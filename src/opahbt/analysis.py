@@ -214,8 +214,8 @@ def estimate_phi(
     reporting a non-converged estimate.
 
     Raises:
-        DomainError: for fewer than 4 points, non-finite input or a wavenumber
-            that is not a finite real > 0.
+        DomainError: for fewer than 4 points, non-finite input, or a
+            wavenumber or known amplitude that is not a finite real > 0.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
@@ -229,6 +229,8 @@ def estimate_phi(
         raise DomainError("scan contains non-finite values")
     if nonnegative_scalar("wavenumber", k) == 0.0:
         raise DomainError(f"wavenumber must be > 0, got {k!r}")
+    if amplitude_known is not None and nonnegative_scalar("amplitude", amplitude_known) == 0.0:
+        raise DomainError(f"amplitude must be > 0, got {amplitude_known!r}")
     span = float(r.max() - r.min())
     if span <= 0:
         raise DomainError("scan baselines are all identical")

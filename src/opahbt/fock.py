@@ -1,8 +1,8 @@
 """Truncated Fock-space numerics: the first-principles verification route.
 
-A state is its photon-number distribution: p[n] for one mode or
-p[n_a, n_b] for two, a numpy array held by :class:`FockState`.  That is
-all the modelled amplifier needs.  Thermal and vacuum inputs are diagonal,
+A state is its photon-number distribution, a numpy array: p[n] for one
+mode or p[n_a, n_b] for two, on ``dim`` levels per mode.  That is all the
+modelled amplifier needs.  Thermal and vacuum inputs are diagonal,
 the two-mode squeezer maps a diagonal input to a diagonal output, and the
 two-detector correlator only needs each operator's matrix elements next to
 the diagonal.  Every state is subnormalized: the probability mass lost to
@@ -21,7 +21,6 @@ Bessel-function coefficients (:func:`_squeeze_strip`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -54,90 +53,6 @@ class OrderingConvention(Enum):
     AS_WRITTEN = "as-written"
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncation setup: ``dim`` Fock levels per mode."""
-
-    dim: int
-
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise DomainError(f"dim must be an integer >= 2, got {self.dim!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class FockState:
-    """Subnormalized photon-number distribution of one or two modes.
-
-    Attributes:
-        probs: read-only populations, p[n] for one mode or p[n_a, n_b]
-            for two (equal per-mode dims).
-        trace_deficit: probability mass lying outside the retained levels.
-    """
-
-    probs: np.ndarray
-    trace_deficit: float = 0.0
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        if probs.ndim not in (1, 2):
-            raise DomainError(
-                f"only one- and two-mode states are supported, got shape {probs.shape}"
-            )
-        if probs.ndim == 2 and probs.shape[0] != probs.shape[1]:
-            raise DomainError(f"two-mode states need equal per-mode dims, got {probs.shape}")
-        if not (0.0 <= self.trace_deficit <= 1.0):
-            raise DomainError(f"trace deficit must be in [0, 1], got {self.trace_deficit}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "trace_deficit", float(self.trace_deficit))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.probs.shape
-
-    @property
-    def n_modes(self) -> int:
-        return self.probs.ndim
-
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(self.probs.sum())
-
-    def populations(self) -> np.ndarray:
-        """p[n] for one mode, p[n_a, n_b] for two (read-only)."""
-        return self.probs
-
-    def boundary_mass(self) -> float:
-        """Population of the top retained Fock level of any mode.
-
-        A small value certifies that truncation barely perturbed the state:
-        whatever flux the ideal dynamics would push past the cutoff first
-        has to populate this shell.
-        """
-        return _shell_mass(self.probs)
-
-    def validate(self) -> None:
-        """Check that the populations are finite and >= 0 and that trace + deficit = 1."""
-        if not (np.isfinite(self.probs).all() and (self.probs >= 0.0).all()):
-            raise DomainError("populations must be finite and >= 0")
-        if abs(self.trace + self.trace_deficit - 1.0) > 1e-10:
-            raise DomainError(
-                f"trace {self.trace} plus deficit {self.trace_deficit} is not 1"
-            )
-
-
-def _shell_mass(populations: np.ndarray) -> float:
-    # Mass on the top retained level of either mode.
-    if populations.ndim == 1:
-        return float(populations[-1])
-    return float(populations[-1, :].sum() + populations[:-1, -1].sum())
-
-
 def choose_dim(mean: float) -> int:
     """Smallest per-mode dimension whose thermal tail is below :data:`DEFAULT_TAIL`.
 
@@ -168,8 +83,8 @@ def choose_dim(mean: float) -> int:
     return needed
 
 
-def space_for_squeezed_thermal(n_bar: float, g: float) -> FockSpace:
-    """Truncation sized a priori for squeezing thermal light against vacuum.
+def space_for_squeezed_thermal(n_bar: float, g: float) -> int:
+    """Per-mode dimension sized a priori for squeezing thermal light against vacuum.
 
     The output marginal is thermal at the amplified mean
     cosh(g)^2 n + sinh(g)^2 (:func:`~opahbt.opa.equivalent_thermal_mean`),
@@ -181,45 +96,28 @@ def space_for_squeezed_thermal(n_bar: float, g: float) -> FockSpace:
             cosh(g)^2 overflows.
         TruncationError: as for :func:`choose_dim`.
     """
-    return FockSpace(choose_dim(equivalent_thermal_mean(n_bar, OpaParams(g))))
+    return choose_dim(equivalent_thermal_mean(n_bar, OpaParams(g)))
 
 
-def thermal_populations(n_bar: float, space: FockSpace) -> tuple[np.ndarray, float]:
+def thermal_populations(n_bar: float, dim: int) -> tuple[np.ndarray, float]:
     """Thermal weights p_n = N^n / (1+N)^(n+1), n < dim, and the tail mass.
 
-    The tail mass (N/(1+N))^dim is what truncation to ``space.dim`` levels
+    The tail mass (N/(1+N))^dim is what truncation to ``dim`` levels
     drops.
+
+    Raises:
+        DomainError: if ``n_bar`` is not a finite real >= 0, or ``dim`` is
+            not an integer >= 2.
     """
     n_bar = nonnegative_scalar("mean photon number", n_bar)
+    if not isinstance(dim, int) or dim < 2:
+        raise DomainError(f"dim must be an integer >= 2, got {dim!r}")
     if n_bar == 0.0:
-        probs = np.zeros(space.dim)
+        probs = np.zeros(dim)
         probs[0] = 1.0
         return probs, 0.0
     q = n_bar / (1.0 + n_bar)
-    return (1.0 - q) * q ** np.arange(space.dim), q**space.dim
-
-
-def thermal_state(n_bar: float, space: FockSpace) -> FockState:
-    """Single-mode thermal state with the weights of :func:`thermal_populations`.
-
-    The retained block keeps the exact geometric weights; the tail mass is
-    reported as the trace deficit.
-    """
-    return FockState(*thermal_populations(n_bar, space))
-
-
-def vacuum_state(space: FockSpace) -> FockState:
-    return thermal_state(0.0, space)
-
-
-def product_state(a: FockState, b: FockState) -> FockState:
-    """Tensor product of two single-mode states (mode order preserved)."""
-    if a.n_modes != 1 or b.n_modes != 1:
-        raise DomainError("product_state expects two single-mode states")
-    if a.dim != b.dim:
-        raise DomainError(f"per-mode dims must match, got {a.dim} and {b.dim}")
-    deficit = 1.0 - (1.0 - a.trace_deficit) * (1.0 - b.trace_deficit)
-    return FockState(np.outer(a.probs, b.probs), deficit)
+    return (1.0 - q) * q ** np.arange(dim), q**dim
 
 
 def _bessel_j(z: float) -> np.ndarray:
@@ -295,7 +193,8 @@ def _squeeze_strip(ladders: np.ndarray, dim: int, g: float) -> np.ndarray:
 
 def _check_squeezed_tail(populations: np.ndarray, trace_deficit: float, g: float) -> None:
     """Raise when deficit plus output boundary-shell mass exceeds the bound."""
-    tail_estimate = trace_deficit + _shell_mass(populations)
+    # The deficit plus the mass on the top retained level of either mode.
+    tail_estimate = trace_deficit + float(populations[-1, :].sum() + populations[:-1, -1].sum())
     if tail_estimate <= SQUEEZED_TAIL_BOUND:
         return
     dim = populations.shape[0]
@@ -358,40 +257,37 @@ def squeeze_populations(
     return out, deficit
 
 
-def two_mode_squeeze(state: FockState, g: float) -> FockState:
-    """Apply the two-mode squeezer with gain ``g`` to a signal (x) vacuum state.
+def two_mode_squeeze(
+    populations: np.ndarray, g: float, trace_deficit: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Apply the two-mode squeezer with gain ``g`` to a signal (x) vacuum grid.
 
-    See :func:`squeeze_populations` for the algorithm, the trace deficit
-    and the truncation check.
+    ``populations`` is p[n_a, n_b] on a square grid.  See
+    :func:`squeeze_populations` for the algorithm, the trace deficit, the
+    truncation check and the returned grid and deficit.
 
     Raises:
-        DomainError: unless the state has two modes and mode 1, the idler,
-            is in vacuum.
+        DomainError: unless the grid is square and mode 1, the idler, is in
+            vacuum.
         TruncationError: when the combined tail estimate exceeds the
             bound; the error suggests a larger dimension.
     """
-    if state.n_modes != 2:
-        raise DomainError("two_mode_squeeze expects a two-mode state")
-    if state.probs[:, 1:].any():
+    populations = nonnegative("populations", populations)
+    if populations.ndim != 2 or populations.shape[0] != populations.shape[1]:
+        raise DomainError(
+            f"two_mode_squeeze expects a square grid, got shape {populations.shape}"
+        )
+    if populations[:, 1:].any():
         raise DomainError("two_mode_squeeze needs the idler (mode 1) in vacuum")
-    return FockState(*squeeze_populations(state.probs[:, 0], g, state.trace_deficit))
+    return squeeze_populations(populations[:, 0], g, trace_deficit)
 
 
-def partial_trace(state: FockState, mode: int) -> FockState:
-    """Marginal populations of the given mode (0 or 1) of a two-mode state."""
-    if state.n_modes != 2:
-        raise DomainError("partial_trace expects a two-mode state")
-    if mode not in (0, 1):
-        raise DomainError(f"mode must be 0 or 1, got {mode!r}")
-    return FockState(state.probs.sum(axis=1 - mode), state.trace_deficit)
-
-
-def population_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
-    """Photon-number moments <n^j>, j = 1..4, of one mode of a population grid.
+def reduced_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
+    """Photon-number moments <n^j>, j = 1..4, of one mode of a population array.
 
     ``populations`` is p[n] for one mode or p[n_a, n_b] for two.  The
-    moments are those of the subnormalized marginal, as for
-    :func:`reduced_moments`.
+    moments are those of the subnormalized marginal: divide by its trace
+    for the moments of the normalized state.
     """
     if mode not in range(populations.ndim):
         raise DomainError(
@@ -400,25 +296,6 @@ def population_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
     marginal = populations if populations.ndim == 1 else populations.sum(axis=1 - mode)
     occupation = np.arange(marginal.size, dtype=float)
     return MomentVector(*(float(marginal @ occupation**j) for j in (1, 2, 3, 4)))
-
-
-def reduced_moments(state: FockState, mode: int = 0) -> MomentVector:
-    """Photon-number moments <n^j>, j = 1..4, of one mode of a state.
-
-    The truncation error of the result is bounded by
-    :func:`moment_truncation_bound`.
-    """
-    return population_moments(state.populations(), mode)
-
-
-def moment_truncation_bound(state: FockState, order: int = 4) -> float:
-    """Crude bound on the truncation error of a reduced moment of given order.
-
-    The mass unaccounted for (deficit plus boundary shell) is weighted by
-    the largest retained occupation to the moment's power.
-    """
-    missing = state.trace_deficit + state.boundary_mass()
-    return missing * float(state.dim - 1) ** order
 
 
 # Each correlator is a sum of terms coeff * e^(i k delta) * A (x) B, where A
@@ -499,7 +376,6 @@ def hbt_two_mode_correlation(
     n_bar: float,
     m_bar: float,
     delta: float,
-    space: FockSpace | None = None,
     ordering: OrderingConvention = OrderingConvention.NORMAL_ORDERED,
 ) -> tuple[float, float]:
     """Two-detector intensity correlator on thermal light, from Fock matrix elements.
@@ -519,16 +395,15 @@ def hbt_two_mode_correlation(
 
     The thermal state is diagonal, so <C> = sum_n p_n C_nn and
     <C^2> = sum_n p_n sum_m C_nm C_mn only need the correlator's elements
-    on the few shifts m - n it reaches.
+    on the few shifts m - n it reaches.  Both modes are truncated at
+    :func:`choose_dim` of the larger mean.
     """
     n_bar, m_bar = nonnegative_scalar("n_bar", n_bar), nonnegative_scalar("m_bar", m_bar)
     if ordering not in _CORRELATOR_TERMS:
         raise DomainError(f"unknown ordering convention {ordering!r}")
-    if space is None:
-        space = FockSpace(choose_dim(max(n_bar, m_bar)))
-    dim = space.dim
+    dim = choose_dim(max(n_bar, m_bar))
 
-    prob = np.outer(thermal_populations(n_bar, space)[0], thermal_populations(m_bar, space)[0])
+    prob = np.outer(thermal_populations(n_bar, dim)[0], thermal_populations(m_bar, dim)[0])
     phase = np.exp(1j * float(delta))
     powers = {-1: np.conj(phase), 0: 1.0, 1: phase}
     elements = {

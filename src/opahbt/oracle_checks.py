@@ -21,11 +21,10 @@ import numpy as np
 from .errors import DomainError
 from .fock import (
     DEFAULT_TAIL,
-    FockSpace,
     OrderingConvention,
     choose_dim,
     hbt_two_mode_correlation,
-    population_moments,
+    reduced_moments,
     space_for_squeezed_thermal,
     squeeze_populations,
     thermal_populations,
@@ -158,10 +157,10 @@ def _squeezed_thermal(n: float, g: float) -> tuple[MomentVector, float]:
     Both Fock suites read the same squeezed states, so each (n, g) is
     squeezed once.  The states are subnormalized, hence the trace.
     """
-    space = space_for_squeezed_thermal(n, g)
-    probs, deficit = thermal_populations(n, space)
+    dim = space_for_squeezed_thermal(n, g)
+    probs, deficit = thermal_populations(n, dim)
     squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    return population_moments(squeezed, mode=0), float(squeezed.sum())
+    return reduced_moments(squeezed, mode=0), float(squeezed.sum())
 
 
 def check_squeeze_propagation(n_grid, g_grid) -> CheckResult:
@@ -213,14 +212,14 @@ def check_normal_ordered_correlator(n_grid) -> CheckResult:
     worst = 0.0
     for n in n_grid:
         for m in n_grid:
-            space = FockSpace(choose_dim(max(n, m)))
-            # The thermal inputs are subnormalized by their truncation tails.
-            trace = (1.0 - thermal_populations(n, space)[1]) * (
-                1.0 - thermal_populations(m, space)[1]
+            # The thermal inputs are subnormalized by their tails at the correlator's dim.
+            dim = choose_dim(max(n, m))
+            trace = (1.0 - thermal_populations(n, dim)[1]) * (
+                1.0 - thermal_populations(m, dim)[1]
             )
             for delta in DEFAULT_DELTA_GRID:
                 c0, _ = hbt_two_mode_correlation(
-                    n, m, delta, space, OrderingConvention.NORMAL_ORDERED
+                    n, m, delta, OrderingConvention.NORMAL_ORDERED
                 )
                 want = correlation_full(
                     thermal_moments(n), thermal_moments(m), Geometry.from_phase(delta)
@@ -244,13 +243,12 @@ def check_ordering_gap(n_grid) -> CheckResult:
         for m in n_grid:
             if n == 0.0 and m == 0.0:
                 continue
-            space = FockSpace(choose_dim(max(n, m)))
             for delta in DEFAULT_DELTA_GRID:
                 literal, _ = hbt_two_mode_correlation(
-                    n, m, delta, space, OrderingConvention.AS_WRITTEN
+                    n, m, delta, OrderingConvention.AS_WRITTEN
                 )
                 ordered, _ = hbt_two_mode_correlation(
-                    n, m, delta, space, OrderingConvention.NORMAL_ORDERED
+                    n, m, delta, OrderingConvention.NORMAL_ORDERED
                 )
                 worst = np.maximum(worst, relative_deviation(literal, ordered))
                 predicted = (n + m) * math.cos(delta)

@@ -18,30 +18,26 @@ from opahbt import (
     OpaParams,
     OrderingConvention,
     SweepSpec,
-    choose_dim,
     correlation_full,
     equivalent_thermal_mean,
     fit_inverse_law,
-    FockSpace,
     gaussian_wick_moment,
     geometric_summation_moments,
     hbt_two_mode_correlation,
     noise_avg_printed,
     noise_avg_substitution,
-    product_state,
     propagate_moments,
     reduced_moments,
     run_oracle_checks,
     signal_ratio,
     snr_ratio,
     space_for_squeezed_thermal,
+    squeeze_populations,
     sweep_ratios,
     target_ratio_operating_point,
     thermal_moments,
-    thermal_state,
-    two_mode_squeeze,
+    thermal_populations,
     estimate_phi,
-    vacuum_state,
 )
 
 G2 = OpaParams(2.0)
@@ -114,14 +110,14 @@ def test_c06_moment_propagation_oracle():
     with criterion(6, "Fock oracle confirms the moment propagation rules"):
         for n in (0.0, 0.5, 1.0):
             for g in (0.0, 0.25, 0.5, 1.0):
-                space = space_for_squeezed_thermal(n, g)
-                joint = product_state(thermal_state(n, space), vacuum_state(space))
-                squeezed = two_mode_squeeze(joint, g)
-                assert squeezed.trace_deficit + squeezed.boundary_mass() < 1e-9
+                probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
+                squeezed, deficit = squeeze_populations(probs, g, trace_deficit=deficit)
+                # Boundary-shell certificate: deficit plus top row and column.
+                assert deficit + squeezed[-1].sum() + squeezed[:, -1].sum() < 1e-9
                 got = reduced_moments(squeezed, 0).as_array()
                 want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()
                 np.testing.assert_allclose(
-                    got, want * squeezed.trace, rtol=1e-6, atol=1e-12
+                    got, want * squeezed.sum(), rtol=1e-6, atol=1e-12
                 )
 
 
@@ -180,10 +176,9 @@ def test_c11_quantum_validation_of_the_correlation_law():
     with criterion(11, "matrix correlator reproduces the correlation law"):
         for n in (0.0, 0.5, 1.0):
             for m in (0.0, 0.5, 1.0):
-                space = FockSpace(choose_dim(max(n, m)))
                 for delta in (0.0, math.pi / 4, math.pi / 2, math.pi):
                     c0, _ = hbt_two_mode_correlation(
-                        n, m, delta, space, OrderingConvention.NORMAL_ORDERED
+                        n, m, delta, OrderingConvention.NORMAL_ORDERED
                     )
                     want = correlation_full(
                         thermal_moments(n),

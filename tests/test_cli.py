@@ -256,6 +256,23 @@ def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     assert document["converged"] is False
 
 
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "0", "-1"])
+def test_estimate_phi_rejects_an_amplitude_that_is_not_positive(tmp_path, amplitude):
+    # The fringe amplitude 2nm is > 0: any other value is an input error,
+    # not a fit to run.
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, 1e-8)
+    target = tmp_path / "phi.json"
+    result = run_python(
+        "-m", "opahbt", "estimate-phi", str(scan), "--k", str(K_BLUE),
+        f"--amplitude={amplitude}", "--out", str(target),
+    )
+    assert result.returncode == 2, result.stderr
+    assert not target.exists()
+    assert "Warning" not in result.stderr
+    assert "amplitude" in result.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -302,13 +319,14 @@ def test_package_runs_without_scipy(tmp_path):
     script = f"""
 import sys
 sys.modules["scipy"] = None
-from opahbt import (FockSpace, partial_trace, product_state, reduced_moments,
-                    thermal_state, two_mode_squeeze, vacuum_state)
+import numpy as np
+from opahbt import reduced_moments, squeeze_populations, thermal_populations
 from opahbt.cli import main
-space = FockSpace(40)
-squeezed = two_mode_squeeze(product_state(thermal_state(0.5, space), vacuum_state(space)), 0.5)
-squeezed.validate()
-partial_trace(squeezed, 1).validate()
+probs, deficit = thermal_populations(0.5, 40)
+squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
+for populations in (squeezed, squeezed.sum(axis=0)):
+    assert np.isfinite(populations).all() and (populations >= 0).all()
+    assert abs(populations.sum() + deficit - 1.0) <= 1e-10
 print(f"{{reduced_moments(squeezed, 0).m1:.6f}}")
 sys.exit(
     main(["oracle-check", "--n-grid", "0,0.5", "--g-grid", "0,0.25",

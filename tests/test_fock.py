@@ -8,8 +8,6 @@ import scipy.special
 import opahbt.fock
 from opahbt import (
     DomainError,
-    FockSpace,
-    FockState,
     OpaParams,
     OrderingConvention,
     TruncationError,
@@ -17,71 +15,77 @@ from opahbt import (
     correlation_full,
     Geometry,
     hbt_two_mode_correlation,
-    moment_truncation_bound,
-    partial_trace,
-    population_moments,
-    product_state,
     propagate_moments,
     reduced_moments,
     space_for_squeezed_thermal,
     squeeze_populations,
     thermal_moments,
     thermal_populations,
-    thermal_state,
     two_mode_squeeze,
-    vacuum_state,
 )
 from opahbt.oracle_checks import DEFAULT_G_GRID, DEFAULT_N_GRID
 
 
+def _assert_valid(populations, deficit):
+    # Every population finite and >= 0, and trace + deficit = 1.
+    assert np.isfinite(populations).all() and (populations >= 0.0).all()
+    assert populations.sum() + deficit == pytest.approx(1.0, abs=1e-10)
+
+
+def _thermal_signal_vacuum_grid(n, dim):
+    # thermal(n) (x) vacuum as a dim x dim grid, and its trace deficit.
+    probs, deficit = thermal_populations(n, dim)
+    grid = np.zeros((dim, dim))
+    grid[:, 0] = probs
+    return grid, deficit
+
+
 def test_thermal_state_geometric_weights_and_deficit():
-    state = thermal_state(1.0, FockSpace(40))
-    probs = state.populations()
+    probs, deficit = thermal_populations(1.0, 40)
     assert probs[0] == pytest.approx(0.5)
     assert probs[1] == pytest.approx(0.25)
-    assert state.trace_deficit == pytest.approx(2.0**-40, rel=1e-12)
-    assert state.trace + state.trace_deficit == pytest.approx(1.0, abs=1e-12)
-    state.validate()
+    assert deficit == pytest.approx(2.0**-40, rel=1e-12)
+    assert probs.sum() + deficit == pytest.approx(1.0, abs=1e-12)
+    _assert_valid(probs, deficit)
 
 
 def test_thermal_state_moments_match_closed_forms():
     # At dim 40 the fourth moment carries the genuine weighted tail of the
     # distribution (a few parts in 1e8); dim 56 pushes it below 1e-9.
-    state = thermal_state(1.0, FockSpace(40))
+    probs, _ = thermal_populations(1.0, 40)
     np.testing.assert_allclose(
-        reduced_moments(state).as_array(), [1.0, 3.0, 13.0, 75.0], rtol=1e-7
+        reduced_moments(probs).as_array(), [1.0, 3.0, 13.0, 75.0], rtol=1e-7
     )
-    finer = thermal_state(1.0, FockSpace(56))
+    finer, _ = thermal_populations(1.0, 56)
     np.testing.assert_allclose(
         reduced_moments(finer).as_array(), [1.0, 3.0, 13.0, 75.0], rtol=1e-9
     )
 
 
 def test_vacuum_state_is_exact():
-    state = vacuum_state(FockSpace(8))
-    assert state.trace == 1.0
-    assert state.trace_deficit == 0.0
-    assert reduced_moments(state).as_array().tolist() == [0, 0, 0, 0]
+    probs, deficit = thermal_populations(0.0, 8)
+    assert probs.sum() == 1.0
+    assert deficit == 0.0
+    assert reduced_moments(probs).as_array().tolist() == [0, 0, 0, 0]
 
 
 def test_thermal_state_rejects_negative_mean():
     with pytest.raises(DomainError):
-        thermal_state(-1.0, FockSpace(8))
+        thermal_populations(-1.0, 8)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "1.0"])
 def test_fock_inputs_share_the_domain_validator(bad):
-    space = FockSpace(8)
     with pytest.raises(DomainError):
         choose_dim(bad)
     with pytest.raises(DomainError):
-        thermal_populations(bad, space)
+        thermal_populations(bad, 8)
     with pytest.raises(DomainError):
         squeeze_populations(np.full(8, 1.0 / 8), bad)
     with pytest.raises(DomainError):
-        hbt_two_mode_correlation(bad, 1.0, 0.0, space)
+        hbt_two_mode_correlation(bad, 1.0, 0.0)
     with pytest.raises(DomainError):
-        hbt_two_mode_correlation(1.0, bad, 0.0, space)
+        hbt_two_mode_correlation(1.0, bad, 0.0)
     with pytest.raises(DomainError):
         space_for_squeezed_thermal(bad, 1.0)
     with pytest.raises(DomainError):
@@ -106,28 +110,33 @@ def test_squeezed_thermal_sizing_uses_the_amplified_mean():
             except TruncationError as exc:
                 expected = exc.suggested_dim
             try:
-                got = space_for_squeezed_thermal(n, g).dim
+                got = space_for_squeezed_thermal(n, g)
             except TruncationError as exc:
                 got = exc.suggested_dim
             assert got == expected, (n, g)
 
 
-def test_fock_state_is_a_read_only_population_grid():
-    probs = np.full((4, 4), 1.0 / 16)
-    state = FockState(probs)
-    probs[0, 0] = 5.0  # the state holds its own copy
-    assert state.dims == (4, 4) and state.n_modes == 2 and state.dim == 4
-    assert state.trace == 1.0
-    with pytest.raises(ValueError):
-        state.populations()[0, 0] = 0.0
-    state.validate()
+def test_squeezer_inputs_must_be_finite_populations_on_a_square_grid():
     for bad in (np.zeros(4), np.ones((2, 2, 2)), np.ones((3, 4))):
+        with pytest.raises(DomainError, match="square grid"):
+            two_mode_squeeze(bad, 0.1)
+    for bad in (np.array([1.5, -0.5]), np.array([0.5, math.nan])):
         with pytest.raises(DomainError):
-            FockState(bad).validate()
+            squeeze_populations(bad, 0.1)
+        with pytest.raises(DomainError):
+            two_mode_squeeze(np.diag(bad), 0.1)
+    with pytest.raises(DomainError, match="1-D"):
+        squeeze_populations(np.full((4, 4), 1.0 / 16), 0.1)
+
+
+def test_reduced_moments_reject_a_mode_the_array_lacks():
+    probs, _ = thermal_populations(0.5, 8)
+    with pytest.raises(DomainError, match="modes 0..0"):
+        reduced_moments(probs, mode=1)
+    with pytest.raises(DomainError, match="modes 0..1"):
+        reduced_moments(np.outer(probs, probs), mode=2)
     with pytest.raises(DomainError):
-        FockState(np.array([1.5, -0.5])).validate()
-    with pytest.raises(DomainError):
-        FockState(np.array([0.5, 0.5]), trace_deficit=1.5)
+        reduced_moments(probs, mode=-1)
 
 
 def test_choose_dim_rule_and_cap():
@@ -210,23 +219,21 @@ def test_squeeze_matches_dense_generator_exponential():
     # and take the diagonal of U rho U^T, at a dim where the tail
     # certificate holds.
     g = 0.4
-    space = space_for_squeezed_thermal(0.4, g)
-    dim = space.dim
+    dim = space_for_squeezed_thermal(0.4, g)
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     ad = a.T
     unitary = scipy.linalg.expm(g * (np.kron(ad, ad) - np.kron(a, a)))
-    state = product_state(thermal_state(0.4, space), vacuum_state(space))
-    rho = np.diag(state.populations().ravel())
+    grid, deficit = _thermal_signal_vacuum_grid(0.4, dim)
+    rho = np.diag(grid.ravel())
     expected = np.diag(unitary @ rho @ unitary.T).reshape(dim, dim)
-    squeezed = two_mode_squeeze(state, g)
-    np.testing.assert_allclose(squeezed.populations(), expected, rtol=0, atol=1e-13)
+    squeezed, _ = two_mode_squeeze(grid, g, deficit)
+    np.testing.assert_allclose(squeezed, expected, rtol=0, atol=1e-13)
 
 
 def test_squeezing_a_thermal_idler_is_a_domain_error():
-    space = FockSpace(12)
-    state = product_state(thermal_state(0.4, space), thermal_state(0.2, space))
+    grid = np.outer(thermal_populations(0.4, 12)[0], thermal_populations(0.2, 12)[0])
     with pytest.raises(DomainError, match="vacuum"):
-        two_mode_squeeze(state, 0.4)
+        two_mode_squeeze(grid, 0.4)
 
 
 def test_squeeze_matches_the_untruncated_su11_column_at_g2():
@@ -234,12 +241,12 @@ def test_squeeze_matches_the_untruncated_su11_column_at_g2():
     # and Caves, Phys. Rev. A 31, 3068 (1985)), weighted by the thermal
     # input at the oracle's dim for n = 1, g = 2.
     n, g = 1.0, 2.0
-    space = space_for_squeezed_thermal(n, g)
-    probs, deficit = thermal_populations(n, space)
+    dim = space_for_squeezed_thermal(n, g)
+    probs, deficit = thermal_populations(n, dim)
     got, _ = squeeze_populations(probs, g, trace_deficit=deficit)
     want = np.zeros_like(got)
-    for d in range(space.dim):
-        j = np.arange(space.dim - d)
+    for d in range(dim):
+        j = np.arange(dim - d)
         log_column = (
             scipy.special.gammaln(d + j + 1.0)
             - scipy.special.gammaln(d + 1.0)
@@ -278,36 +285,30 @@ def _ladder_expm_squeeze(populations, g):
 def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     # The oracle's thermal (x) vacuum inputs at their real dims, against the
     # full per-ladder propagator from scipy.linalg.expm.
-    space = space_for_squeezed_thermal(n, g)
-    state = product_state(thermal_state(n, space), vacuum_state(space))
-    want = _ladder_expm_squeeze(state.populations(), g)
-    got, deficit = squeeze_populations(
-        state.populations()[:, 0], g, trace_deficit=state.trace_deficit
-    )
+    grid, input_deficit = _thermal_signal_vacuum_grid(n, space_for_squeezed_thermal(n, g))
+    want = _ladder_expm_squeeze(grid, g)
+    got, deficit = squeeze_populations(grid[:, 0], g, trace_deficit=input_deficit)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(
-        population_moments(got, 0).as_array(),
-        population_moments(want, 0).as_array(),
+        reduced_moments(got, 0).as_array(),
+        reduced_moments(want, 0).as_array(),
         rtol=1e-12,
     )
-    squeezed = two_mode_squeeze(state, g)
-    np.testing.assert_array_equal(squeezed.populations(), got)
-    assert squeezed.trace_deficit == deficit >= state.trace_deficit
+    squeezed, squeezed_deficit = two_mode_squeeze(grid, g, input_deficit)
+    np.testing.assert_array_equal(squeezed, got)
+    assert squeezed_deficit == deficit >= input_deficit
 
 
 def test_zero_gain_squeeze_is_identity():
-    space = FockSpace(40)
-    state = product_state(thermal_state(0.7, space), vacuum_state(space))
+    grid, _ = _thermal_signal_vacuum_grid(0.7, 40)
     # At g = 1e-20 the Chebyshev series is its J_0 term alone.
     for g in (0.0, 1e-20):
-        out = two_mode_squeeze(state, g)
-        np.testing.assert_array_equal(out.populations(), state.populations())
+        out, _ = squeeze_populations(grid[:, 0], g)
+        np.testing.assert_array_equal(out, grid)
 
 
 def test_two_mode_squeezed_vacuum_arm_is_thermal():
-    space = FockSpace(30)
-    state = product_state(vacuum_state(space), vacuum_state(space))
-    squeezed = two_mode_squeeze(state, 0.5)
+    squeezed, _ = squeeze_populations(thermal_populations(0.0, 30)[0], 0.5)
     assert reduced_moments(squeezed, 0).m1 == pytest.approx(
         math.sinh(0.5) ** 2, abs=1e-8
     )
@@ -317,9 +318,7 @@ def test_two_mode_squeezed_vacuum_arm_is_thermal():
 
 
 def test_squeezed_thermal_mode_means():
-    space = FockSpace(40)
-    state = product_state(thermal_state(0.5, space), vacuum_state(space))
-    squeezed = two_mode_squeeze(state, 0.5)
+    squeezed, _ = squeeze_populations(thermal_populations(0.5, 40)[0], 0.5)
     mu2, nu2 = math.cosh(0.5) ** 2, math.sinh(0.5) ** 2
     assert reduced_moments(squeezed, 0).m1 == pytest.approx(
         mu2 * 0.5 + nu2, abs=1e-8
@@ -331,19 +330,17 @@ def test_squeezed_thermal_mode_means():
 @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 1.0])
 def test_reduced_moments_match_propagation_polynomials(n, g):
-    space = space_for_squeezed_thermal(n, g)
-    state = product_state(thermal_state(n, space), vacuum_state(space))
-    squeezed = two_mode_squeeze(state, g)
+    probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
+    squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
     got = reduced_moments(squeezed, 0).as_array()
     want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()
-    np.testing.assert_allclose(got, want * squeezed.trace, rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(got, want * squeezed.sum(), rtol=1e-6, atol=1e-12)
 
 
 def test_squeeze_truncation_error_names_tail_and_suggestion():
-    space = FockSpace(12)
-    state = product_state(thermal_state(1.0, space), vacuum_state(space))
+    probs, deficit = thermal_populations(1.0, 12)
     with pytest.raises(TruncationError) as excinfo:
-        two_mode_squeeze(state, 1.5)
+        squeeze_populations(probs, 1.5, trace_deficit=deficit)
     assert excinfo.value.achieved > 1e-9
     assert excinfo.value.suggested_dim > 12
     # Only the top ladder, with no couplings, carries weight.
@@ -352,27 +349,21 @@ def test_squeeze_truncation_error_names_tail_and_suggestion():
 
 
 def test_partial_trace_of_product_state():
-    space = FockSpace(12)
-    left = thermal_state(0.8, space)
-    right = thermal_state(0.2, space)
-    joint = product_state(left, right)
+    # The moments of one mode of a product grid are that factor's moments,
+    # scaled by the other factor's trace.
+    left, _ = thermal_populations(0.8, 12)
+    right, _ = thermal_populations(0.2, 12)
+    joint = np.outer(left, right)
     np.testing.assert_allclose(
-        partial_trace(joint, 0).populations(),
-        left.populations() * right.trace,
-        atol=1e-14,
+        reduced_moments(joint, 0).as_array(),
+        reduced_moments(left).as_array() * right.sum(),
+        rtol=1e-14,
     )
     np.testing.assert_allclose(
-        partial_trace(joint, 1).populations(),
-        right.populations() * left.trace,
-        atol=1e-14,
+        reduced_moments(joint, 1).as_array(),
+        reduced_moments(right).as_array() * left.sum(),
+        rtol=1e-14,
     )
-
-
-def test_moment_truncation_bound_scales_with_missing_mass():
-    state = thermal_state(1.0, FockSpace(40))
-    bound = moment_truncation_bound(state, order=4)
-    assert bound >= state.trace_deficit
-    assert bound < 1e-4
 
 
 def test_correlator_vacuum_is_zero_for_both_orderings():
@@ -383,11 +374,10 @@ def test_correlator_vacuum_is_zero_for_both_orderings():
 
 
 def test_correlator_normal_ordered_reproduces_analytic_law():
-    space = FockSpace(choose_dim(1.0))
     for n, m in ((1.0, 1.0), (0.5, 1.0), (0.0, 1.0)):
         for delta in (0.0, math.pi / 4, math.pi / 2, math.pi):
             c0, _ = hbt_two_mode_correlation(
-                n, m, delta, space, OrderingConvention.NORMAL_ORDERED
+                n, m, delta, OrderingConvention.NORMAL_ORDERED
             )
             want = correlation_full(
                 thermal_moments(n), thermal_moments(m), Geometry.from_phase(delta)
@@ -438,18 +428,17 @@ def test_correlator_second_moment_at_unit_means(ordering, delta, mean, variance)
 
 
 def test_fock_space_validation():
-    with pytest.raises(DomainError):
-        FockSpace(1)
-    with pytest.raises(DomainError):
-        FockSpace(8.0)
+    # The dimension is a plain int >= 2, checked where it enters.
+    for bad in (1, 0, 8.0, "8", None):
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            thermal_populations(0.5, bad)
+    assert thermal_populations(0.5, 2)[0].size == 2
 
 
 def test_state_invariants_maintained_through_pipeline():
-    space = space_for_squeezed_thermal(1.0, 0.5)
-    state = product_state(thermal_state(1.0, space), vacuum_state(space))
-    assert state.trace + state.trace_deficit == pytest.approx(1.0, abs=1e-10)
-    squeezed = two_mode_squeeze(state, 0.5)
-    assert squeezed.trace + squeezed.trace_deficit == pytest.approx(1.0, abs=1e-10)
-    reduced = partial_trace(squeezed, 0)
-    assert reduced.trace + reduced.trace_deficit == pytest.approx(1.0, abs=1e-10)
-    reduced.validate()
+    probs, deficit = thermal_populations(1.0, space_for_squeezed_thermal(1.0, 0.5))
+    _assert_valid(probs, deficit)
+    squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
+    _assert_valid(squeezed, deficit)
+    _assert_valid(squeezed.sum(axis=1), deficit)
+    _assert_valid(squeezed.sum(axis=0), deficit)

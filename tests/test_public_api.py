@@ -9,6 +9,8 @@ import importlib
 import runpy
 from pathlib import Path
 
+import pytest
+
 import opahbt
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -18,6 +20,15 @@ def test_all_names_resolve_without_duplicates():
     assert len(opahbt.__all__) == len(set(opahbt.__all__))
     for name in opahbt.__all__:
         assert getattr(opahbt, name) is not None, name
+
+
+def test_a_stale_public_name_is_reported_against_the_package(monkeypatch):
+    # A name left in __all__ after its deletion names opahbt, not the last
+    # lazily loaded module that was searched.
+    monkeypatch.setattr(opahbt, "__all__", [*opahbt.__all__, "deleted_helper"])
+    message = "^module 'opahbt' has no attribute 'deleted_helper'$"
+    with pytest.raises(AttributeError, match=message):
+        getattr(opahbt, "deleted_helper")
 
 
 def test_traced_benchmark_bindings_resolve():
