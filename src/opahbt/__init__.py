@@ -7,24 +7,18 @@ independent routes: direct summation for thermal moments, truncated
 Fock-space numerics for the amplifier, a Gaussian pairing-sum engine, and
 a generic substitution path for the noise polynomials.
 
-The Fock-space oracle (``fock``) and the suites built on it
-(``oracle_checks``) are imported on first use of one of their names.  A
-Fock state is a numpy array of photon-number populations plus its trace
-deficit, truncated at an int number of levels per mode; the package needs
-only numpy at run time.
+``import opahbt`` loads numpy and the law modules every command uses
+(``errors``, ``_domain``, ``photon_stats``, ``opa``, ``hbt``).  The other
+layers load on first use of one of their names, and each lookup imports
+only the module that defines the name: ``analysis`` for the ``fig4``,
+``fig5``, ``fit`` and ``estimate-phi`` commands, and ``wick``, ``fock``
+and ``oracle_checks`` for ``oracle-check``.  A Fock state is a numpy array
+of photon-number populations plus its trace deficit, truncated at an int
+number of levels per mode; the package needs only numpy at run time.
 """
 
-from .analysis import (
-    FitResult,
-    PhiEstimate,
-    RatioTable,
-    Spacing,
-    SweepSpec,
-    estimate_phi,
-    fit_inverse_law,
-    sweep_ratios,
-    target_ratio_operating_point,
-)
+from importlib import import_module
+
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -61,20 +55,30 @@ from .photon_stats import (
     geometric_summation_moments,
     thermal_moments,
 )
-from .wick import GaussianSecondMoments, gaussian_wick_moment, number_moments
 
 __version__ = "0.1.0"
 
+# The modules that load on first use, and the public names each defines.
+_LAZY = {
+    "analysis": (
+        "FitResult", "PhiEstimate", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
+        "fit_inverse_law", "sweep_ratios", "target_ratio_operating_point",
+    ),
+    "fock": (
+        "OrderingConvention", "choose_dim", "hbt_two_mode_correlation", "reduced_moments",
+        "space_for_squeezed_thermal", "squeeze_populations", "thermal_populations",
+        "two_mode_squeeze",
+    ),
+    "oracle_checks": ("run_oracle_checks",),
+    "wick": ("GaussianSecondMoments", "gaussian_wick_moment", "number_moments"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
 
 def __getattr__(name: str):
-    # Every public name not imported above lives in fock or oracle_checks.
-    if name in __all__:
-        from . import fock, oracle_checks
-
-        for module in (fock, oracle_checks):
-            if hasattr(module, name):
-                globals()[name] = value = getattr(module, name)
-                return value
+    if name in _MODULE_OF:
+        globals()[name] = value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -83,49 +87,29 @@ __all__ = [
     "ConsistencyReport",
     "DegenerateFitError",
     "DomainError",
-    "FitResult",
     "FringeCoverageError",
-    "GaussianSecondMoments",
     "Geometry",
     "MomentConvention",
     "MomentVector",
     "OpaHbtError",
     "OpaParams",
-    "OrderingConvention",
-    "PhiEstimate",
-    "RatioTable",
-    "Spacing",
     "SummationLimitError",
-    "SweepSpec",
     "TruncationError",
     "UnreachableTargetError",
-    "choose_dim",
     "coeffs",
     "consistency_report",
     "correlation_ac",
     "correlation_full",
     "equivalent_thermal_mean",
-    "estimate_phi",
-    "fit_inverse_law",
-    "gaussian_wick_moment",
     "geometric_summation_moments",
-    "hbt_two_mode_correlation",
     "noise_avg_printed",
     "noise_avg_substitution",
     "noise_full",
-    "number_moments",
     "opa_correlation_ac",
     "opa_noise_avg_printed",
     "propagate_moments",
-    "reduced_moments",
-    "run_oracle_checks",
     "signal_ratio",
     "snr_ratio",
-    "space_for_squeezed_thermal",
-    "squeeze_populations",
-    "sweep_ratios",
-    "target_ratio_operating_point",
     "thermal_moments",
-    "thermal_populations",
-    "two_mode_squeeze",
+    *_MODULE_OF,
 ]

@@ -20,7 +20,6 @@ import tempfile
 
 import numpy as np
 
-from .analysis import Spacing, SweepSpec, estimate_phi, fit_inverse_law, sweep_ratios
 from .errors import DegenerateFitError, DomainError, OpaHbtError, TruncationError
 
 EXIT_OK = 0
@@ -91,7 +90,9 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _sweep_spec(args) -> SweepSpec:
+def _sweep_spec(args):
+    from .analysis import Spacing, SweepSpec
+
     return SweepSpec(
         g=args.g,
         n_min=args.n_min,
@@ -104,6 +105,8 @@ def _sweep_spec(args) -> SweepSpec:
 
 
 def _cmd_figure(args, column: str) -> int:
+    from .analysis import sweep_ratios
+
     table = sweep_ratios(_sweep_spec(args))
     values = getattr(table, column)
     if args.format == "csv":
@@ -125,6 +128,8 @@ def _cmd_figure(args, column: str) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .analysis import fit_inverse_law, sweep_ratios
+
     spec = _sweep_spec(args)
     fit = fit_inverse_law(sweep_ratios(spec))
     sensitivity = []
@@ -160,7 +165,6 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _cmd_oracle_check(args) -> int:
-    # Imported here so the other commands never load the Fock-space oracle.
     from .oracle_checks import run_oracle_checks
 
     grids = {}  # an unset flag leaves the suite's own default grid
@@ -205,6 +209,8 @@ def _read_scan_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_estimate_phi(args) -> int:
+    from .analysis import estimate_phi
+
     r0, values = _read_scan_csv(args.scan)
     estimate = estimate_phi(
         r0,

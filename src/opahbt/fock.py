@@ -3,9 +3,9 @@
 A state is its photon-number distribution, a numpy array: p[n] for one
 mode or p[n_a, n_b] for two, on ``dim`` levels per mode.  That is all the
 modelled amplifier needs.  Thermal and vacuum inputs are diagonal,
-the two-mode squeezer maps a diagonal input to a diagonal output, and the
-two-detector correlator only needs each operator's matrix elements next to
-the diagonal.  Every state is subnormalized: the probability mass lost to
+the two-mode squeezer maps a diagonal input to a diagonal output, and on a
+thermal product state the two-detector correlator splits into one sum per
+mode.  Every state is subnormalized: the probability mass lost to
 truncation is carried explicitly as a trace deficit so trace + deficit = 1
 holds exactly.  The module needs only numpy.
 
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._domain import nonnegative, nonnegative_scalar
+from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, unwrap
 from .errors import DomainError, TruncationError
 from .opa import OpaParams, equivalent_thermal_mean
 from .photon_stats import MomentVector
@@ -129,9 +129,11 @@ def _bessel_j(z: float) -> np.ndarray:
     J_0^2 + 2 sum_k J_k^2 = 1 normalizes it, with the sign fixed by
     J_0 + 2 sum_k J_2k = 1.  Past k = z, J_k(z) falls off faster than
     geometrically, so the cut-off tail is of the order of the last term.
+    Below z = 1e-8 the sequence is J_0 = 1 and J_1 = z/2, however small:
+    there 1 - z^2/4 rounds to 1 and J_2 <= z^2/8 is negligible.
     """
-    if z == 0.0:
-        return np.ones(1)
+    if z < 1e-8:
+        return np.array([1.0, z / 2.0]) if z else np.ones(1)
     top = int(z + 25.0 * z ** (1.0 / 3.0)) + 40
     values = [0.0] * (top + 2)
     values[top] = 1.0
@@ -352,32 +354,40 @@ def _word_elements(word: str, dim: int) -> tuple[int, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _correlator_elements(dim: int, ordering: OrderingConvention) -> dict:
-    """Matrix elements of a correlator, grouped by shift and phase power.
+def _correlator_tables(dim: int, ordering: OrderingConvention) -> tuple:
+    """Per-mode diagonal rows of the correlator C and of C^2 on thermal states.
 
-    Returns {(s_a, s_b): {k: M}} with M[n_a, n_b] the coefficient of
-    e^(i k delta) in <n_a + s_a, n_b + s_b| C |n_a, n_b>.
+    Returns one (rows_a, rows_b, coeff, k) table for C and one for C^2.
+    Each row stands for a term coeff * e^(i k delta) * A (x) B that keeps
+    both photon numbers, with rows_a[n] = <n| A |n> and rows_b likewise.
+    C^2 = sum_(t, u) c_t c_u e^(i (k_t + k_u) delta) A_t A_u (x) B_t B_u,
+    and A_t A_u keeps the photon numbers only where the shifts cancel, with
+    <n| A_t A_u |n> = <n| A_t |n + s_u> <n + s_u| A_u |n> = amp_t[n + s_u] amp_u[n].
     """
-    grouped: dict = {}
-    for word_a, word_b, coeff, k in _CORRELATOR_TERMS[ordering]:
-        shift_a, amp_a = _word_elements(word_a, dim)
-        shift_b, amp_b = _word_elements(word_b, dim)
-        by_phase = grouped.setdefault((shift_a, shift_b), {})
-        by_phase[k] = by_phase.get(k, 0.0) + coeff * np.outer(amp_a, amp_b)
-    return grouped
+    terms = _CORRELATOR_TERMS[ordering]
+    shift_a, amp_a = map(np.array, zip(*(_word_elements(t[0], dim) for t in terms)))
+    shift_b, amp_b = map(np.array, zip(*(_word_elements(t[1], dim) for t in terms)))
+    coeff, k = np.array([t[2] for t in terms]), np.array([t[3] for t in terms])
+    kept = (shift_a == 0) & (shift_b == 0)
+    left, right = np.nonzero((shift_a[:, None] == -shift_a) & (shift_b[:, None] == -shift_b))
 
+    def products(amp, shift):
+        # amp_u[n] is 0 wherever n + s_u leaves the space, so clipping the
+        # index there changes nothing.
+        index = np.clip(np.arange(dim) + shift[right][:, None], 0, dim - 1)
+        return amp[left[:, None], index] * amp[right]
 
-def _window(shift: int, dim: int) -> tuple[slice, slice]:
-    # Indices n with 0 <= n + shift < dim, and the indices n + shift.
-    return slice(max(0, -shift), dim - max(0, shift)), slice(max(0, shift), dim - max(0, -shift))
+    mean = (amp_a[kept], amp_b[kept], coeff[kept], k[kept])
+    pairs = (coeff[left] * coeff[right], k[left] + k[right])
+    return mean, (products(amp_a, shift_a), products(amp_b, shift_b), *pairs)
 
 
 def hbt_two_mode_correlation(
     n_bar: float,
     m_bar: float,
-    delta: float,
+    delta: FloatOrArray,
     ordering: OrderingConvention = OrderingConvention.NORMAL_ORDERED,
-) -> tuple[float, float]:
+) -> tuple[FloatOrArray, FloatOrArray]:
     """Two-detector intensity correlator on thermal light, from Fock matrix elements.
 
     Each detector sees the superposition field A_j = a e^(i delta_j) + b
@@ -393,27 +403,27 @@ def hbt_two_mode_correlation(
       (n_bar + m_bar) cos(delta); the antisymmetric imaginary part of the
       literal product is dropped from the returned reading.
 
-    The thermal state is diagonal, so <C> = sum_n p_n C_nn and
-    <C^2> = sum_n p_n sum_m C_nm C_mn only need the correlator's elements
-    on the few shifts m - n it reaches.  Both modes are truncated at
-    :func:`choose_dim` of the larger mean.
+    The thermal state is a product of diagonal one-mode states, so each
+    term's expectation is a product of one sum per mode
+    (:func:`_correlator_tables`), and a 1-D array of phases costs one call.
+    Both modes are truncated at :func:`choose_dim` of the larger mean.
+    A scalar ``delta`` gives two floats, a 1-D array two arrays.
+
+    Raises:
+        DomainError: for a mean that is not a finite real >= 0, or a phase
+            that is not a finite real.
     """
     n_bar, m_bar = nonnegative_scalar("n_bar", n_bar), nonnegative_scalar("m_bar", m_bar)
     if ordering not in _CORRELATOR_TERMS:
         raise DomainError(f"unknown ordering convention {ordering!r}")
+    phases = np.asarray(delta)
+    if phases.dtype.kind not in "biuf" or phases.ndim > 1 or not np.isfinite(phases).all():
+        raise DomainError(f"delta must be a finite real or a 1-D array of them, got {delta!r}")
     dim = choose_dim(max(n_bar, m_bar))
-
-    prob = np.outer(thermal_populations(n_bar, dim)[0], thermal_populations(m_bar, dim)[0])
-    phase = np.exp(1j * float(delta))
-    powers = {-1: np.conj(phase), 0: 1.0, 1: phase}
-    elements = {
-        shift: sum(powers[k] * m for k, m in by_phase.items())
-        for shift, by_phase in _correlator_elements(dim, ordering).items()
-    }
-    c0 = complex((prob * elements[(0, 0)]).sum()).real
-    second = 0.0
-    for (shift_a, shift_b), forward in elements.items():
-        back = elements[(-shift_a, -shift_b)]
-        (rows, rows_to), (cols, cols_to) = _window(shift_a, dim), _window(shift_b, dim)
-        second += (prob[rows, cols] * forward[rows, cols] * back[rows_to, cols_to]).sum()
-    return c0, float(second.real) - c0**2
+    p_a, p_b = thermal_populations(n_bar, dim)[0], thermal_populations(m_bar, dim)[0]
+    # The rows and coefficients are real, so Re e^(i k delta) is cos(k delta).
+    c0, second = (
+        (np.cos(np.multiply.outer(phases, k)) * coeff * (rows_a @ p_a) * (rows_b @ p_b)).sum(-1)
+        for rows_a, rows_b, coeff, k in _correlator_tables(dim, ordering)
+    )
+    return unwrap(c0), unwrap(second - c0 * c0)

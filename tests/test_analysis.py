@@ -225,6 +225,15 @@ def test_phi_wavenumber_shares_the_domain_validator(bad):
         estimate_phi(r, y, k=bad)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, "1", True, None])
+def test_phi_seed_is_checked_before_fitting(bad):
+    # The scan converges without a retry, so the seed would otherwise go unused.
+    r, y = _scan(1e-8)
+    with pytest.raises(DomainError, match="seed"):
+        estimate_phi(r, y, K_BLUE, seed=bad)
+    assert estimate_phi(r, y, K_BLUE, seed=np.int64(3)).converged
+
+
 def test_phi_estimation_rejects_sub_quarter_fringe():
     r, y = _scan(1e-10)  # far below a quarter fringe over 40 m
     with pytest.raises(FringeCoverageError):

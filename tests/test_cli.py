@@ -188,6 +188,41 @@ def test_oracle_check_gain_beyond_double_resolution_exits_4(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("gain", ["1e-20", "1e-200"])
+def test_oracle_check_passes_at_a_tiny_gain(tmp_path, gain):
+    # The squeezer keeps the first-order term J_1(g rho) = g rho / 2 however
+    # small g is, so the squeezed mean sinh(g)^2 stays right.
+    target = tmp_path / "r.json"
+    result = run_python(
+        "-W", "error::RuntimeWarning", "-m", "opahbt", "oracle-check",
+        "--g-grid", f"0,{gain}", "--out", str(target),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(target.read_text())["all_expected_pass_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "args, loaded, unloaded",
+    [
+        (["oracle-check", "--n-grid", "0,0.5", "--g-grid", "0,0.25"],
+         ["opahbt.fock", "opahbt.oracle_checks", "opahbt.wick"], ["opahbt.analysis"]),
+        (["fig5"], ["opahbt.analysis"], ["opahbt.fock", "opahbt.oracle_checks", "opahbt.wick"]),
+    ],
+    ids=["oracle-check", "fig5"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, loaded, unloaded):
+    script = (
+        "import sys; from opahbt.cli import main; "
+        f"code = main({args + ['--out', str(tmp_path / 'out')]!r}); "
+        f"print(code, [m in sys.modules for m in {loaded + unloaded!r}])"
+    )
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split(" ", 1) == [
+        "0", f"{[True] * len(loaded) + [False] * len(unloaded)}\n"
+    ]
+
+
 def _write_scan(path, phi, noise=0.0, seed=0, points=64):
     r = np.linspace(0.0, 40.0, points)
     y = 0.9 * np.cos(K_BLUE * phi * r)
@@ -249,11 +284,24 @@ def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     stuck = opahbt.analysis.PhiEstimate(
         phi=1e-8, stderr=math.inf, iterations=200, converged=False, amplitude=0.9
     )
-    monkeypatch.setattr("opahbt.cli.estimate_phi", lambda *a, **kw: stuck)
+    monkeypatch.setattr("opahbt.analysis.estimate_phi", lambda *a, **kw: stuck)
     code = run_cli(["estimate-phi", str(scan), "--k", str(K_BLUE)])
     document = json.loads(capsys.readouterr().out)
     assert code == 5
     assert document["converged"] is False
+
+
+def test_estimate_phi_rejects_a_negative_seed_before_fitting(tmp_path, capsys):
+    # The scan converges at once, so only an up-front check sees the seed.
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, 1e-8)
+    target = tmp_path / "phi.json"
+    code = run_cli(
+        ["estimate-phi", str(scan), "--k", str(K_BLUE), "--seed", "-1", "--out", str(target)]
+    )
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("amplitude", ["nan", "inf", "0", "-1"])

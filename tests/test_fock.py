@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -301,10 +302,18 @@ def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
 
 def test_zero_gain_squeeze_is_identity():
     grid, _ = _thermal_signal_vacuum_grid(0.7, 40)
-    # At g = 1e-20 the Chebyshev series is its J_0 term alone.
-    for g in (0.0, 1e-20):
-        out, _ = squeeze_populations(grid[:, 0], g)
-        np.testing.assert_array_equal(out, grid)
+    out, _ = squeeze_populations(grid[:, 0], 0.0)
+    np.testing.assert_array_equal(out, grid)
+    # At g = 1e-20 the series is J_0 = 1 and J_1 = g rho / 2: column 0 keeps
+    # the input exactly, |d, 0> sends p_d (d + 1) g^2 to |d + 1, 1>, and
+    # nothing reaches any other level.
+    g = 1e-20
+    out, _ = squeeze_populations(grid[:, 0], g)
+    np.testing.assert_array_equal(out[:, 0], grid[:, 0])
+    d = np.arange(39)
+    np.testing.assert_allclose(out[d + 1, 1], grid[d, 0] * (d + 1) * g**2, rtol=1e-12)
+    out[:, 0] = out[d + 1, 1] = 0.0
+    assert not out.any()
 
 
 def test_two_mode_squeezed_vacuum_arm_is_thermal():
@@ -425,6 +434,69 @@ def test_correlator_second_moment_at_unit_means(ordering, delta, mean, variance)
     c0, noise_sq = hbt_two_mode_correlation(1.0, 1.0, delta, ordering=ordering)
     assert c0 == pytest.approx(mean, rel=1e-6)
     assert noise_sq == pytest.approx(variance, rel=1e-6)
+
+
+def _truncated_lowering(dim):
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+def _dense_correlators(n, m, delta, ordering):
+    # The correlator C as dense two-mode matrices: each term as the Kronecker
+    # product of truncated word matrices, and for AS_WRITTEN also the literal
+    # product I1 I2 of the truncated fields.  Returns rho's diagonal and them.
+    dim = choose_dim(max(n, m))
+    letters = {"a": _truncated_lowering(dim), "d": _truncated_lowering(dim).T}
+
+    def word(w):
+        return functools.reduce(np.matmul, (letters[op] for op in w), np.eye(dim))
+
+    corrs = [
+        sum(
+            c * np.exp(1j * k * delta) * np.kron(word(wa), word(wb))
+            for wa, wb, c, k in opahbt.fock._CORRELATOR_TERMS[ordering]
+        )
+    ]
+    if ordering is OrderingConvention.AS_WRITTEN:
+        a = np.kron(_truncated_lowering(dim), np.eye(dim))
+        b = np.kron(np.eye(dim), _truncated_lowering(dim))
+        field_1 = np.exp(1j * delta) * a + b
+        corrs.append((field_1.conj().T @ field_1) @ ((a + b).T @ (a + b)))
+    rho = np.kron(thermal_populations(n, dim)[0], thermal_populations(m, dim)[0])
+    return rho, corrs
+
+
+@pytest.mark.parametrize("ordering", list(OrderingConvention))
+@pytest.mark.parametrize("n, m", [(0.0, 0.5), (0.5, 0.25), (0.5, 0.5), (0.25, 0.0)])
+def test_correlator_matches_a_dense_two_mode_reference(n, m, ordering):
+    # n, m <= 0.5 keeps dim <= 26, so the dense operators stay small.  The
+    # state is diagonal: Tr(rho C) = sum_i rho_i C_ii and
+    # Tr(rho C^2) = sum_ij rho_i C_ij C_ji.
+    for delta in (0.0, 0.4, math.pi / 2, 2.5, -1.0):
+        got = hbt_two_mode_correlation(n, m, delta, ordering)
+        rho, corrs = _dense_correlators(n, m, delta, ordering)
+        for corr in corrs:
+            mean = np.sum(rho * corr.diagonal()).real
+            variance = np.sum(rho[:, None] * corr * corr.T).real - mean**2
+            np.testing.assert_allclose(got, (mean, variance), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("ordering", list(OrderingConvention))
+def test_correlator_over_a_phase_array_equals_scalar_calls(ordering):
+    deltas = np.array([0.0, math.pi / 4, math.pi / 2, math.pi, -0.7, 2.3, 10.0])
+    means, variances = hbt_two_mode_correlation(1.0, 0.5, deltas, ordering)
+    assert means.shape == variances.shape == deltas.shape
+    for delta, mean, variance in zip(deltas, means, variances):
+        scalar = hbt_two_mode_correlation(1.0, 0.5, float(delta), ordering)
+        assert all(type(x) is float for x in scalar)
+        assert scalar == (mean, variance)
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, [0.0, math.nan], "0.5", None, [[0.0]]]
+)
+def test_correlator_rejects_a_phase_that_is_not_a_finite_real(bad):
+    with pytest.raises(DomainError, match="delta"):
+        hbt_two_mode_correlation(1.0, 0.5, bad)
 
 
 def test_fock_space_validation():
