@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 # The modules that load on first use, and the public names each defines.
 _LAZY = {
     "analysis": (
-        "FitResult", "PhiEstimate", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
+        "FitResult", "PhiEstimate", "Ratio", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
         "fit_inverse_law", "sweep_ratios", "target_ratio_operating_point",
     ),
     "fock": (

@@ -74,40 +74,55 @@ class SweepSpec:
         return np.linspace(self.n_min, self.n_max, self.points)
 
 
+class Ratio(Enum):
+    """A ratio law a sweep can evaluate, named as its :class:`RatioTable` column."""
+
+    SIGNAL = "signal_ratio"
+    SNR = "snr_ratio"
+
+
 @dataclass(frozen=True)
 class RatioTable:
-    """Sweep output: one row per mean photon number."""
+    """Sweep output: one row per mean photon number.
+
+    A column the sweep was not asked to evaluate is ``None``.
+    """
 
     spec: SweepSpec
     n_bar: np.ndarray
-    signal_ratio: np.ndarray
-    snr_ratio: np.ndarray
+    signal_ratio: np.ndarray | None = None
+    snr_ratio: np.ndarray | None = None
 
 
-def sweep_ratios(spec: SweepSpec) -> RatioTable:
-    """Evaluate the signal and SNR ratios over the sweep grid.
+def sweep_ratios(
+    spec: SweepSpec, ratios: tuple[Ratio, ...] = (Ratio.SIGNAL, Ratio.SNR)
+) -> RatioTable:
+    """Evaluate the requested ratio laws over the sweep grid.
 
     With ``equal_sources`` both source means track the grid value; rows are
-    emitted in grid order and the computation is bit-reproducible.
+    emitted in grid order and the computation is bit-reproducible.  Only
+    the laws in ``ratios`` are evaluated, so a law that is not asked for
+    costs nothing and cannot fail the sweep.
 
     Raises:
-        DomainError: if either ratio overflows to a non-finite value; the
-            first such grid point is named.
+        DomainError: if a requested ratio overflows to a non-finite value;
+            the first such grid point is named.
     """
     params = OpaParams(spec.g)
     grid = spec.grid()
     m = grid if spec.equal_sources else np.full_like(grid, spec.m_bar)
+    # Looked up per call, so a rebinding of the module's names is honoured.
+    laws = {Ratio.SIGNAL: signal_ratio, Ratio.SNR: snr_ratio}
     with np.errstate(all="ignore"):
-        signal = signal_ratio(grid, m, params)
-        ratio = snr_ratio(grid, m, params)
-    finite = np.isfinite(signal) & np.isfinite(ratio)
+        columns = {ratio.value: laws[ratio](grid, m, params) for ratio in ratios}
+    finite = np.isfinite([*columns.values()]).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DomainError(
             f"ratios overflow the float range at grid point {i} "
             f"(n_bar = {float(grid[i])!r}, m_bar = {float(m[i])!r}, g = {spec.g!r})"
         )
-    return RatioTable(spec, grid, signal, ratio)
+    return RatioTable(spec, grid, **columns)
 
 
 @dataclass(frozen=True)
@@ -130,9 +145,12 @@ def fit_inverse_law(table: RatioTable) -> FitResult:
     residual sum of squares of the fitted law.
 
     Raises:
-        DomainError: for fewer than 3 points.
+        DomainError: for a table without the SNR column or fewer than 3
+            points.
         DegenerateFitError: when all abscissae coincide.
     """
+    if table.snr_ratio is None:
+        raise DomainError("the fit needs a sweep that evaluated the SNR ratio")
     n = np.asarray(table.n_bar, dtype=float)
     y = np.asarray(table.snr_ratio, dtype=float)
     if n.size < 3:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands emit figure data (CSV), fits and verification reports (JSON).
-All output is deterministic given the flags (plus the seed for stochastic
-estimators), files are written atomically, and numbers carry 15
-significant digits with LF line endings.
+Subcommands emit figure data (CSV or JSON), fits and verification reports
+(JSON).  All output is deterministic given the flags (plus the seed for
+stochastic estimators), files are written atomically with LF line endings.
+CSV numbers carry 15 significant digits; JSON numbers are Python's
+shortest round-trip ``repr`` of the float, up to 17 significant digits.
 
 Exit codes: 0 success, 2 usage or input error, 3 degenerate fit,
 4 truncation infeasible, 5 non-convergence.
@@ -34,9 +35,8 @@ _SENSITIVITY_RANGES = ((0.15, 20.0), (0.1, 10.0), (0.3, 30.0), (0.5, 50.0), (1.0
 def format_float(value: float) -> str:
     """15-significant-digit decimal rendering with an explicit decimal point."""
     text = f"{value:.15g}"
-    if not any(ch in text for ch in ".eE") and text not in ("nan", "inf", "-inf"):
-        text += ".0"
-    return text
+    # 'n' marks nan and inf, which take no decimal point.
+    return text if "." in text or "e" in text or "n" in text else text + ".0"
 
 
 def _write_output(path: str, payload: str) -> None:
@@ -105,37 +105,32 @@ def _sweep_spec(args):
 
 
 def _cmd_figure(args, column: str) -> int:
-    from .analysis import sweep_ratios
+    from .analysis import Ratio, sweep_ratios
 
-    table = sweep_ratios(_sweep_spec(args))
-    values = getattr(table, column)
+    table = sweep_ratios(_sweep_spec(args), (Ratio(column),))
+    n_bar = table.n_bar.tolist()
+    values = getattr(table, column).tolist()
     if args.format == "csv":
-        lines = ["n_bar,ratio"]
-        lines += [
-            f"{format_float(n)},{format_float(v)}"
-            for n, v in zip(table.n_bar, values)
-        ]
-        payload = "\n".join(lines) + "\n"
+        rows = map("{},{}\n".format, map(format_float, n_bar), map(format_float, values))
+        payload = "n_bar,ratio\n" + "".join(rows)
     else:
-        payload = _json_payload(
-            [
-                {"n_bar": float(n), "ratio": float(v)}
-                for n, v in zip(table.n_bar, values)
-            ]
-        )
+        # The text json.dumps(..., indent=2) gives the list of row dicts:
+        # a float's repr is its JSON, and the sweep leaves every value finite.
+        rows = map('  {{\n    "n_bar": {!r},\n    "ratio": {!r}\n  }}'.format, n_bar, values)
+        payload = "[\n" + ",\n".join(rows) + "\n]\n"
     _write_output(args.out, payload)
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
-    from .analysis import fit_inverse_law, sweep_ratios
+    from .analysis import Ratio, fit_inverse_law, sweep_ratios
 
     spec = _sweep_spec(args)
-    fit = fit_inverse_law(sweep_ratios(spec))
+    fit = fit_inverse_law(sweep_ratios(spec, (Ratio.SNR,)))
     sensitivity = []
     for n_min, n_max in dict.fromkeys(((spec.n_min, spec.n_max),) + _SENSITIVITY_RANGES):
         window = dataclasses.replace(spec, n_min=n_min, n_max=n_max)
-        alt = fit_inverse_law(sweep_ratios(window))
+        alt = fit_inverse_law(sweep_ratios(window, (Ratio.SNR,)))
         sensitivity.append(
             {"n_min": n_min, "n_max": n_max, "A": alt.A, "B": alt.B, "rss": alt.rss}
         )

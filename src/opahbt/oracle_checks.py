@@ -207,8 +207,23 @@ def check_wick_vs_fock(n_grid, g_grid) -> CheckResult:
     )
 
 
+@lru_cache(maxsize=4)
+def _normal_ordered_correlators(n_grid: tuple[float, ...]) -> dict:
+    """Normal-ordered correlator over the phase grid for each (n, m) pair of the grid.
+
+    Both correlator checks read it, so each pair is computed once.
+    """
+    deltas = np.array(DEFAULT_DELTA_GRID)
+    return {
+        (n, m): hbt_two_mode_correlation(n, m, deltas, OrderingConvention.NORMAL_ORDERED)[0]
+        for n in n_grid
+        for m in n_grid
+    }
+
+
 def check_normal_ordered_correlator(n_grid) -> CheckResult:
     """The matrix correlator against the analytic correlation law."""
+    correlators = _normal_ordered_correlators(tuple(n_grid))
     worst = 0.0
     for n in n_grid:
         for m in n_grid:
@@ -217,9 +232,7 @@ def check_normal_ordered_correlator(n_grid) -> CheckResult:
             trace = (1.0 - thermal_populations(n, dim)[1]) * (
                 1.0 - thermal_populations(m, dim)[1]
             )
-            c0, _ = hbt_two_mode_correlation(
-                n, m, np.array(DEFAULT_DELTA_GRID), OrderingConvention.NORMAL_ORDERED
-            )
+            c0 = correlators[n, m]
             moments = thermal_moments(n), thermal_moments(m)
             want = [correlation_full(*moments, Geometry.from_phase(d)) for d in DEFAULT_DELTA_GRID]
             worst = np.maximum(worst, np.max(relative_deviation(c0, np.multiply(want, trace))))
@@ -238,14 +251,13 @@ def check_ordering_gap(n_grid) -> CheckResult:
     worst = 0.0
     gap_confirmed = True
     deltas = np.array(DEFAULT_DELTA_GRID)
+    correlators = _normal_ordered_correlators(tuple(n_grid))
     for n in n_grid:
         for m in n_grid:
             if n == 0.0 and m == 0.0:
                 continue
             literal, _ = hbt_two_mode_correlation(n, m, deltas, OrderingConvention.AS_WRITTEN)
-            ordered, _ = hbt_two_mode_correlation(
-                n, m, deltas, OrderingConvention.NORMAL_ORDERED
-            )
+            ordered = correlators[n, m]
             worst = np.maximum(worst, np.max(relative_deviation(literal, ordered)))
             predicted = (n + m) * np.cos(deltas)
             gap = np.abs((literal - ordered) - predicted)

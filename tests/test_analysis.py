@@ -8,6 +8,7 @@ from opahbt import (
     DomainError,
     FringeCoverageError,
     OpaParams,
+    Ratio,
     RatioTable,
     Spacing,
     SweepSpec,
@@ -91,6 +92,12 @@ def test_sweep_matches_per_point_scalar_laws_bit_for_bit(spacing, m_bar):
     ratio = [snr_ratio(n, m, params) for n, m in zip(table.n_bar, companions)]
     assert table.signal_ratio.tobytes() == np.array(signal).tobytes()
     assert table.snr_ratio.tobytes() == np.array(ratio).tobytes()
+    # A one-law sweep gives the same column and leaves the other unevaluated.
+    signal_only = sweep_ratios(spec, (Ratio.SIGNAL,))
+    snr_only = sweep_ratios(spec, (Ratio.SNR,))
+    assert signal_only.signal_ratio.tobytes() == table.signal_ratio.tobytes()
+    assert snr_only.snr_ratio.tobytes() == table.snr_ratio.tobytes()
+    assert signal_only.snr_ratio is None and snr_only.signal_ratio is None
 
 
 @pytest.mark.parametrize(
@@ -104,6 +111,26 @@ def test_sweep_overflow_raises_domain_error_naming_the_point(spec, recwarn):
     with pytest.raises(DomainError, match="grid point 0"):
         sweep_ratios(spec)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_one_law_sweep_evaluates_and_checks_only_that_law(monkeypatch):
+    # At g = 10 and n = 1e70 the amplified noise overflows, so only the SNR
+    # ratio is out of range; the signal ratio is cosh(10)^4.
+    spec = SweepSpec(g=10.0, n_min=1e70, n_max=1e70, points=1)
+    with pytest.raises(DomainError, match="grid point 0"):
+        sweep_ratios(spec, (Ratio.SNR,))
+    with pytest.raises(DomainError, match="grid point 0"):
+        sweep_ratios(spec)
+
+    def unused(*args):
+        raise AssertionError("a law the sweep was not asked for was evaluated")
+
+    monkeypatch.setattr("opahbt.analysis.snr_ratio", unused)
+    table = sweep_ratios(spec, (Ratio.SIGNAL,))
+    assert table.signal_ratio[0] == pytest.approx(math.cosh(10.0) ** 4, rel=1e-12)
+    assert table.snr_ratio is None
+    with pytest.raises(DomainError, match="SNR"):
+        fit_inverse_law(sweep_ratios(SweepSpec(g=1.0, points=5), (Ratio.SIGNAL,)))
 
 
 def test_snr_ratio_decreases_along_positive_gain_sweep():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import opahbt.analysis
+from opahbt.analysis import RatioTable, Spacing, SweepSpec, sweep_ratios
 from opahbt.cli import format_float, main
 
 K_BLUE = 1.42e7
@@ -33,6 +34,89 @@ def test_format_float_examples():
     assert format_float(10.0) == "10.0"
     assert format_float(239.3062983932201) == "239.30629839322"
     assert format_float(1.5e-8) == "1.5e-08"
+
+
+def _reference_format_float(value):
+    # format_float as it read when the CSV writer formatted np.float64 values.
+    text = f"{value:.15g}"
+    if not any(ch in text for ch in ".eE") and text not in ("nan", "inf", "-inf"):
+        text += ".0"
+    return text
+
+
+def _reference_payload(fmt, n_bar, values):
+    """The figure writers as they were: numpy scalars through format_float or json."""
+    if fmt == "csv":
+        lines = ["n_bar,ratio"]
+        lines += [f"{_reference_format_float(n)},{_reference_format_float(v)}"
+                  for n, v in zip(n_bar, values)]
+        return "\n".join(lines) + "\n"
+    rows = [{"n_bar": float(n), "ratio": float(v)} for n, v in zip(n_bar, values)]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("points", [1, 7, 200, 20_000])
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("m_bar", [None, 3.7])
+def test_figure_writers_match_the_reference_writers(capsys, points, spacing, m_bar):
+    n_min, n_max = (1.3, 1.3) if points == 1 else (0.07, 41.0)
+    spec = SweepSpec(g=2.3, n_min=n_min, n_max=n_max, points=points,
+                     spacing=Spacing(spacing), equal_sources=m_bar is None, m_bar=m_bar)
+    table = sweep_ratios(spec)
+    args = ["--g", "2.3", "--n-min", repr(n_min), "--n-max", repr(n_max),
+            "--points", str(points), "--spacing", spacing]
+    if m_bar is not None:
+        args += ["--m-bar", repr(m_bar)]
+    for command, column in (("fig4", table.signal_ratio), ("fig5", table.snr_ratio)):
+        for fmt in ("csv", "json"):
+            assert run_cli([command, *args, "--format", fmt]) == 0
+            assert capsys.readouterr().out == _reference_payload(fmt, table.n_bar, column)
+
+
+EDGE_VALUES = [
+    10.0, 123456789012345.0, 999999999999999.0, 1e15, 0.0, 1.0, 0.1, 2.0 / 3.0,
+    1e300, 1.2345678901234567e300, 1.7976931348623157e308,
+    1e-300, 2.2250738585072014e-308, 1.5e-320, 5e-324,
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_writers_match_the_reference_writers_on_edge_values(monkeypatch, capsys, fmt):
+    # Integer-looking .15g text, values near 1e+-300 and subnormals, in
+    # both columns; the sweep is replaced, since no grid yields them all.
+    values = np.array(EDGE_VALUES)
+
+    def sweep(spec, ratios):
+        return RatioTable(spec, values, signal_ratio=values[::-1], snr_ratio=values[::-1])
+
+    monkeypatch.setattr("opahbt.analysis.sweep_ratios", sweep)
+    for command in ("fig4", "fig5"):
+        assert run_cli([command, "--format", fmt]) == 0
+        assert capsys.readouterr().out == _reference_payload(fmt, values, values[::-1])
+    for value in [*EDGE_VALUES, -2.0, math.nan, math.inf, -math.inf]:
+        assert format_float(value) == _reference_format_float(np.float64(value))
+
+
+@pytest.mark.parametrize(
+    "command, unused", [("fig4", "snr_ratio"), ("fig5", "signal_ratio"), ("fit", "signal_ratio")]
+)
+def test_each_figure_command_evaluates_only_the_law_it_writes(monkeypatch, capsys, command, unused):
+    def fail(*args):
+        raise AssertionError(f"{command} evaluated {unused}")
+
+    monkeypatch.setattr(f"opahbt.analysis.{unused}", fail)
+    assert run_cli([command, "--points", "20"]) == 0
+    assert capsys.readouterr().out
+
+
+def test_fig4_writes_the_signal_ratio_where_only_the_snr_overflows(tmp_path):
+    # The amplified noise overflows at these flags, so fig5 exits 2; the
+    # signal ratio fig4 writes is cosh(10)^4 and stays in range.
+    args = ["fig4", "--g", "10", "--n-min", "1e70", "--n-max", "1e70", "--points", "1"]
+    result = run_python("-W", "error::RuntimeWarning", "-m", "opahbt", *args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "n_bar,ratio\n1e+70,1.47115792986051e+16\n"
+    assert result.stdout.split(",")[-1] == format_float(math.cosh(10.0) ** 4) + "\n"
 
 
 def test_fig5_single_point_row(tmp_path, capsys):
@@ -156,6 +240,24 @@ def test_oracle_check_report_and_exit_code(tmp_path):
     assert zero_gain["expected"] == "fail" and not zero_gain["passed"]
     substitution = by_name["amplified-noise-substitution"]
     assert substitution["expected"] == "fail" and not substitution["passed"]
+
+
+def test_oracle_check_computes_each_correlator_once(tmp_path, monkeypatch):
+    # The two correlator checks share the normal-ordered correlators: 9 pairs
+    # on the default grid, plus the 8 literal ones the ordering gap needs.
+    import opahbt.oracle_checks as oracle_checks
+
+    calls = []
+    correlator = oracle_checks.hbt_two_mode_correlation
+
+    def counted(n, m, delta, ordering):
+        calls.append((n, m, ordering))
+        return correlator(n, m, delta, ordering)
+
+    monkeypatch.setattr(oracle_checks, "hbt_two_mode_correlation", counted)
+    oracle_checks._normal_ordered_correlators.cache_clear()
+    assert run_cli(["oracle-check", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 17 and len(set(calls)) == 17
 
 
 def test_oracle_check_reaches_the_papers_gain(tmp_path):
