@@ -30,7 +30,6 @@ from .errors import (
 )
 from .hbt import (
     ConsistencyReport,
-    Geometry,
     consistency_report,
     correlation_ac,
     correlation_full,
@@ -88,7 +87,6 @@ __all__ = [
     "DegenerateFitError",
     "DomainError",
     "FringeCoverageError",
-    "Geometry",
     "MomentConvention",
     "MomentVector",
     "OpaHbtError",

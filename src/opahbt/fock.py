@@ -1,11 +1,11 @@
 """Truncated Fock-space numerics: the first-principles verification route.
 
-A state is its photon-number distribution, a numpy array: p[n] for one
-mode or p[n_a, n_b] for two, on ``dim`` levels per mode.  That is all the
-modelled amplifier needs.  Thermal and vacuum inputs are diagonal,
-the two-mode squeezer maps a diagonal input to a diagonal output, and on a
-thermal product state the two-detector correlator splits into one sum per
-mode.  Every state is subnormalized: the probability mass lost to
+A state is its photon-number distribution, a numpy array p[n] on ``dim``
+levels.  That is all the modelled amplifier needs.  Thermal and vacuum
+inputs are diagonal, the two-mode squeezer maps a diagonal input to a
+diagonal output, of which only the signal mode's marginal is kept, and on
+a thermal product state the two-detector correlator splits into one sum
+per mode.  Every state is subnormalized: the probability mass lost to
 truncation is carried explicitly as a trace deficit so trace + deficit = 1
 holds exactly.  The module needs only numpy.
 
@@ -193,14 +193,14 @@ def _squeeze_strip(ladders: np.ndarray, dim: int, g: float) -> np.ndarray:
     return psi
 
 
-def _check_squeezed_tail(populations: np.ndarray, trace_deficit: float, g: float) -> None:
+def _check_squeezed_tail(marginal: np.ndarray, trace_deficit: float, g: float) -> None:
     """Raise when deficit plus output boundary-shell mass exceeds the bound."""
-    # The deficit plus the mass on the top retained level of either mode.
-    tail_estimate = trace_deficit + float(populations[-1, :].sum() + populations[:-1, -1].sum())
+    # The idler k of |d + k, k> never exceeds the signal level, so the whole
+    # boundary shell sits on the signal's top retained level.
+    tail_estimate = trace_deficit + float(marginal[-1])
     if tail_estimate <= SQUEEZED_TAIL_BOUND:
         return
-    dim = populations.shape[0]
-    mean_out = float(populations.sum(axis=1) @ np.arange(dim))
+    mean_out = float(marginal @ np.arange(marginal.size))
     suggestion = None
     if 0.0 < mean_out:
         q = mean_out / (1.0 + mean_out)
@@ -222,7 +222,7 @@ def squeeze_populations(
     The input |d, 0> starts ladder d in its bottom level, and the squeezer
     keeps the ladder, so the output population of |d + k, k> is p[d]
     times the squared amplitude that :func:`_squeeze_strip` propagates
-    from |d, 0>.  Ladders whose
+    from |d, 0>, and the signal level d + k collects it.  Ladders whose
     input weight is below :data:`LADDER_WEIGHT_FLOOR` are not propagated;
     their mass joins the trace deficit.  Truncation quality is verified a
     posteriori: that deficit, ``trace_deficit`` (the input's) included,
@@ -230,8 +230,8 @@ def squeeze_populations(
     :data:`SQUEEZED_TAIL_BOUND`.
 
     Returns:
-        The output populations p[n_a, n_b] on a dim x dim grid, dim the
-        length of ``signal``, and the output's trace deficit.
+        The signal mode's output populations p[n] on the dim levels of
+        ``signal``, and the output's trace deficit.
 
     Raises:
         TruncationError: when the combined tail estimate exceeds the
@@ -246,17 +246,16 @@ def squeeze_populations(
     dim = signal.size
     kept = signal >= LADDER_WEIGHT_FLOOR
     deficit = trace_deficit + float(signal[~kept].sum())
-    out = np.zeros((dim, dim))
+    marginal = np.zeros(dim)
     ladders = np.flatnonzero(kept)
     if ladders.size:
         psi = _squeeze_strip(ladders, dim, g)
-        idler = np.arange(psi.shape[0])[:, None]
-        inside = ladders + idler < dim
-        out[(ladders + idler)[inside], np.broadcast_to(idler, psi.shape)[inside]] = (
-            signal[ladders] * psi**2
-        )[inside]
-    _check_squeezed_tail(out, deficit, g)
-    return out, deficit
+        level = ladders + np.arange(psi.shape[0])[:, None]
+        inside = level < dim
+        weights = (signal[ladders] * psi**2)[inside]
+        marginal = np.bincount(level[inside], weights=weights, minlength=dim)
+    _check_squeezed_tail(marginal, deficit, g)
+    return marginal, deficit
 
 
 def two_mode_squeeze(
@@ -266,7 +265,7 @@ def two_mode_squeeze(
 
     ``populations`` is p[n_a, n_b] on a square grid.  See
     :func:`squeeze_populations` for the algorithm, the trace deficit, the
-    truncation check and the returned grid and deficit.
+    truncation check and the returned signal marginal and deficit.
 
     Raises:
         DomainError: unless the grid is square and mode 1, the idler, is in
@@ -284,20 +283,16 @@ def two_mode_squeeze(
     return squeeze_populations(populations[:, 0], g, trace_deficit)
 
 
-def reduced_moments(populations: np.ndarray, mode: int = 0) -> MomentVector:
-    """Photon-number moments <n^j>, j = 1..4, of one mode of a population array.
+def reduced_moments(populations: np.ndarray) -> MomentVector:
+    """Photon-number moments <n^j>, j = 1..4, of one mode's populations p[n].
 
-    ``populations`` is p[n] for one mode or p[n_a, n_b] for two.  The
-    moments are those of the subnormalized marginal: divide by its trace
-    for the moments of the normalized state.
+    The moments are those of the subnormalized populations: divide by
+    their trace for the moments of the normalized state.
     """
-    if mode not in range(populations.ndim):
-        raise DomainError(
-            f"a {populations.ndim}-mode state has modes 0..{populations.ndim - 1}, got {mode!r}"
-        )
-    marginal = populations if populations.ndim == 1 else populations.sum(axis=1 - mode)
-    occupation = np.arange(marginal.size, dtype=float)
-    return MomentVector(*(float(marginal @ occupation**j) for j in (1, 2, 3, 4)))
+    if populations.ndim != 1:
+        raise DomainError(f"reduced_moments takes p[n] for one mode, got shape {populations.shape}")
+    occupation = np.arange(populations.size, dtype=float)
+    return MomentVector(*(float(populations @ occupation**j) for j in (1, 2, 3, 4)))
 
 
 # Each correlator is a sum of terms coeff * e^(i k delta) * A (x) B, where A

@@ -25,31 +25,6 @@ from .opa import OpaParams, coeffs, propagate_moments
 from .photon_stats import MomentVector, thermal_moments
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Detector geometry: wavenumber k, baseline r0 and source angular size phi.
-
-    The interference phase is k * r0 * phi.
-    """
-
-    wavenumber: float
-    baseline: float
-    angular_size: float
-
-    def __post_init__(self):
-        for name in ("wavenumber", "baseline", "angular_size"):
-            object.__setattr__(self, name, nonnegative_scalar(name, getattr(self, name)))
-
-    @property
-    def phase(self) -> float:
-        return self.wavenumber * self.baseline * self.angular_size
-
-    @classmethod
-    def from_phase(cls, phase: float) -> "Geometry":
-        """Geometry with unit wavenumber and baseline realising a given phase."""
-        return cls(1.0, 1.0, float(phase))
-
-
 def _means(n_bar: FloatOrArray, m_bar: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
     return nonnegative("n_bar", n_bar), nonnegative("m_bar", m_bar)
 
@@ -59,16 +34,16 @@ def _nonzero(n: np.ndarray, m: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} undefined for a zero mean photon number")
 
 
-def correlation_full(nm: MomentVector, mm: MomentVector, geom: Geometry) -> float:
-    """Full correlator output <n^2> + <m^2> + 2<n><m>(1 + cos(phase))."""
-    delta = geom.phase
+def correlation_full(nm: MomentVector, mm: MomentVector, delta: float) -> float:
+    """Full correlator output <n^2> + <m^2> + 2<n><m>(1 + cos(delta))."""
+    delta = nonnegative_scalar("phase", delta)
     return nm.m2 + mm.m2 + 2.0 * nm.m1 * mm.m1 * (1.0 + math.cos(delta))
 
 
-def correlation_ac(n_bar: FloatOrArray, m_bar: FloatOrArray, geom: Geometry) -> FloatOrArray:
-    """Phase-dependent signal 2 * n_bar * m_bar * cos(phase) after DC subtraction."""
+def correlation_ac(n_bar: FloatOrArray, m_bar: FloatOrArray, delta: float) -> FloatOrArray:
+    """Phase-dependent signal 2 * n_bar * m_bar * cos(delta) after DC subtraction."""
     n, m = _means(n_bar, m_bar)
-    return unwrap(2.0 * n * m * math.cos(geom.phase))
+    return unwrap(2.0 * n * m * math.cos(nonnegative_scalar("phase", delta)))
 
 
 def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
@@ -92,11 +67,11 @@ def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
     )
 
 
-def noise_full(nm: MomentVector, mm: MomentVector, geom: Geometry) -> FloatOrArray:
-    """Squared correlator noise including the cos(phase) and cos(2*phase) terms."""
+def noise_full(nm: MomentVector, mm: MomentVector, delta: float) -> FloatOrArray:
+    """Squared correlator noise including the cos(delta) and cos(2*delta) terms."""
     n1, n2, n3 = nm.m1, nm.m2, nm.m3
     m1, m2, m3 = mm.m1, mm.m2, mm.m3
-    delta = geom.phase
+    delta = nonnegative_scalar("phase", delta)
     nm_sq = np.float_power(n1 * m1, 2)
     cos_group = 4.0 * (
         2.0 * (n3 * m1 + 2.0 * n2 * m2 + n1 * m3)
@@ -150,12 +125,13 @@ def noise_avg_printed(n_bar: FloatOrArray, m_bar: FloatOrArray) -> FloatOrArray:
 
 
 def opa_correlation_ac(
-    n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams, geom: Geometry
+    n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams, delta: float
 ) -> FloatOrArray:
-    """Amplified AC signal 2(mu^2 n + nu^2)(mu^2 m + nu^2) cos(phase)."""
+    """Amplified AC signal 2(mu^2 n + nu^2)(mu^2 m + nu^2) cos(delta)."""
     n, m = _means(n_bar, m_bar)
     c = coeffs(params)
-    return unwrap(2.0 * (c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) * math.cos(geom.phase))
+    delta = nonnegative_scalar("phase", delta)
+    return unwrap(2.0 * (c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) * math.cos(delta))
 
 
 def opa_noise_avg_printed(

@@ -30,7 +30,6 @@ from .fock import (
     thermal_populations,
 )
 from .hbt import (
-    Geometry,
     consistency_report,
     correlation_full,
     opa_noise_avg_printed,
@@ -160,7 +159,7 @@ def _squeezed_thermal(n: float, g: float) -> tuple[MomentVector, float]:
     dim = space_for_squeezed_thermal(n, g)
     probs, deficit = thermal_populations(n, dim)
     squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    return reduced_moments(squeezed, mode=0), float(squeezed.sum())
+    return reduced_moments(squeezed), float(squeezed.sum())
 
 
 def check_squeeze_propagation(n_grid, g_grid) -> CheckResult:
@@ -234,7 +233,7 @@ def check_normal_ordered_correlator(n_grid) -> CheckResult:
             )
             c0 = correlators[n, m]
             moments = thermal_moments(n), thermal_moments(m)
-            want = [correlation_full(*moments, Geometry.from_phase(d)) for d in DEFAULT_DELTA_GRID]
+            want = [correlation_full(*moments, d) for d in DEFAULT_DELTA_GRID]
             worst = np.maximum(worst, np.max(relative_deviation(c0, np.multiply(want, trace))))
     return _make(
         "normal-ordered-correlator",
@@ -247,7 +246,15 @@ def check_normal_ordered_correlator(n_grid) -> CheckResult:
 
 
 def check_ordering_gap(n_grid) -> CheckResult:
-    """Literal versus normal-ordered correlator (documented commutator gap)."""
+    """Literal versus normal-ordered correlator (documented commutator gap).
+
+    Raises:
+        DomainError: if every mean of ``n_grid`` is zero, so no pair is compared.
+    """
+    if not any(n_grid):
+        raise DomainError(
+            "check ordering-gap compares no pair: every mean of the n grid (--n-grid) is 0"
+        )
     worst = 0.0
     gap_confirmed = True
     deltas = np.array(DEFAULT_DELTA_GRID)

@@ -43,27 +43,6 @@ class MomentVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.m1, self.m2, self.m3, self.m4], dtype=float)
 
-    def validate(self) -> None:
-        """Check the inequalities every non-negative integer-valued variable obeys.
-
-        Raises:
-            DomainError: if a moment is non-finite or an inequality is violated
-                beyond floating-point slack.
-        """
-        m = self.as_array()
-        if not np.all(np.isfinite(m)):
-            raise DomainError(f"non-finite moment vector {m}")
-        slack = 1e-9 * max(1.0, float(np.max(np.abs(m))))
-        if self.m1 < -slack:
-            raise DomainError(f"negative mean {self.m1}")
-        # n^(j+1) >= n^j pointwise on {0, 1, 2, ...}
-        if self.m2 < self.m1 - slack or self.m3 < self.m2 - slack or self.m4 < self.m3 - slack:
-            raise DomainError(f"moments not monotone for an integer variable: {m}")
-        if self.m2 < self.m1**2 - slack:
-            raise DomainError(f"negative variance implied by {m}")
-        if self.m4 < self.m2**2 - slack:
-            raise DomainError(f"fourth moment below squared second moment in {m}")
-
 
 def thermal_moments(
     n_bar: FloatOrArray,

@@ -13,7 +13,6 @@ import pytest
 
 from opahbt import (
     GaussianSecondMoments,
-    Geometry,
     MomentConvention,
     OpaParams,
     OrderingConvention,
@@ -112,9 +111,11 @@ def test_c06_moment_propagation_oracle():
             for g in (0.0, 0.25, 0.5, 1.0):
                 probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
                 squeezed, deficit = squeeze_populations(probs, g, trace_deficit=deficit)
-                # Boundary-shell certificate: deficit plus top row and column.
-                assert deficit + squeezed[-1].sum() + squeezed[:, -1].sum() < 1e-9
-                got = reduced_moments(squeezed, 0).as_array()
+                # Boundary-shell certificate: deficit plus the signal's top
+                # level, where the whole shell sits (the idler never
+                # exceeds the signal).
+                assert deficit + squeezed[-1] < 1e-9
+                got = reduced_moments(squeezed).as_array()
                 want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()
                 np.testing.assert_allclose(
                     got, want * squeezed.sum(), rtol=1e-6, atol=1e-12
@@ -180,11 +181,7 @@ def test_c11_quantum_validation_of_the_correlation_law():
                     c0, _ = hbt_two_mode_correlation(
                         n, m, delta, OrderingConvention.NORMAL_ORDERED
                     )
-                    want = correlation_full(
-                        thermal_moments(n),
-                        thermal_moments(m),
-                        Geometry.from_phase(delta),
-                    )
+                    want = correlation_full(thermal_moments(n), thermal_moments(m), delta)
                     assert abs(c0 - want) <= 1e-6 * max(1.0, abs(want))
 
 
@@ -233,7 +230,5 @@ def test_c13_semiclassical_diagonal_moment_gap():
                     # The normally ordered product is the classical-field mean.
                     ordered = _normal_ordered_intensity_product(table, delta)
                     assert ordered == pytest.approx(classical, rel=1e-12, abs=1e-12)
-                    quantum = correlation_full(
-                        thermal_moments(n), thermal_moments(m), Geometry.from_phase(delta)
-                    )
+                    quantum = correlation_full(thermal_moments(n), thermal_moments(m), delta)
                     assert quantum - classical == pytest.approx(n + m, rel=1e-12, abs=1e-12)

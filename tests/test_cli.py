@@ -474,10 +474,9 @@ from opahbt import reduced_moments, squeeze_populations, thermal_populations
 from opahbt.cli import main
 probs, deficit = thermal_populations(0.5, 40)
 squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
-for populations in (squeezed, squeezed.sum(axis=0)):
-    assert np.isfinite(populations).all() and (populations >= 0).all()
-    assert abs(populations.sum() + deficit - 1.0) <= 1e-10
-print(f"{{reduced_moments(squeezed, 0).m1:.6f}}")
+assert np.isfinite(squeezed).all() and (squeezed >= 0).all()
+assert abs(squeezed.sum() + deficit - 1.0) <= 1e-10
+print(f"{{reduced_moments(squeezed).m1:.6f}}")
 sys.exit(
     main(["oracle-check", "--n-grid", "0,0.5", "--g-grid", "0,0.25",
           "--out", {str(tmp_path / "report.json")!r}])
@@ -517,7 +516,7 @@ def test_estimate_phi_converges_on_a_noisy_scan_that_stalls(tmp_path):
     "args",
     [
         ["--g-grid", "0,100"],
-        ["--n-grid", "0", "--g-grid", "0", "--g-noise", "200"],
+        ["--n-grid", "0,0.5", "--g-grid", "0", "--g-noise", "200"],
     ],
 )
 def test_oracle_check_overflow_exits_2_without_output(tmp_path, capsys, args):
@@ -526,4 +525,16 @@ def test_oracle_check_overflow_exits_2_without_output(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert code == 2
     assert "overflow" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("n_grid", ["0", "0,0"])
+def test_oracle_check_all_zero_n_grid_exits_2_without_output(tmp_path, capsys, n_grid):
+    # With every mean zero the ordering-gap check has no pair to compare;
+    # an empty check is an input error, never a pass.
+    target = tmp_path / "report.json"
+    code = run_cli(["oracle-check", "--n-grid", n_grid, "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--n-grid" in err and "ordering-gap" in err
     assert not target.exists()

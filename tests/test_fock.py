@@ -14,7 +14,6 @@ from opahbt import (
     TruncationError,
     choose_dim,
     correlation_full,
-    Geometry,
     hbt_two_mode_correlation,
     propagate_moments,
     reduced_moments,
@@ -31,6 +30,13 @@ def _assert_valid(populations, deficit):
     # Every population finite and >= 0, and trace + deficit = 1.
     assert np.isfinite(populations).all() and (populations >= 0.0).all()
     assert populations.sum() + deficit == pytest.approx(1.0, abs=1e-10)
+
+
+def _idler_populations(signal, g):
+    # The squeezer returns only the signal marginal; the idler's is the
+    # strip's weight on idler level k of |d + k, k>, summed over the ladders d.
+    ladders = np.flatnonzero(signal >= opahbt.fock.LADDER_WEIGHT_FLOOR)
+    return opahbt.fock._squeeze_strip(ladders, signal.size, g) ** 2 @ signal[ladders]
 
 
 def _thermal_signal_vacuum_grid(n, dim):
@@ -130,14 +136,11 @@ def test_squeezer_inputs_must_be_finite_populations_on_a_square_grid():
         squeeze_populations(np.full((4, 4), 1.0 / 16), 0.1)
 
 
-def test_reduced_moments_reject_a_mode_the_array_lacks():
+def test_reduced_moments_reject_a_joint_grid():
     probs, _ = thermal_populations(0.5, 8)
-    with pytest.raises(DomainError, match="modes 0..0"):
-        reduced_moments(probs, mode=1)
-    with pytest.raises(DomainError, match="modes 0..1"):
-        reduced_moments(np.outer(probs, probs), mode=2)
-    with pytest.raises(DomainError):
-        reduced_moments(probs, mode=-1)
+    for bad in (np.outer(probs, probs), np.float64(0.5)):
+        with pytest.raises(DomainError, match="one mode"):
+            reduced_moments(bad)
 
 
 def test_choose_dim_rule_and_cap():
@@ -207,8 +210,8 @@ def test_ladder_exponential_matches_scipy(difference, monkeypatch):
     signal = np.zeros(dim)
     signal[difference] = 1.0
     moved = scipy.linalg.expm(_ladder_generator(difference, length, g))[:, 0] ** 2
-    want = np.zeros((dim, dim))
-    want[k + difference, k] = moved
+    want = np.zeros(dim)
+    want[k + difference] = moved
     got, deficit = squeeze_populations(signal, g)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert got.sum() == pytest.approx(1.0, abs=1e-13)
@@ -217,8 +220,8 @@ def test_ladder_exponential_matches_scipy(difference, monkeypatch):
 
 def test_squeeze_matches_dense_generator_exponential():
     # Independent route: exponentiate the full two-mode generator densely
-    # and take the diagonal of U rho U^T, at a dim where the tail
-    # certificate holds.
+    # and take the signal marginal of the diagonal of U rho U^T, at a dim
+    # where the tail certificate holds.
     g = 0.4
     dim = space_for_squeezed_thermal(0.4, g)
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
@@ -228,7 +231,7 @@ def test_squeeze_matches_dense_generator_exponential():
     rho = np.diag(grid.ravel())
     expected = np.diag(unitary @ rho @ unitary.T).reshape(dim, dim)
     squeezed, _ = two_mode_squeeze(grid, g, deficit)
-    np.testing.assert_allclose(squeezed, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(squeezed, expected.sum(axis=1), rtol=0, atol=1e-13)
 
 
 def test_squeezing_a_thermal_idler_is_a_domain_error():
@@ -240,12 +243,18 @@ def test_squeezing_a_thermal_idler_is_a_domain_error():
 def test_squeeze_matches_the_untruncated_su11_column_at_g2():
     # |<d+j, j| S |d, 0>|^2 = C(d+j, j) tanh(g)^2j / cosh(g)^2(d+1) (Schumaker
     # and Caves, Phys. Rev. A 31, 3068 (1985)), weighted by the thermal
-    # input at the oracle's dim for n = 1, g = 2.
+    # input at the oracle's dim for n = 1, g = 2.  The joint distribution is
+    # checked on the strip's amplitudes, the returned marginal on the row sums.
     n, g = 1.0, 2.0
     dim = space_for_squeezed_thermal(n, g)
     probs, deficit = thermal_populations(n, dim)
     got, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    want = np.zeros_like(got)
+    ladders = np.flatnonzero(probs >= opahbt.fock.LADDER_WEIGHT_FLOOR)
+    psi = opahbt.fock._squeeze_strip(ladders, dim, g)
+    joint = np.zeros((dim, dim))
+    for i, d in enumerate(ladders):
+        joint[d + np.arange(dim - d), np.arange(dim - d)] = probs[d] * psi[: dim - d, i] ** 2
+    want = np.zeros((dim, dim))
     for d in range(dim):
         j = np.arange(dim - d)
         log_column = (
@@ -256,14 +265,18 @@ def test_squeeze_matches_the_untruncated_su11_column_at_g2():
             - 2.0 * (d + 1.0) * math.log(math.cosh(g))
         )
         want[d + j, j] = probs[d] * np.exp(log_column)
-    assert np.abs(got - want).sum() <= 1e-10
+    assert np.abs(joint - want).sum() <= 1e-10
+    assert np.abs(got - want.sum(axis=1)).sum() <= 1e-10
 
 
 def test_ladders_below_the_weight_floor_join_the_deficit():
     signal = np.array([0.6, 0.4, 1e-20, 0.0, 0.0, 0.0, 0.0, 0.0])
     got, deficit = squeeze_populations(signal, 0.1, trace_deficit=1e-12)
     assert deficit == 1e-12 + 1e-20
-    assert not got.diagonal(-2).any()  # ladder 2, |2 + k, k>, is not propagated
+    # Ladder 2, |2 + k, k>, is not propagated: the output is that of an
+    # input without it.
+    without, _ = squeeze_populations(np.where(signal < 1e-18, 0.0, signal), 0.1)
+    np.testing.assert_array_equal(got, without)
     assert got.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -285,15 +298,13 @@ def _ladder_expm_squeeze(populations, g):
 @pytest.mark.parametrize("g", DEFAULT_G_GRID)
 def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     # The oracle's thermal (x) vacuum inputs at their real dims, against the
-    # full per-ladder propagator from scipy.linalg.expm.
+    # signal marginal of the full per-ladder propagator from scipy.linalg.expm.
     grid, input_deficit = _thermal_signal_vacuum_grid(n, space_for_squeezed_thermal(n, g))
-    want = _ladder_expm_squeeze(grid, g)
+    want = _ladder_expm_squeeze(grid, g).sum(axis=1)
     got, deficit = squeeze_populations(grid[:, 0], g, trace_deficit=input_deficit)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(
-        reduced_moments(got, 0).as_array(),
-        reduced_moments(want, 0).as_array(),
-        rtol=1e-12,
+        reduced_moments(got).as_array(), reduced_moments(want).as_array(), rtol=1e-12
     )
     squeezed, squeezed_deficit = two_mode_squeeze(grid, g, input_deficit)
     np.testing.assert_array_equal(squeezed, got)
@@ -301,39 +312,40 @@ def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
 
 
 def test_zero_gain_squeeze_is_identity():
-    grid, _ = _thermal_signal_vacuum_grid(0.7, 40)
-    out, _ = squeeze_populations(grid[:, 0], 0.0)
-    np.testing.assert_array_equal(out, grid)
-    # At g = 1e-20 the series is J_0 = 1 and J_1 = g rho / 2: column 0 keeps
-    # the input exactly, |d, 0> sends p_d (d + 1) g^2 to |d + 1, 1>, and
-    # nothing reaches any other level.
+    probs, _ = thermal_populations(0.7, 40)
+    out, _ = squeeze_populations(probs, 0.0)
+    np.testing.assert_array_equal(out, probs)
+    # At g = 1e-20 the series is J_0 = 1 and J_1 = g rho / 2: |d, 0> keeps
+    # amplitude 1 exactly, sends p_d (d + 1) g^2 to |d + 1, 1>, and nothing
+    # reaches any other level.  That transfer is far below the last bit of
+    # the signal marginal.
     g = 1e-20
-    out, _ = squeeze_populations(grid[:, 0], g)
-    np.testing.assert_array_equal(out[:, 0], grid[:, 0])
+    out, _ = squeeze_populations(probs, g)
+    np.testing.assert_array_equal(out, probs)
+    psi = opahbt.fock._squeeze_strip(np.arange(40), 40, g)
+    np.testing.assert_array_equal(psi[0], 1.0)
     d = np.arange(39)
-    np.testing.assert_allclose(out[d + 1, 1], grid[d, 0] * (d + 1) * g**2, rtol=1e-12)
-    out[:, 0] = out[d + 1, 1] = 0.0
-    assert not out.any()
+    np.testing.assert_allclose(psi[1, d] ** 2, (d + 1) * g**2, rtol=1e-12)
+    psi[0] = psi[1, d] = 0.0
+    assert not psi.any()
 
 
 def test_two_mode_squeezed_vacuum_arm_is_thermal():
-    squeezed, _ = squeeze_populations(thermal_populations(0.0, 30)[0], 0.5)
-    assert reduced_moments(squeezed, 0).m1 == pytest.approx(
-        math.sinh(0.5) ** 2, abs=1e-8
-    )
-    assert reduced_moments(squeezed, 1).m1 == pytest.approx(
-        math.sinh(0.5) ** 2, abs=1e-8
-    )
+    vacuum = thermal_populations(0.0, 30)[0]
+    squeezed, _ = squeeze_populations(vacuum, 0.5)
+    assert reduced_moments(squeezed).m1 == pytest.approx(math.sinh(0.5) ** 2, abs=1e-8)
+    idler = _idler_populations(vacuum, 0.5)
+    assert reduced_moments(idler).m1 == pytest.approx(math.sinh(0.5) ** 2, abs=1e-8)
 
 
 def test_squeezed_thermal_mode_means():
-    squeezed, _ = squeeze_populations(thermal_populations(0.5, 40)[0], 0.5)
+    probs = thermal_populations(0.5, 40)[0]
+    squeezed, _ = squeeze_populations(probs, 0.5)
     mu2, nu2 = math.cosh(0.5) ** 2, math.sinh(0.5) ** 2
-    assert reduced_moments(squeezed, 0).m1 == pytest.approx(
-        mu2 * 0.5 + nu2, abs=1e-8
-    )
+    assert reduced_moments(squeezed).m1 == pytest.approx(mu2 * 0.5 + nu2, abs=1e-8)
     # Idler output picks up nu^2 (n + 1).
-    assert reduced_moments(squeezed, 1).m1 == pytest.approx(nu2 * 1.5, abs=1e-8)
+    idler = _idler_populations(probs, 0.5)
+    assert reduced_moments(idler).m1 == pytest.approx(nu2 * 1.5, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
@@ -341,7 +353,7 @@ def test_squeezed_thermal_mode_means():
 def test_reduced_moments_match_propagation_polynomials(n, g):
     probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
     squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    got = reduced_moments(squeezed, 0).as_array()
+    got = reduced_moments(squeezed).as_array()
     want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()
     np.testing.assert_allclose(got, want * squeezed.sum(), rtol=1e-6, atol=1e-12)
 
@@ -357,24 +369,6 @@ def test_squeeze_truncation_error_names_tail_and_suggestion():
         squeeze_populations(np.array([0.0, 1.0]), 0.5)
 
 
-def test_partial_trace_of_product_state():
-    # The moments of one mode of a product grid are that factor's moments,
-    # scaled by the other factor's trace.
-    left, _ = thermal_populations(0.8, 12)
-    right, _ = thermal_populations(0.2, 12)
-    joint = np.outer(left, right)
-    np.testing.assert_allclose(
-        reduced_moments(joint, 0).as_array(),
-        reduced_moments(left).as_array() * right.sum(),
-        rtol=1e-14,
-    )
-    np.testing.assert_allclose(
-        reduced_moments(joint, 1).as_array(),
-        reduced_moments(right).as_array() * left.sum(),
-        rtol=1e-14,
-    )
-
-
 def test_correlator_vacuum_is_zero_for_both_orderings():
     for ordering in OrderingConvention:
         c0, noise_sq = hbt_two_mode_correlation(0.0, 0.0, 0.0, ordering=ordering)
@@ -388,9 +382,7 @@ def test_correlator_normal_ordered_reproduces_analytic_law():
             c0, _ = hbt_two_mode_correlation(
                 n, m, delta, OrderingConvention.NORMAL_ORDERED
             )
-            want = correlation_full(
-                thermal_moments(n), thermal_moments(m), Geometry.from_phase(delta)
-            )
+            want = correlation_full(thermal_moments(n), thermal_moments(m), delta)
             assert c0 == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
@@ -512,5 +504,4 @@ def test_state_invariants_maintained_through_pipeline():
     _assert_valid(probs, deficit)
     squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
     _assert_valid(squeezed, deficit)
-    _assert_valid(squeezed.sum(axis=1), deficit)
-    _assert_valid(squeezed.sum(axis=0), deficit)
+    _assert_valid(_idler_populations(probs, 0.5), deficit)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from opahbt import (
     DomainError,
-    Geometry,
     OpaParams,
     consistency_report,
     correlation_ac,
@@ -34,31 +33,20 @@ AMPLIFIED_NOISE_1_1_G2 = 93985337.33036274
 AMPLIFIED_NOISE_0_0_G2 = 5084398.5177281955
 
 
-def _zero_phase():
-    return Geometry.from_phase(0.0)
-
-
-def test_geometry_phase_product():
-    geom = Geometry(wavenumber=1.42e7, baseline=20.0, angular_size=1e-8)
-    assert geom.phase == pytest.approx(1.42e7 * 20.0 * 1e-8)
-    with pytest.raises(DomainError):
-        Geometry(-1.0, 1.0, 1.0)
-
-
 def test_correlation_full_worked_values():
     one = thermal_moments(1.0)
-    assert correlation_full(one, one, _zero_phase()) == pytest.approx(10.0)
-    assert correlation_full(one, one, Geometry.from_phase(math.pi)) == pytest.approx(6.0)
+    assert correlation_full(one, one, 0.0) == pytest.approx(10.0)
+    assert correlation_full(one, one, math.pi) == pytest.approx(6.0)
     zero = thermal_moments(0.0)
-    assert correlation_full(zero, zero, _zero_phase()) == 0.0
+    assert correlation_full(zero, zero, 0.0) == 0.0
 
 
 def test_correlation_ac_values():
-    assert correlation_ac(1.0, 1.0, _zero_phase()) == pytest.approx(2.0)
-    assert correlation_ac(3.0, 7.0, Geometry.from_phase(math.pi / 2)) == pytest.approx(
+    assert correlation_ac(1.0, 1.0, 0.0) == pytest.approx(2.0)
+    assert correlation_ac(3.0, 7.0, math.pi / 2) == pytest.approx(
         0.0, abs=1e-12
     )
-    assert correlation_ac(2.0, 3.0, Geometry.from_phase(math.pi)) == pytest.approx(-12.0)
+    assert correlation_ac(2.0, 3.0, math.pi) == pytest.approx(-12.0)
 
 
 @given(
@@ -70,8 +58,8 @@ def test_correlation_ac_values():
 def test_dc_split_identity(n, m, delta):
     # Subtracting the quarter-phase value isolates the cosine part.
     nm, mm = thermal_moments(n), thermal_moments(m)
-    full = correlation_full(nm, mm, Geometry.from_phase(delta))
-    quarter = correlation_full(nm, mm, Geometry.from_phase(math.pi / 2))
+    full = correlation_full(nm, mm, delta)
+    quarter = correlation_full(nm, mm, math.pi / 2)
     assert full - quarter == pytest.approx(
         2 * n * m * math.cos(delta), abs=1e-9 * max(1.0, n * m)
     )
@@ -81,15 +69,15 @@ def test_noise_full_single_arm():
     one = thermal_moments(1.0)
     zero = thermal_moments(0.0)
     for delta in (0.0, 1.0, math.pi):
-        assert noise_full(one, zero, Geometry.from_phase(delta)) == pytest.approx(66.0)
+        assert noise_full(one, zero, delta) == pytest.approx(66.0)
 
 
 def test_noise_full_phase_average_matches_substitution():
     one = thermal_moments(1.0)
     # cos and cos(2x) both average out over {pi/4, 3pi/4}.
     average = 0.5 * (
-        noise_full(one, one, Geometry.from_phase(math.pi / 4))
-        + noise_full(one, one, Geometry.from_phase(3 * math.pi / 4))
+        noise_full(one, one, math.pi / 4)
+        + noise_full(one, one, 3 * math.pi / 4)
     )
     assert average == pytest.approx(466.0, rel=1e-12)
     assert noise_avg_substitution(one, one) == pytest.approx(466.0)
@@ -124,12 +112,11 @@ def test_substitution_with_amplified_vacuum_moments():
 
 
 def test_amplified_correlation_values():
-    geom = _zero_phase()
-    assert opa_correlation_ac(1.0, 1.0, OpaParams(0.0), geom) == pytest.approx(
-        correlation_ac(1.0, 1.0, geom)
+    assert opa_correlation_ac(1.0, 1.0, OpaParams(0.0), 0.0) == pytest.approx(
+        correlation_ac(1.0, 1.0, 0.0)
     )
-    assert opa_correlation_ac(1.0, 1.0, G2, geom) == pytest.approx(1491.479, abs=5e-3)
-    assert opa_correlation_ac(10.0, 10.0, G2, geom) == pytest.approx(47861.26, abs=0.5)
+    assert opa_correlation_ac(1.0, 1.0, G2, 0.0) == pytest.approx(1491.479, abs=5e-3)
+    assert opa_correlation_ac(10.0, 10.0, G2, 0.0) == pytest.approx(47861.26, abs=0.5)
 
 
 def test_amplified_noise_frozen_values():
@@ -147,11 +134,10 @@ def test_amplified_noise_frozen_values():
 
 def test_snr_values_and_edge_cases():
     # The paper's unit-mean SNRs at peak signal, from the remaining laws.
-    geom = _zero_phase()
-    plain = correlation_ac(1.0, 1.0, geom) / math.sqrt(noise_avg_printed(1.0, 1.0))
+    plain = correlation_ac(1.0, 1.0, 0.0) / math.sqrt(noise_avg_printed(1.0, 1.0))
     assert plain == pytest.approx(2.0 / math.sqrt(466.0), rel=1e-12)
     assert plain == pytest.approx(0.092648, abs=1e-6)
-    amplified = opa_correlation_ac(1.0, 1.0, G2, geom) / math.sqrt(
+    amplified = opa_correlation_ac(1.0, 1.0, G2, 0.0) / math.sqrt(
         opa_noise_avg_printed(1.0, 1.0, G2)
     )
     assert amplified == pytest.approx(0.153846, abs=1e-6)
@@ -184,11 +170,10 @@ def test_large_mean_signal_ratio_approaches_fourth_power_of_cosh():
 @settings(max_examples=60, deadline=None)
 def test_plain_operations_swap_symmetry(n, m):
     nm, mm = thermal_moments(n), thermal_moments(m)
-    geom = Geometry.from_phase(0.7)
-    assert correlation_full(nm, mm, geom) == pytest.approx(
-        correlation_full(mm, nm, geom), rel=1e-12
+    assert correlation_full(nm, mm, 0.7) == pytest.approx(
+        correlation_full(mm, nm, 0.7), rel=1e-12
     )
-    assert noise_full(nm, mm, geom) == pytest.approx(noise_full(mm, nm, geom), rel=1e-12)
+    assert noise_full(nm, mm, 0.7) == pytest.approx(noise_full(mm, nm, 0.7), rel=1e-12)
     assert noise_avg_printed(n, m) == pytest.approx(noise_avg_printed(m, n), rel=1e-12)
 
 
@@ -211,10 +196,9 @@ def test_amplified_noise_swap_asymmetry_is_the_documented_one():
 def test_amplified_correlation_consistency(n, m, g, delta):
     # The amplified AC signal is the plain one at the amplified means.
     params = OpaParams(g)
-    geom = Geometry.from_phase(delta)
-    direct = opa_correlation_ac(n, m, params, geom)
+    direct = opa_correlation_ac(n, m, params, delta)
     via_means = correlation_ac(
-        equivalent_thermal_mean(n, params), equivalent_thermal_mean(m, params), geom
+        equivalent_thermal_mean(n, params), equivalent_thermal_mean(m, params), delta
     )
     assert direct == pytest.approx(via_means, rel=1e-12, abs=1e-12)
 
@@ -241,7 +225,7 @@ def test_real_numpy_scalars_are_accepted(value):
     assert signal_ratio(1.0, value, G2) == signal_ratio(1.0, 1.0, G2)
     gain = OpaParams(value * 2).gain
     assert gain == 2.0 and type(gain) is float
-    assert Geometry(value, 1.0, 1.0).phase == 1.0
+    assert correlation_ac(1.0, 0.5, value) == math.cos(1.0)
 
 
 @pytest.mark.parametrize(
@@ -254,8 +238,16 @@ def test_invalid_means_raise_domain_error(bad):
         noise_avg_printed(1.0, bad)
     with pytest.raises(DomainError):
         OpaParams(bad)
-    with pytest.raises(DomainError):
-        Geometry(1.0, bad, 1.0)
+    # The phase shares the validator: every law rejects a bad or negative one.
+    one = thermal_moments(1.0)
+    with pytest.raises(DomainError, match="phase"):
+        correlation_full(one, one, bad)
+    with pytest.raises(DomainError, match="phase"):
+        noise_full(one, one, bad)
+    with pytest.raises(DomainError, match="phase"):
+        correlation_ac(1.0, 1.0, bad)
+    with pytest.raises(DomainError, match="phase"):
+        opa_correlation_ac(1.0, 1.0, G2, bad)
 
 
 def test_invalid_array_element_is_named():

@@ -7,7 +7,6 @@ import opahbt.photon_stats
 from opahbt import (
     DomainError,
     MomentConvention,
-    MomentVector,
     SummationLimitError,
     geometric_summation_moments,
     thermal_moments,
@@ -68,7 +67,6 @@ def test_moment_inequalities(n):
     assert m.m4 >= m.m3
     assert m.m2 >= m.m1**2
     assert m.m4 >= m.m2**2
-    m.validate()
 
 
 @given(st.floats(min_value=1e-6, max_value=50.0, allow_nan=False))
@@ -91,10 +89,3 @@ def test_summation_iteration_cap_reports_achieved_bound(monkeypatch):
     with pytest.raises(SummationLimitError) as excinfo:
         geometric_summation_moments(50.0)
     assert excinfo.value.achieved_bound > opahbt.photon_stats.SUMMATION_TAIL_BOUND
-
-
-def test_moment_vector_validate_rejects_bad_vectors():
-    with pytest.raises(DomainError):
-        MomentVector(1.0, 0.5, 2.0, 10.0).validate()  # m2 < m1^2 and m2 < m1
-    with pytest.raises(DomainError):
-        MomentVector(1.0, 3.0, 13.0, float("nan")).validate()

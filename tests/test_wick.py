@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import opahbt.fock
 from opahbt import (
     DomainError,
     GaussianSecondMoments,
@@ -88,11 +89,15 @@ def test_amplified_table_agrees_with_fock_oracle():
     n, g = 0.5, 0.5
     table = GaussianSecondMoments.amplified_thermal(n, OpaParams(g))
     probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
-    squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    for mode in (0, 1):
+    signal, _ = squeeze_populations(probs, g, trace_deficit=deficit)
+    # The squeezer keeps only the signal marginal; the idler's is the strip's
+    # weight on idler level k of |d + k, k>, summed over the ladders d.
+    ladders = np.flatnonzero(probs >= opahbt.fock.LADDER_WEIGHT_FLOOR)
+    idler = opahbt.fock._squeeze_strip(ladders, probs.size, g) ** 2 @ probs[ladders]
+    for mode, populations in enumerate((signal, idler)):
         np.testing.assert_allclose(
-            reduced_moments(squeezed, mode).as_array(),
-            number_moments(table, mode).as_array() * squeezed.sum(),
+            reduced_moments(populations).as_array(),
+            number_moments(table, mode).as_array() * signal.sum(),
             rtol=1e-6,
         )
 
