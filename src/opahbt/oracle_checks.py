@@ -246,15 +246,7 @@ def check_normal_ordered_correlator(n_grid) -> CheckResult:
 
 
 def check_ordering_gap(n_grid) -> CheckResult:
-    """Literal versus normal-ordered correlator (documented commutator gap).
-
-    Raises:
-        DomainError: if every mean of ``n_grid`` is zero, so no pair is compared.
-    """
-    if not any(n_grid):
-        raise DomainError(
-            "check ordering-gap compares no pair: every mean of the n grid (--n-grid) is 0"
-        )
+    """Literal versus normal-ordered correlator (documented commutator gap)."""
     worst = 0.0
     gap_confirmed = True
     deltas = np.array(DEFAULT_DELTA_GRID)
@@ -355,8 +347,16 @@ def run_oracle_checks(
     reported but never change the verdict.  The Fock spaces are sized for
     the fixed thermal tail :data:`~opahbt.fock.DEFAULT_TAIL`, which the
     report echoes as ``tail``.
+
+    Raises:
+        DomainError: if every mean of ``n_grid`` is zero, so the ordering-gap
+            check would compare no pair.
     """
     n_grid = tuple(float(x) for x in n_grid)
+    if not any(n_grid):
+        raise DomainError(
+            "check ordering-gap compares no pair: every mean of the n grid (--n-grid) is 0"
+        )
     g_grid = tuple(float(x) for x in g_grid)
     params = OpaParams(float(gain_for_noise))
 

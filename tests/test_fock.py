@@ -270,11 +270,12 @@ def test_squeeze_matches_the_untruncated_su11_column_at_g2():
 
 
 def test_ladders_below_the_weight_floor_join_the_deficit():
-    signal = np.array([0.6, 0.4, 1e-20, 0.0, 0.0, 0.0, 0.0, 0.0])
+    signal = np.array([1e-20, 0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
     got, deficit = squeeze_populations(signal, 0.1, trace_deficit=1e-12)
     assert deficit == 1e-12 + 1e-20
-    # Ladder 2, |2 + k, k>, is not propagated: the output is that of an
-    # input without it.
+    # Ladder 0, |k, k>, is not propagated.  Signal level 0 is reached only
+    # by ladder 0 at k = 0, so any weight it carried would show there.
+    assert got[0] == 0.0
     without, _ = squeeze_populations(np.where(signal < 1e-18, 0.0, signal), 0.1)
     np.testing.assert_array_equal(got, without)
     assert got.sum() == pytest.approx(1.0, abs=1e-15)
