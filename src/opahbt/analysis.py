@@ -23,6 +23,7 @@ from .hbt import signal_ratio, snr_ratio
 from .opa import OpaParams
 
 PHI_MAX_ITERATIONS = 200
+_PERIODOGRAM_BLOCK = 1 << 22  # complex elements per block of the periodogram
 
 
 class Spacing(Enum):
@@ -210,7 +211,15 @@ def _periodogram_peak(r: np.ndarray, y: np.ndarray, n_freq: int) -> float:
     omega_max = math.pi / min_gap
     omega_min = 0.25 * math.pi / span
     omegas = np.linspace(omega_min, omega_max, n_freq)
-    power = np.abs(np.exp(-1j * np.outer(omegas, r)) @ y)
+    # Blocks of frequency rows bound the memory; a scan of up to 512 points
+    # at the default 16 n frequencies is one block.
+    rows = max(1, _PERIODOGRAM_BLOCK // r.size)
+    power = np.concatenate(
+        [
+            np.abs(np.exp(-1j * np.outer(omegas[i : i + rows], r)) @ y)
+            for i in range(0, n_freq, rows)
+        ]
+    )
     return float(omegas[int(np.argmax(power))])
 
 
@@ -263,50 +272,45 @@ def estimate_phi(
             "detected frequency; at least half a fringe is required"
         )
 
-    fixed_amplitude = amplitude_known is not None
+    # p = (S, omega); a known amplitude leaves only omega free.
+    free = slice(0, 2) if amplitude_known is None else slice(1, 2)
 
-    def residual(s, w):
-        return y - s * np.cos(w * r)
+    def residual(p):
+        return y - p[0] * np.cos(p[1] * r)
+
+    def jacobian(p):
+        s, w = p
+        return np.column_stack((np.cos(w * r), -s * r * np.sin(w * r))[free])
 
     def solve_from(omega_init):
-        if fixed_amplitude:
+        if amplitude_known is not None:
             s = float(amplitude_known)
         else:
             basis = np.cos(omega_init * r)
             denom = float(basis @ basis)
             s = float(basis @ y) / denom if denom > 0 else float(np.max(np.abs(y)))
-        w = omega_init
-        res = residual(s, w)
+        p = np.array([s, omega_init])
+        res = residual(p)
         cost = float(res @ res)
         iterations = 0
         converged = False
         for iterations in range(1, PHI_MAX_ITERATIONS + 1):
-            cos_wr = np.cos(w * r)
-            sin_wr = np.sin(w * r)
-            if fixed_amplitude:
-                jac = (-s * r * sin_wr)[:, None]
-            else:
-                jac = np.column_stack([cos_wr, -s * r * sin_wr])
-            gram = jac.T @ jac
+            jac = jacobian(p)
             grad = jac.T @ res
             try:
-                step = np.linalg.solve(gram, grad)
+                step = np.linalg.solve(jac.T @ jac, grad)
             except np.linalg.LinAlgError:
                 break
             scale = 1.0
-            improved = False
             for _ in range(40):
-                if fixed_amplitude:
-                    s_new, w_new = s, w + scale * float(step[0])
-                else:
-                    s_new, w_new = s + scale * float(step[0]), w + scale * float(step[1])
-                res_new = residual(s_new, w_new)
-                cost_new = float(res_new @ res_new)
-                if cost_new < cost:
-                    improved = True
+                trial = p.copy()
+                trial[free] += scale * step
+                trial_res = residual(trial)
+                trial_cost = float(trial_res @ trial_res)
+                if trial_cost < cost:
                     break
                 scale *= 0.5
-            if not improved:
+            else:
                 # A stalled line search has converged when the residual is
                 # negligible or the Gauss-Newton step predicts no cost
                 # reduction above rounding (noisy scans stall at the optimum).
@@ -315,38 +319,33 @@ def estimate_phi(
                 )
                 break
             step_size = scale * float(np.max(np.abs(step)))
-            s, w, res, prev_cost, cost = s_new, w_new, res_new, cost, cost_new
-            if step_size <= 1e-12 * max(abs(w), 1e-30) or (
+            p, res, prev_cost, cost = trial, trial_res, cost, trial_cost
+            if step_size <= 1e-12 * max(abs(p[1]), 1e-30) or (
                 prev_cost - cost <= 1e-14 * max(prev_cost, 1e-300)
             ):
                 converged = True
                 break
-        return s, w, res, cost, iterations, converged
+        return p, cost, iterations, converged
 
-    s, w, res, cost, iterations, converged = solve_from(omega0)
+    p, cost, iterations, converged = solve_from(omega0)
     if not converged:
         rng = np.random.default_rng(seed)
         for _ in range(5):
             retry = solve_from(omega0 * float(rng.uniform(0.8, 1.25)))
-            if retry[5] and retry[3] <= cost:
-                s, w, res, cost, iterations, converged = retry
+            _, retry_cost, _, retry_converged = retry
+            if retry_converged and retry_cost <= cost:
+                p, cost, iterations, converged = retry
                 break
 
     # Linearised covariance at the solution.
-    cos_wr = np.cos(w * r)
-    sin_wr = np.sin(w * r)
-    jac = (
-        (-s * r * sin_wr)[:, None]
-        if fixed_amplitude
-        else np.column_stack([cos_wr, -s * r * sin_wr])
-    )
+    jac = jacobian(p)
     dof = max(1, r.size - jac.shape[1])
-    sigma_sq = cost / dof
     try:
-        cov = sigma_sq * np.linalg.inv(jac.T @ jac)
+        cov = cost / dof * np.linalg.inv(jac.T @ jac)
         omega_stderr = math.sqrt(max(float(cov[-1, -1]), 0.0))
     except np.linalg.LinAlgError:
         omega_stderr = math.inf
+    s, w = p.tolist()
     return PhiEstimate(
         phi=abs(w) / k,
         stderr=omega_stderr / k,

@@ -1,18 +1,19 @@
 """Cross-verification suites behind the ``oracle-check`` command.
 
 Each check compares two independent routes to the same quantity and
-records the worst relative deviation over its grid.  Checks are tagged
-with the outcome they are expected to have: the known defects of the
-published algebra (the thermal third moment misprint, the amplified noise
-law's failure to reduce to the plain law at zero gain, its mismatch with
-the substitution route, and its source-swap asymmetry) are expected to
-fail and never affect the overall verdict.
+returns its report entry, judged on the worst relative deviation over its
+grid.  Checks are tagged with the outcome they are expected to have: the
+known defects of the published algebra (the thermal third moment
+misprint, the amplified noise law's failure to reduce to the plain law at
+zero gain, and its mismatch with the substitution route) are expected to
+fail and never affect the overall verdict.  So is the law's source-swap
+asymmetry, but only where its predicted size relative to the law exceeds
+the tolerance; at small gains it rounds away.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -49,70 +50,49 @@ DEFAULT_G_GRID = (0.0, 0.25, 0.5, 1.0)
 DEFAULT_DELTA_GRID = (0.0, math.pi / 4, math.pi / 2, math.pi)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    description: str
-    expected: str  # "pass" or "fail"
-    tolerance: float
-    max_rel_deviation: float
-    passed: bool
-    note: str = ""
+def _check(name, description, expected, tol, deviations, note=""):
+    """The report entry of one check, judged on the worst of ``deviations``.
 
-    @property
-    def as_expected(self) -> bool:
-        return self.passed == (self.expected == "pass")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "max_rel_deviation": self.max_rel_deviation,
-            "passed": self.passed,
-            "as_expected": self.as_expected,
-            "note": self.note,
-        }
+    ``deviations`` is an array or a list of equally shaped per-point
+    arrays.  A NaN among them, like an infinity, raises :class:`DomainError`.
+    """
+    worst = float(np.max(deviations, initial=0.0))
+    if not math.isfinite(worst):
+        raise DomainError(f"check {name}: the deviation is {worst}; the inputs overflow")
+    passed = worst <= tol
+    return {
+        "name": name,
+        "description": description,
+        "expected": expected,
+        "tolerance": tol,
+        "max_rel_deviation": worst,
+        "passed": passed,
+        "as_expected": passed == (expected == "pass"),
+        "note": note,
+    }
 
 
-def _make(name, description, expected, tol, deviation, note=""):
-    if not math.isfinite(deviation):
-        raise DomainError(f"check {name}: the deviation is {deviation}; the inputs overflow")
-    return CheckResult(
-        name=name,
-        description=description,
-        expected=expected,
-        tolerance=tol,
-        max_rel_deviation=float(deviation),
-        passed=float(deviation) <= tol,
-        note=note,
-    )
-
-
-def check_thermal_closed_forms(n_grid) -> CheckResult:
+def check_thermal_closed_forms(n_grid) -> dict:
     """Corrected closed-form moments against the direct-summation oracle."""
     oracle = np.column_stack(
         [geometric_summation_moments(n).as_array() for n in n_grid]
     )
     closed = thermal_moments(np.asarray(n_grid, dtype=float), MomentConvention.CORRECTED)
-    worst = np.max(relative_deviation(closed.as_array(), oracle))
-    return _make(
+    return _check(
         "thermal-moment-closed-forms",
         "corrected thermal moment polynomials vs direct summation of the "
         "geometric distribution",
         "pass",
         1e-9,
-        worst,
+        relative_deviation(closed.as_array(), oracle),
     )
 
 
-def check_published_third_moment(n_grid) -> CheckResult:
+def check_published_third_moment(n_grid) -> dict:
     """The as-published third moment against the summation oracle."""
     n = np.array([x for x in n_grid if x != 0.0], dtype=float)
     oracle_m3 = np.array([geometric_summation_moments(x).m3 for x in n])
     printed_m3 = thermal_moments(n, MomentConvention.PAPER_PRINTED).m3
-    worst = np.max(relative_deviation(printed_m3, oracle_m3), initial=0.0)
     gap = oracle_m3 - printed_m3
     cubic_confirmed = np.all(relative_deviation(gap, 5.0 * np.float_power(n, 3)) <= 1e-6)
     note = (
@@ -120,32 +100,31 @@ def check_published_third_moment(n_grid) -> CheckResult:
         "(cubic coefficient 1 instead of 6)"
         + ("; deviation matches 5*N^3 on the grid" if cubic_confirmed else "")
     )
-    return _make(
+    return _check(
         "published-third-moment",
         "as-published thermal third moment vs direct summation",
         "fail",
         1e-9,
-        worst,
+        relative_deviation(printed_m3, oracle_m3),
         note,
     )
 
 
-def check_thermal_closure(n_grid, g_grid) -> CheckResult:
+def check_thermal_closure(n_grid, g_grid) -> dict:
     """Moment propagation against the equivalent-thermal identity."""
     n = np.asarray(n_grid, dtype=float)
-    worst = 0.0
+    deviations = []
     for g in g_grid:
         params = OpaParams(g)
         out = propagate_moments(thermal_moments(n), params)
         want = thermal_moments(equivalent_thermal_mean(n, params))
-        deviation = relative_deviation(out.as_array(), want.as_array())
-        worst = np.maximum(worst, np.max(deviation))
-    return _make(
+        deviations.append(relative_deviation(out.as_array(), want.as_array()))
+    return _check(
         "thermal-closure",
         "propagated thermal moments vs thermal moments at the amplified mean",
         "pass",
         1e-9,
-        worst,
+        deviations,
     )
 
 
@@ -162,47 +141,46 @@ def _squeezed_thermal(n: float, g: float) -> tuple[MomentVector, float]:
     return reduced_moments(squeezed), float(squeezed.sum())
 
 
-def check_squeeze_propagation(n_grid, g_grid) -> CheckResult:
-    """Truncated-Fock reduced moments against the propagation polynomials."""
-    worst = 0.0
+def _vs_squeezed(n_grid, g_grid, reference) -> list[np.ndarray]:
+    """Deviations of the squeezed Fock moments from ``reference(n, params)`` per grid point."""
+    deviations = []
     for n in n_grid:
         for g in g_grid:
             got, trace = _squeezed_thermal(n, g)
-            want = propagate_moments(thermal_moments(n), OpaParams(g))
-            worst = np.maximum(
-                worst,
-                np.max(relative_deviation(got.as_array(), want.as_array() * trace)),
-            )
-    return _make(
+            want = reference(n, OpaParams(g))
+            deviations.append(relative_deviation(got.as_array(), want.as_array() * trace))
+    return deviations
+
+
+def check_squeeze_propagation(n_grid, g_grid) -> dict:
+    """Truncated-Fock reduced moments against the propagation polynomials."""
+    return _check(
         "squeeze-moment-propagation",
         "reduced moments of the squeezed thermal (x) vacuum state vs the "
         "closed-form propagation polynomials",
         "pass",
         1e-6,
-        worst,
+        _vs_squeezed(
+            n_grid, g_grid, lambda n, params: propagate_moments(thermal_moments(n), params)
+        ),
     )
 
 
-def check_wick_vs_fock(n_grid, g_grid) -> CheckResult:
+def check_wick_vs_fock(n_grid, g_grid) -> dict:
     """Pairing-sum Gaussian moments against the truncated-Fock moments."""
-    worst = 0.0
-    for n in n_grid:
-        for g in g_grid:
-            params = OpaParams(g)
-            table = GaussianSecondMoments.amplified_thermal(n, params)
-            wick = number_moments(table, mode=0)
-            got, trace = _squeezed_thermal(n, g)
-            worst = np.maximum(
-                worst,
-                np.max(relative_deviation(got.as_array(), wick.as_array() * trace)),
-            )
-    return _make(
+    return _check(
         "wick-vs-fock-moments",
         "Gaussian pairing-sum moments vs truncated-Fock reduced moments of "
         "the amplifier output",
         "pass",
         1e-6,
-        worst,
+        _vs_squeezed(
+            n_grid,
+            g_grid,
+            lambda n, params: number_moments(
+                GaussianSecondMoments.amplified_thermal(n, params), mode=0
+            ),
+        ),
     )
 
 
@@ -220,10 +198,10 @@ def _normal_ordered_correlators(n_grid: tuple[float, ...]) -> dict:
     }
 
 
-def check_normal_ordered_correlator(n_grid) -> CheckResult:
+def check_normal_ordered_correlator(n_grid) -> dict:
     """The matrix correlator against the analytic correlation law."""
     correlators = _normal_ordered_correlators(tuple(n_grid))
-    worst = 0.0
+    deviations = []
     for n in n_grid:
         for m in n_grid:
             # The thermal inputs are subnormalized by their tails at the correlator's dim.
@@ -231,23 +209,22 @@ def check_normal_ordered_correlator(n_grid) -> CheckResult:
             trace = (1.0 - thermal_populations(n, dim)[1]) * (
                 1.0 - thermal_populations(m, dim)[1]
             )
-            c0 = correlators[n, m]
             moments = thermal_moments(n), thermal_moments(m)
             want = [correlation_full(*moments, d) for d in DEFAULT_DELTA_GRID]
-            worst = np.maximum(worst, np.max(relative_deviation(c0, np.multiply(want, trace))))
-    return _make(
+            deviations.append(relative_deviation(correlators[n, m], np.multiply(want, trace)))
+    return _check(
         "normal-ordered-correlator",
         "two-mode matrix correlator under the normal-ordered convention vs "
         "the analytic correlation law",
         "pass",
         1e-6,
-        worst,
+        deviations,
     )
 
 
-def check_ordering_gap(n_grid) -> CheckResult:
+def check_ordering_gap(n_grid) -> dict:
     """Literal versus normal-ordered correlator (documented commutator gap)."""
-    worst = 0.0
+    deviations = []
     gap_confirmed = True
     deltas = np.array(DEFAULT_DELTA_GRID)
     correlators = _normal_ordered_correlators(tuple(n_grid))
@@ -257,7 +234,7 @@ def check_ordering_gap(n_grid) -> CheckResult:
                 continue
             literal, _ = hbt_two_mode_correlation(n, m, deltas, OrderingConvention.AS_WRITTEN)
             ordered = correlators[n, m]
-            worst = np.maximum(worst, np.max(relative_deviation(literal, ordered)))
+            deviations.append(relative_deviation(literal, ordered))
             predicted = (n + m) * np.cos(deltas)
             gap = np.abs((literal - ordered) - predicted)
             gap_confirmed &= bool(np.all(gap <= 1e-6 * np.maximum(1.0, np.abs(predicted))))
@@ -266,57 +243,62 @@ def check_ordering_gap(n_grid) -> CheckResult:
         "(n_bar + m_bar) cos(delta)"
         + (", confirmed on the grid" if gap_confirmed else "")
     )
-    return _make(
+    return _check(
         "ordering-gap",
         "literal operator-product correlator vs normal-ordered convention",
         "fail",
         1e-9,
-        worst,
+        deviations,
         note,
     )
 
 
-def check_noise_consistency(params: OpaParams, pair_grid) -> list[CheckResult]:
+def check_noise_consistency(params: OpaParams, pair_grid) -> list[dict]:
     """The three substitution checks of the published noise laws."""
     report = consistency_report(params, pair_grid)
-    plain = _make(
+    plain = _check(
         "plain-noise-reconstruction",
         "published plain quartic noise law vs the generic phase-averaged "
         "noise with thermal moments",
         "pass",
         1e-9,
-        report.max_plain_vs_substitution,
+        report.plain_vs_substitution,
     )
-    amplified = _make(
+    amplified = _check(
         "amplified-noise-substitution",
         "published amplified noise law vs the substitution route through "
         "the propagated moments",
         "fail",
         1e-9,
-        report.max_amplified_vs_substitution,
+        report.amplified_vs_substitution,
         note="documented: the published amplified law is not reproduced by "
         "substituting the propagated moments into the generic noise",
     )
-    zero_gain = _make(
+    zero_gain = _check(
         "amplified-noise-zero-gain-reduction",
         "published amplified noise law at zero gain vs the plain law",
         "fail",
         1e-9,
-        report.max_zero_gain_reduction,
+        report.zero_gain_reduction,
         note="documented: at zero gain the published amplified law gives 418 "
         "instead of 466 at unit means (about 10.3 percent low)",
     )
     return [plain, amplified, zero_gain]
 
 
-def check_amplified_noise_swap(params: OpaParams, pair_grid) -> CheckResult:
-    """Source-swap symmetry of the published amplified noise law."""
+def check_amplified_noise_swap(params: OpaParams, pair_grid) -> dict:
+    """Source-swap symmetry of the published amplified noise law.
+
+    The check is expected to fail only where the predicted asymmetry,
+    relative to the law's value, exceeds the tolerance: at a small gain
+    it rounds away and the law is symmetric to working precision.
+    """
     n, m = np.asarray(pair_grid, dtype=float).T
     direct = opa_noise_avg_printed(n, m, params)
     swapped = opa_noise_avg_printed(m, n, params)
-    worst = np.max(relative_deviation(direct, swapped))
     c = coeffs(params)
     predicted = 4.0 * (n - m) * c.mu2 * c.nu2**2
+    predicted_gap = np.max(np.abs(predicted) / np.maximum(np.abs(direct), np.abs(swapped)))
     asym_confirmed = np.all(
         np.abs((direct - swapped) - predicted) <= 1e-6 * np.maximum(1.0, np.abs(predicted))
     )
@@ -325,12 +307,12 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid) -> CheckResult:
         "4 (n_bar - m_bar) mu^2 nu^4"
         + (", confirmed on the grid" if asym_confirmed else "")
     )
-    return _make(
+    return _check(
         "amplified-noise-swap-symmetry",
         "published amplified noise law under swapping the two source means",
-        "fail" if params.gain > 0 else "pass",
+        "fail" if predicted_gap > 1e-9 else "pass",
         1e-9,
-        worst,
+        relative_deviation(direct, swapped),
         note,
     )
 
@@ -364,12 +346,12 @@ def run_oracle_checks(
     pair_grid = [(float(n), float(m)) for n in pair_values for m in pair_values]
     small_pairs = [(1.0, 1.0), (0.5, 1.0), (2.0, 0.25), (5.0, 5.0), (0.1, 3.0)]
 
-    # An overflow shows up as a non-finite deviation, which _make turns
+    # An overflow shows up as a non-finite deviation, which _check turns
     # into a DomainError; the numpy warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         checks = [
-            check_thermal_closed_forms(tuple(x for x in n_grid) + (2.0, 10.0)),
-            check_published_third_moment(tuple(x for x in n_grid) + (2.0, 10.0)),
+            check_thermal_closed_forms(n_grid + (2.0, 10.0)),
+            check_published_third_moment(n_grid + (2.0, 10.0)),
             check_thermal_closure(n_grid + (5.0, 50.0), g_grid + (2.0, 3.0)),
             check_squeeze_propagation(n_grid, g_grid),
             check_wick_vs_fock(n_grid, g_grid),
@@ -378,13 +360,13 @@ def run_oracle_checks(
             *check_noise_consistency(params, pair_grid),
             check_amplified_noise_swap(params, small_pairs),
         ]
-    verdict = all(c.passed for c in checks if c.expected == "pass")
+    verdict = all(c["passed"] for c in checks if c["expected"] == "pass")
     return {
         "n_grid": list(n_grid),
         "g_grid": list(g_grid),
         "delta_grid": list(DEFAULT_DELTA_GRID),
         "tail": DEFAULT_TAIL,
         "gain_for_noise": params.gain,
-        "checks": [c.to_dict() for c in checks],
+        "checks": checks,
         "all_expected_pass_ok": verdict,
     }

@@ -239,6 +239,22 @@ def test_phi_recovery_with_known_amplitude():
     assert estimate.phi == pytest.approx(phi_true, rel=1e-3)
 
 
+def test_phi_recovery_with_known_amplitude_and_noise_is_calibrated():
+    # The known-amplitude fit frees only the frequency; its stderr must be
+    # as well calibrated on noisy scans as the two-parameter fit's.
+    phi_true = 1e-8
+    r, clean = _scan(phi_true)
+    hits = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        noisy = clean + 0.05 * 0.9 * rng.standard_normal(clean.size)
+        estimate = estimate_phi(r, noisy, K_BLUE, amplitude_known=0.9)
+        assert estimate.amplitude == 0.9
+        if estimate.converged and abs(estimate.phi - phi_true) <= 3.0 * estimate.stderr:
+            hits += 1
+    assert hits >= 99
+
+
 def test_phi_estimation_rejects_short_scans():
     r, y = _scan(1e-8, points=3)
     with pytest.raises(DomainError):

@@ -303,6 +303,19 @@ def test_oracle_check_passes_at_a_tiny_gain(tmp_path, gain):
     assert json.loads(target.read_text())["all_expected_pass_ok"] is True
 
 
+@pytest.mark.parametrize("gain", ["1e-7", "0.01"])
+def test_oracle_check_swap_expectation_follows_its_predicted_gap(tmp_path, gain):
+    # At these gains the predicted swap asymmetry 4 (n - m) mu^2 nu^4 is
+    # below the tolerance relative to the noise law (1e-30 and 1.1e-10), so
+    # the swap check is expected to pass, and does.
+    target = tmp_path / "r.json"
+    assert run_cli(["oracle-check", "--g-noise", gain, "--out", str(target)]) == 0
+    checks = {check["name"]: check for check in json.loads(target.read_text())["checks"]}
+    assert all(check["as_expected"] for check in checks.values())
+    swap = checks["amplified-noise-swap-symmetry"]
+    assert swap["expected"] == "pass" and swap["passed"]
+
+
 @pytest.mark.parametrize(
     "args, loaded, unloaded",
     [
@@ -347,6 +360,28 @@ def test_estimate_phi_noiseless(tmp_path):
     assert document["converged"] is True
     assert document["phi"] == pytest.approx(1e-8, rel=1e-3)
     assert document["seed"] == 0
+
+
+def test_estimate_phi_large_scan_runs_in_a_bounded_address_space(tmp_path):
+    # The periodogram of a 2048-point scan has 32768 x 2048 complex values,
+    # 1 GiB at once; evaluated in blocks of rows it fits the benchmark's
+    # 1 GiB address-space limit with room to spare.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
+    _write_scan(scan, 1e-7, noise=0.045, seed=7, points=2048)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "opahbt", "estimate-phi", str(scan), "--k", str(K_BLUE),
+         "--out", str(target)],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    document = json.loads(target.read_text())
+    assert document["converged"] is True
+    assert abs(document["phi"] - 1e-7) <= 5.0 * document["stderr"]
 
 
 def test_estimate_phi_deterministic_output(tmp_path):

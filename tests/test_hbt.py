@@ -210,8 +210,7 @@ def test_consistency_report_values():
         (466.0 - 418.0) / 466.0, rel=1e-9
     )
     assert report.amplified_vs_substitution[0] > 0.01
-    assert report.max_plain_vs_substitution <= 1e-12
-    assert report.max_zero_gain_reduction >= report.zero_gain_reduction[0]
+    assert np.all(report.plain_vs_substitution <= 1e-12)
 
 
 def test_consistency_report_rejects_empty_grid():
@@ -305,9 +304,6 @@ def test_array_consistency_report_equals_per_pair_scalar_deviations():
         assert report.zero_gain_reduction[i] == relative_deviation(
             opa_noise_avg_printed(n, m, OpaParams(0.0)), plain
         )
-    for name in ("plain_vs_substitution", "amplified_vs_substitution", "zero_gain_reduction"):
-        deviations = getattr(report, name).tolist()
-        assert getattr(report, f"max_{name}") == max(deviations)
 
 
 def test_relative_deviation_is_elementwise():
