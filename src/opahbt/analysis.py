@@ -24,6 +24,7 @@ from .opa import OpaParams
 
 PHI_MAX_ITERATIONS = 200
 _PERIODOGRAM_BLOCK = 1 << 22  # complex elements per block of the periodogram
+_BLOCK_ROWS = 2048  # grid rows per block of a sweep and of a figure writer
 
 
 class Spacing(Enum):
@@ -111,18 +112,25 @@ def sweep_ratios(
     """
     params = OpaParams(spec.g)
     grid = spec.grid()
-    m = grid if spec.equal_sources else np.full_like(grid, spec.m_bar)
     # Looked up per call, so a rebinding of the module's names is honoured.
     laws = {Ratio.SIGNAL: signal_ratio, Ratio.SNR: snr_ratio}
-    with np.errstate(all="ignore"):
-        columns = {ratio.value: laws[ratio](grid, m, params) for ratio in ratios}
-    finite = np.isfinite([*columns.values()]).all(axis=0)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(
-            f"ratios overflow the float range at grid point {i} "
-            f"(n_bar = {float(grid[i])!r}, m_bar = {float(m[i])!r}, g = {spec.g!r})"
-        )
+    columns = {ratio.value: np.empty_like(grid) for ratio in ratios}
+    # Blocks of rows bound the laws' temporaries; each law is elementwise,
+    # so a blocked column is bit-identical to a whole one.
+    for start in range(0, grid.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        n = grid[rows]
+        m = n if spec.equal_sources else np.full_like(n, spec.m_bar)
+        with np.errstate(all="ignore"):
+            for ratio in ratios:
+                columns[ratio.value][rows] = laws[ratio](n, m, params)
+        finite = np.isfinite([column[rows] for column in columns.values()]).all(axis=0)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError(
+                f"ratios overflow the float range at grid point {start + i} "
+                f"(n_bar = {float(n[i])!r}, m_bar = {float(m[i])!r}, g = {spec.g!r})"
+            )
     return RatioTable(spec, grid, **columns)
 
 

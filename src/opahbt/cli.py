@@ -6,8 +6,12 @@ stochastic estimators), files are written atomically with LF line endings.
 CSV numbers carry 15 significant digits; JSON numbers are Python's
 shortest round-trip ``repr`` of the float, up to 17 significant digits.
 
-Exit codes: 0 success, 2 usage or input error, 3 degenerate fit,
-4 truncation infeasible, 5 non-convergence.
+The figure commands evaluate and write their rows in blocks of 2,048, so
+beyond the import a figure job holds about 16 bytes per grid point (the
+grid and one ratio column), not its output text.
+
+Exit codes: 0 success, 2 usage or input error (out of memory included),
+3 degenerate fit, 4 truncation infeasible, 5 non-convergence.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -39,24 +44,25 @@ def format_float(value: float) -> str:
     return text if "." in text or "e" in text or "n" in text else text + ".0"
 
 
-def _write_output(path: str, payload: str) -> None:
-    """Write text to ``path`` atomically, or to stdout for '-'.
+def _write_output(path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path`` atomically, or to stdout for '-'.
 
     Non-regular targets (pipes, devices) are written directly; the
-    temp-file-plus-rename step only applies to regular files.
+    temp-file-plus-rename step only applies to regular files, so a chunk
+    source that fails part way leaves neither the target nor a temp file.
     """
     if path == "-":
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="\n") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".opahbt-", text=True)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -64,8 +70,8 @@ def _write_output(path: str, payload: str) -> None:
         raise
 
 
-def _json_payload(document: dict | list) -> str:
-    return json.dumps(document, indent=2) + "\n"
+def _json_payload(document: dict | list) -> tuple[str]:
+    return (json.dumps(document, indent=2) + "\n",)
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -104,21 +110,36 @@ def _sweep_spec(args):
     )
 
 
+def _csv_chunks(blocks):
+    yield "n_bar,ratio\n"
+    for n_bar, values in blocks:
+        yield "".join(map("{},{}\n".format, map(format_float, n_bar), map(format_float, values)))
+
+
+def _json_chunks(blocks):
+    # The text json.dumps(..., indent=2) gives the list of row dicts: a
+    # float's repr is its JSON, and the sweep leaves every value finite.
+    separator = "[\n"
+    for n_bar, values in blocks:
+        yield separator + ",\n".join(
+            map('  {{\n    "n_bar": {!r},\n    "ratio": {!r}\n  }}'.format, n_bar, values)
+        )
+        separator = ",\n"
+    yield "\n]\n"
+
+
 def _cmd_figure(args, column: str) -> int:
-    from .analysis import Ratio, sweep_ratios
+    from .analysis import _BLOCK_ROWS, Ratio, sweep_ratios
 
     table = sweep_ratios(_sweep_spec(args), (Ratio(column),))
-    n_bar = table.n_bar.tolist()
-    values = getattr(table, column).tolist()
-    if args.format == "csv":
-        rows = map("{},{}\n".format, map(format_float, n_bar), map(format_float, values))
-        payload = "n_bar,ratio\n" + "".join(rows)
-    else:
-        # The text json.dumps(..., indent=2) gives the list of row dicts:
-        # a float's repr is its JSON, and the sweep leaves every value finite.
-        rows = map('  {{\n    "n_bar": {!r},\n    "ratio": {!r}\n  }}'.format, n_bar, values)
-        payload = "[\n" + ",\n".join(rows) + "\n]\n"
-    _write_output(args.out, payload)
+    n_bar, values = table.n_bar, getattr(table, column)
+    # One block of rows is formatted at a time, so the text never exists whole.
+    blocks = (
+        (n_bar[i : i + _BLOCK_ROWS].tolist(), values[i : i + _BLOCK_ROWS].tolist())
+        for i in range(0, n_bar.size, _BLOCK_ROWS)
+    )
+    writer = _csv_chunks if args.format == "csv" else _json_chunks
+    _write_output(args.out, writer(blocks))
     return EXIT_OK
 
 
@@ -305,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"opahbt: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"opahbt: out of memory: {str(exc) or 'allocation failed'}; lower --points",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

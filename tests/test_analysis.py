@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from opahbt import (
     sweep_ratios,
     target_ratio_operating_point,
 )
+from opahbt.analysis import _BLOCK_ROWS
 
 K_BLUE = 1.42e7  # rad/m, a 443 nm wavenumber
 
@@ -81,8 +83,9 @@ def test_unequal_sources_sweep_uses_fixed_companion():
 @pytest.mark.parametrize("spacing", [Spacing.LOG, Spacing.LINEAR])
 @pytest.mark.parametrize("m_bar", [None, 3.7])
 def test_sweep_matches_per_point_scalar_laws_bit_for_bit(spacing, m_bar):
+    # Longer than two blocks, so the last block holds a single row.
     spec = SweepSpec(
-        g=2.3, n_min=0.07, n_max=41.0, points=500, spacing=spacing,
+        g=2.3, n_min=0.07, n_max=41.0, points=2 * _BLOCK_ROWS + 1, spacing=spacing,
         equal_sources=m_bar is None, m_bar=m_bar,
     )
     table = sweep_ratios(spec)
@@ -110,6 +113,24 @@ def test_sweep_matches_per_point_scalar_laws_bit_for_bit(spacing, m_bar):
 def test_sweep_overflow_raises_domain_error_naming_the_point(spec, recwarn):
     with pytest.raises(DomainError, match="grid point 0"):
         sweep_ratios(spec)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("m_bar", [None, 2.0])
+def test_sweep_overflow_in_a_later_block_names_the_first_such_point(m_bar, recwarn):
+    spec = SweepSpec(g=2.0, n_min=1.0, n_max=1e100, points=3 * _BLOCK_ROWS,
+                     equal_sources=m_bar is None, m_bar=m_bar)
+    params = OpaParams(2.0)
+    with np.errstate(all="ignore"):
+        finite = [
+            math.isfinite(snr_ratio(n, n if m_bar is None else m_bar, params))
+            for n in spec.grid()
+        ]
+    first = finite.index(False)
+    assert first >= 2 * _BLOCK_ROWS
+    named = f"grid point {first} (n_bar = {float(spec.grid()[first])!r},"
+    with pytest.raises(DomainError, match=re.escape(named)):
+        sweep_ratios(spec, (Ratio.SNR,))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import opahbt.analysis
-from opahbt.analysis import RatioTable, Spacing, SweepSpec, sweep_ratios
-from opahbt.cli import format_float, main
+from opahbt.analysis import _BLOCK_ROWS, RatioTable, Spacing, SweepSpec, sweep_ratios
+from opahbt.cli import _write_output, format_float, main
 
 K_BLUE = 1.42e7
 SRC = str(Path(opahbt.__file__).resolve().parents[1])
@@ -55,7 +55,11 @@ def _reference_payload(fmt, n_bar, values):
     return json.dumps(rows, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("points", [1, 7, 200, 20_000])
+# Either side of one block, and two whole blocks plus a row.
+BLOCK_SIZES = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("points", [1, 7, 200, *BLOCK_SIZES, 20_000])
 @pytest.mark.parametrize("spacing", ["log", "linear"])
 @pytest.mark.parametrize("m_bar", [None, 3.7])
 def test_figure_writers_match_the_reference_writers(capsys, points, spacing, m_bar):
@@ -190,6 +194,66 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert code == 2
     assert "cannot write" in err
     assert not target.exists()
+
+
+def test_a_failing_chunk_source_leaves_neither_target_nor_temp_file(tmp_path):
+    target = tmp_path / "fig.csv"
+
+    def chunks():
+        yield "n_bar,ratio\n"
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        _write_output(str(target), chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def _run_measured(*args, limit=None):
+    """Exit code, stderr and max RSS in MB of one CLI run in a fresh process."""
+    resource = pytest.importorskip("resource")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opahbt", *args],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=None if limit is None else (
+            lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        ),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.stderr.close()
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    scale = (1 << 20) if sys.platform == "darwin" else (1 << 10)
+    return os.waitstatus_to_exitcode(status), err, usage.ru_maxrss / scale
+
+
+def test_figure_memory_does_not_grow_with_the_output_text(tmp_path):
+    # The text of a 1,000,000-point JSON figure is 80 MB; streamed in
+    # blocks, the job holds only the grid and its ratio column, 16 MB.
+    target = tmp_path / "fig5.json"
+    code, err, small = _run_measured("fig5", "--format", "json", "--points", "20",
+                                     "--out", str(target))
+    assert code == 0, err
+    code, err, large = _run_measured("fig5", "--format", "json", "--points", "1000000",
+                                     "--out", str(target))
+    assert code == 0, err
+    assert large - small < 40.0, (small, large)
+    with open(target, "rb") as handle:
+        assert sum(1 for _ in handle) == 4 * 1_000_000 + 2
+
+
+def test_out_of_memory_exits_2_without_output_or_traceback(tmp_path):
+    # The 200,000,000-point grid alone needs 1.5 GiB, so the job fails at
+    # once under a 1 GiB address-space limit.
+    target = tmp_path / "fig5.csv"
+    code, err, _ = _run_measured("fig5", "--points", "200000000", "--out", str(target),
+                                 limit=1 << 30)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("opahbt: out of memory") and err.endswith("; lower --points\n")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_defaults_and_sensitivity(tmp_path):
