@@ -69,7 +69,9 @@ _LAZY = {
         "two_mode_squeeze",
     ),
     "oracle_checks": ("run_oracle_checks",),
-    "wick": ("GaussianSecondMoments", "gaussian_wick_moment", "number_moments"),
+    "wick": (
+        "amplified_thermal", "gaussian_wick_moment", "number_moments", "thermal_contractions",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -25,6 +25,10 @@ from .opa import OpaParams
 PHI_MAX_ITERATIONS = 200
 _PERIODOGRAM_BLOCK = 1 << 22  # complex elements per block of the periodogram
 _BLOCK_ROWS = 2048  # grid rows per block of a sweep and of a figure writer
+# From 2**60 - 1 points on numpy cannot size the grid's arrays and raises
+# ValueError or IndexError; up to this bound a grid too large for memory
+# raises MemoryError, which the CLI maps to exit 2.
+_MAX_POINTS = np.iinfo(np.intp).max // 16
 
 
 class Spacing(Enum):
@@ -58,8 +62,10 @@ class SweepSpec:
             raise DomainError(
                 f"need 0 < n_min <= n_max, got [{self.n_min}, {self.n_max}]"
             )
-        if not isinstance(self.points, int) or self.points < 1:
-            raise DomainError(f"points must be a positive integer, got {self.points!r}")
+        if not isinstance(self.points, int) or not 1 <= self.points <= _MAX_POINTS:
+            raise DomainError(
+                f"points must be an integer in [1, {_MAX_POINTS}], got {self.points!r}"
+            )
         if self.points == 1 and self.n_min != self.n_max:
             raise DomainError("a single-point sweep requires n_min == n_max")
         if not self.equal_sources:

@@ -112,10 +112,6 @@ def thermal_populations(n_bar: float, dim: int) -> tuple[np.ndarray, float]:
     n_bar = nonnegative_scalar("mean photon number", n_bar)
     if not isinstance(dim, int) or dim < 2:
         raise DomainError(f"dim must be an integer >= 2, got {dim!r}")
-    if n_bar == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-        return probs, 0.0
     q = n_bar / (1.0 + n_bar)
     return (1.0 - q) * q ** np.arange(dim), q**dim
 

@@ -43,7 +43,7 @@ from .photon_stats import (
     geometric_summation_moments,
     thermal_moments,
 )
-from .wick import GaussianSecondMoments, number_moments
+from .wick import amplified_thermal, number_moments
 
 DEFAULT_N_GRID = (0.0, 0.5, 1.0)
 DEFAULT_G_GRID = (0.0, 0.25, 0.5, 1.0)
@@ -177,9 +177,7 @@ def check_wick_vs_fock(n_grid, g_grid) -> dict:
         _vs_squeezed(
             n_grid,
             g_grid,
-            lambda n, params: number_moments(
-                GaussianSecondMoments.amplified_thermal(n, params), mode=0
-            ),
+            lambda n, params: number_moments(amplified_thermal(n, params), mode=0),
         ),
     )
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from opahbt import (
-    GaussianSecondMoments,
     MomentConvention,
     OpaParams,
     OrderingConvention,
@@ -34,6 +33,7 @@ from opahbt import (
     squeeze_populations,
     sweep_ratios,
     target_ratio_operating_point,
+    thermal_contractions,
     thermal_moments,
     thermal_populations,
     estimate_phi,
@@ -205,7 +205,7 @@ def test_c12_angular_diameter_recovery():
         assert hits >= 99
 
 
-def _normal_ordered_intensity_product(table, delta):
+def _normal_ordered_intensity_product(contractions, delta):
     # <:I1 I2:> = <b1^dag b2^dag b2 b1> with detector fields
     # b1 = e^{i delta} a_0 + a_1 and b2 = a_0 + a_1, expanded into
     # normally ordered ladder monomials.
@@ -215,7 +215,7 @@ def _normal_ordered_intensity_product(table, delta):
         np.conj(arm1[i] * arm2[j])
         * arm2[k]
         * arm1[l]
-        * gaussian_wick_moment(table, [(i, True), (j, True), (k, False), (l, False)])
+        * gaussian_wick_moment(contractions, [(i, True), (j, True), (k, False), (l, False)])
         for i, j, k, l in itertools.product(range(2), repeat=4)
     )
 
@@ -224,11 +224,11 @@ def test_c13_semiclassical_diagonal_moment_gap():
     with criterion(13, "classical intensity product sits n + m below the photon law"):
         for n in (0.0, 0.5, 1.0, 3.0):
             for m in (0.0, 1.0, 2.0):
-                table = GaussianSecondMoments.thermal([n, m])
+                contractions = thermal_contractions([n, m])
                 for delta in (0.0, math.pi / 3, math.pi / 2, math.pi):
                     classical = 2 * n**2 + 2 * m**2 + 2 * n * m * (1.0 + math.cos(delta))
                     # The normally ordered product is the classical-field mean.
-                    ordered = _normal_ordered_intensity_product(table, delta)
+                    ordered = _normal_ordered_intensity_product(contractions, delta)
                     assert ordered == pytest.approx(classical, rel=1e-12, abs=1e-12)
                     quantum = correlation_full(thermal_moments(n), thermal_moments(m), delta)
                     assert quantum - classical == pytest.approx(n + m, rel=1e-12, abs=1e-12)

@@ -21,7 +21,7 @@ from opahbt import (
     sweep_ratios,
     target_ratio_operating_point,
 )
-from opahbt.analysis import _BLOCK_ROWS
+from opahbt.analysis import _BLOCK_ROWS, _MAX_POINTS
 
 K_BLUE = 1.42e7  # rad/m, a 443 nm wavenumber
 
@@ -33,6 +33,9 @@ def test_sweep_spec_validation():
         SweepSpec(g=2.0, n_min=2.0, n_max=1.0)
     with pytest.raises(DomainError):
         SweepSpec(g=2.0, points=0)
+    with pytest.raises(DomainError):
+        SweepSpec(g=2.0, points=_MAX_POINTS + 1)
+    assert SweepSpec(g=2.0, points=_MAX_POINTS).points == _MAX_POINTS
     with pytest.raises(DomainError):
         SweepSpec(g=2.0, n_min=1.0, n_max=2.0, points=1)
     with pytest.raises(DomainError):

@@ -256,6 +256,21 @@ def test_out_of_memory_exits_2_without_output_or_traceback(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("points", [10**20, 2**63 - 1, 2**60 - 1])
+def test_unsizable_point_count_exits_2_in_one_line(tmp_path, points, spacing):
+    # numpy cannot size these grids at all: a ValueError or an IndexError,
+    # not a MemoryError, unless the spec rejects the count first.
+    target = tmp_path / "fig5.csv"
+    code, err, _ = _run_measured("fig5", "--points", str(points), "--spacing", spacing,
+                                 "--out", str(target), limit=1 << 30)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("opahbt: points must be an integer in [1, ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_defaults_and_sensitivity(tmp_path):
     target = tmp_path / "fit.json"
     assert run_cli(["fit", "--out", str(target)]) == 0
