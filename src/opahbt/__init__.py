@@ -7,10 +7,10 @@ independent routes: direct summation for thermal moments, truncated
 Fock-space numerics for the amplifier, a Gaussian pairing-sum engine, and
 a generic substitution path for the noise polynomials.
 
-``import opahbt`` loads numpy and the law modules every command uses
-(``errors``, ``_domain``, ``photon_stats``, ``opa``, ``hbt``).  The other
-layers load on first use of one of their names, and each lookup imports
-only the module that defines the name: ``analysis`` for the ``fig4``,
+``import opahbt`` loads neither numpy nor any submodule.  Every public
+name loads on first use, and each lookup imports only the module that
+defines it (with the modules that one imports): the laws in
+``photon_stats``, ``opa`` and ``hbt``, ``analysis`` for the ``fig4``,
 ``fig5``, ``fit`` and ``estimate-phi`` commands, and ``wick``, ``fock``
 and ``oracle_checks`` for ``oracle-check``.  A Fock state is a numpy array
 of photon-number populations plus its trace deficit, truncated at an int
@@ -19,46 +19,24 @@ number of levels per mode; the package needs only numpy at run time.
 
 from importlib import import_module
 
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    FringeCoverageError,
-    OpaHbtError,
-    SummationLimitError,
-    TruncationError,
-    UnreachableTargetError,
-)
-from .hbt import (
-    ConsistencyReport,
-    consistency_report,
-    correlation_ac,
-    correlation_full,
-    noise_avg_printed,
-    noise_avg_substitution,
-    noise_full,
-    opa_correlation_ac,
-    opa_noise_avg_printed,
-    signal_ratio,
-    snr_ratio,
-)
-from .opa import (
-    BogoliubovCoeffs,
-    OpaParams,
-    coeffs,
-    equivalent_thermal_mean,
-    propagate_moments,
-)
-from .photon_stats import (
-    MomentConvention,
-    MomentVector,
-    geometric_summation_moments,
-    thermal_moments,
-)
-
 __version__ = "0.1.0"
 
-# The modules that load on first use, and the public names each defines.
+# Each public module and the public names it defines.
 _LAZY = {
+    "errors": (
+        "DegenerateFitError", "DomainError", "FringeCoverageError", "OpaHbtError",
+        "SummationLimitError", "TruncationError", "UnreachableTargetError",
+    ),
+    "photon_stats": (
+        "MomentConvention", "MomentVector", "geometric_summation_moments", "thermal_moments",
+    ),
+    "opa": (
+        "BogoliubovCoeffs", "OpaParams", "coeffs", "equivalent_thermal_mean", "propagate_moments",
+    ),
+    "hbt": (
+        "correlation_ac", "correlation_full", "noise_avg_printed", "noise_avg_substitution",
+        "noise_full", "opa_correlation_ac", "opa_noise_avg_printed", "signal_ratio", "snr_ratio",
+    ),
     "analysis": (
         "FitResult", "PhiEstimate", "Ratio", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
         "fit_inverse_law", "sweep_ratios", "target_ratio_operating_point",
@@ -68,12 +46,14 @@ _LAZY = {
         "space_for_squeezed_thermal", "squeeze_populations", "thermal_populations",
         "two_mode_squeeze",
     ),
-    "oracle_checks": ("run_oracle_checks",),
     "wick": (
         "amplified_thermal", "gaussian_wick_moment", "number_moments", "thermal_contractions",
     ),
+    "oracle_checks": ("run_oracle_checks",),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -83,33 +63,5 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "BogoliubovCoeffs",
-    "ConsistencyReport",
-    "DegenerateFitError",
-    "DomainError",
-    "FringeCoverageError",
-    "MomentConvention",
-    "MomentVector",
-    "OpaHbtError",
-    "OpaParams",
-    "SummationLimitError",
-    "TruncationError",
-    "UnreachableTargetError",
-    "coeffs",
-    "consistency_report",
-    "correlation_ac",
-    "correlation_full",
-    "equivalent_thermal_mean",
-    "geometric_summation_moments",
-    "noise_avg_printed",
-    "noise_avg_substitution",
-    "noise_full",
-    "opa_correlation_ac",
-    "opa_noise_avg_printed",
-    "propagate_moments",
-    "signal_ratio",
-    "snr_ratio",
-    "thermal_moments",
-    *_MODULE_OF,
-]
+def __dir__():
+    return __all__

@@ -170,18 +170,23 @@ def fit_inverse_law(table: RatioTable) -> FitResult:
     y = np.asarray(table.snr_ratio, dtype=float)
     if n.size < 3:
         raise DomainError(f"fit needs at least 3 points, got {n.size}")
-    s_nn = float(np.sum(n * n))
+    # One work column holds each per-point term in turn, so beyond the
+    # table the fit allocates at most two columns at once.
+    work = np.multiply(n, n)
+    s_nn = float(np.sum(work))
     s_n = float(np.sum(n))
     count = float(n.size)
     det = s_nn * count - s_n * s_n
     if abs(det) <= 1e-12 * max(s_nn * count, s_n * s_n):
         raise DegenerateFitError("all grid points coincide; the fit is degenerate")
-    target = n * y
-    rhs_a = float(np.sum(n * target))
+    target = np.multiply(n, y, out=work)
     rhs_b = float(np.sum(target))
+    rhs_a = float(np.sum(np.multiply(n, target, out=work)))
     a = (rhs_a * count - rhs_b * s_n) / det
     b = (s_nn * rhs_b - s_n * rhs_a) / det
-    rss = float(np.sum((y - a - b / n) ** 2))
+    residual = np.subtract(y, a, out=work)
+    residual -= np.divide(b, n)
+    rss = float(np.sum(np.square(residual, out=residual)))
     return FitResult(a, b, rss, table.spec)
 
 

@@ -24,8 +24,6 @@ import sys
 import tempfile
 from collections.abc import Iterable
 
-import numpy as np
-
 from .errors import DegenerateFitError, DomainError, OpaHbtError, TruncationError
 
 EXIT_OK = 0
@@ -193,7 +191,7 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK if report["all_expected_pass_ok"] else 1
 
 
-def _read_scan_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_scan_csv(path: str) -> tuple[list[float], list[float]]:
     baselines, values = [], []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -221,7 +219,7 @@ def _read_scan_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             ) from None
     if not baselines:
         raise DomainError(f"{path}: no numeric rows found")
-    return np.asarray(baselines), np.asarray(values)
+    return baselines, values
 
 
 def _cmd_estimate_phi(args) -> int:

@@ -35,7 +35,7 @@ DEFAULT_TAIL = 1e-12
 DIM_CAP = 1024
 # Largest input deficit plus output boundary-shell mass a squeeze may leave.
 SQUEEZED_TAIL_BOUND = 1e-9
-# Ladders with less input weight than this are not propagated.
+# Ladders other than 1 with less input weight than this are not propagated.
 LADDER_WEIGHT_FLOOR = 1e-18
 
 
@@ -220,7 +220,9 @@ def squeeze_populations(
     times the squared amplitude that :func:`_squeeze_strip` propagates
     from |d, 0>, and the signal level d + k collects it.  Ladders whose
     input weight is below :data:`LADDER_WEIGHT_FLOOR` are not propagated;
-    their mass joins the trace deficit.  Truncation quality is verified a
+    their mass joins the trace deficit.  Ladder 1 always is: at a thermal
+    mean below about the floor it holds all the excited mass, and dropping
+    it would leave every moment zero.  Truncation quality is verified a
     posteriori: that deficit, ``trace_deficit`` (the input's) included,
     plus the realized boundary-shell mass must stay below
     :data:`SQUEEZED_TAIL_BOUND`.
@@ -241,15 +243,14 @@ def squeeze_populations(
     g = nonnegative_scalar("gain", g)
     dim = signal.size
     kept = signal >= LADDER_WEIGHT_FLOOR
+    kept[1] = True
     deficit = trace_deficit + float(signal[~kept].sum())
-    marginal = np.zeros(dim)
     ladders = np.flatnonzero(kept)
-    if ladders.size:
-        psi = _squeeze_strip(ladders, dim, g)
-        level = ladders + np.arange(psi.shape[0])[:, None]
-        inside = level < dim
-        weights = (signal[ladders] * psi**2)[inside]
-        marginal = np.bincount(level[inside], weights=weights, minlength=dim)
+    psi = _squeeze_strip(ladders, dim, g)
+    level = ladders + np.arange(psi.shape[0])[:, None]
+    inside = level < dim
+    weights = (signal[ladders] * psi**2)[inside]
+    marginal = np.bincount(level[inside], weights=weights, minlength=dim)
     _check_squeezed_tail(marginal, deficit, g)
     return marginal, deficit
 

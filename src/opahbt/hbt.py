@@ -14,7 +14,6 @@ algebra is internally inconsistent, the discrepancy is quantified by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -225,34 +224,20 @@ def relative_deviation(x: FloatOrArray, y: FloatOrArray) -> FloatOrArray:
     return unwrap(np.where(scale == 0.0, 0.0, deviation))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Grid of published-versus-recomputed noise deviations.
-
-    ``plain_vs_substitution`` should vanish: the generic phase-averaged
-    noise with thermal moments reproduces the plain quartic law exactly.
-    ``amplified_vs_substitution`` and ``zero_gain_reduction`` are expected
-    to be nonzero; they quantify how far the published amplified noise law
-    sits from its own substitution route and from the plain law at zero
-    gain (about 10.3 percent at unit means).  The grid and the three
-    deviations are arrays with one entry per grid pair; the report takes
-    no maxima, the oracle checks reduce them.
-    """
-
-    params: OpaParams
-    n_bar: np.ndarray
-    m_bar: np.ndarray
-    plain_vs_substitution: np.ndarray
-    amplified_vs_substitution: np.ndarray
-    zero_gain_reduction: np.ndarray
-
-
 def consistency_report(
     params: OpaParams, grid: Sequence[tuple[float, float]]
-) -> ConsistencyReport:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantify the internal consistency of the published noise laws on a grid.
 
-    The whole grid is evaluated as one array expression per law.
+    Returns the per-pair relative deviations ``(plain_vs_substitution,
+    amplified_vs_substitution, zero_gain_reduction)``, one entry per grid
+    pair; the oracle checks reduce them.  The first should vanish: the
+    generic phase-averaged noise with thermal moments reproduces the plain
+    quartic law exactly.  The other two are expected to be nonzero; they
+    quantify how far the published amplified noise law sits from its own
+    substitution route and from the plain law at zero gain (about 10.3
+    percent at unit means).  The whole grid is evaluated as one array
+    expression per law.
 
     Raises:
         DomainError: if the grid is empty or not a sequence of pairs.
@@ -269,11 +254,4 @@ def consistency_report(
         noise_avg_substitution(propagate_moments(nm, params), propagate_moments(mm, params)),
     )
     g0_dev = relative_deviation(opa_noise_avg_printed(n, m, OpaParams(0.0)), plain)
-    return ConsistencyReport(
-        params=params,
-        n_bar=n,
-        m_bar=m,
-        plain_vs_substitution=plain_dev,
-        amplified_vs_substitution=amp_dev,
-        zero_gain_reduction=g0_dev,
-    )
+    return plain_dev, amp_dev, g0_dev

@@ -253,14 +253,14 @@ def check_ordering_gap(n_grid) -> dict:
 
 def check_noise_consistency(params: OpaParams, pair_grid) -> list[dict]:
     """The three substitution checks of the published noise laws."""
-    report = consistency_report(params, pair_grid)
+    plain_dev, amplified_dev, zero_gain_dev = consistency_report(params, pair_grid)
     plain = _check(
         "plain-noise-reconstruction",
         "published plain quartic noise law vs the generic phase-averaged "
         "noise with thermal moments",
         "pass",
         1e-9,
-        report.plain_vs_substitution,
+        plain_dev,
     )
     amplified = _check(
         "amplified-noise-substitution",
@@ -268,7 +268,7 @@ def check_noise_consistency(params: OpaParams, pair_grid) -> list[dict]:
         "the propagated moments",
         "fail",
         1e-9,
-        report.amplified_vs_substitution,
+        amplified_dev,
         note="documented: the published amplified law is not reproduced by "
         "substituting the propagated moments into the generic noise",
     )
@@ -277,7 +277,7 @@ def check_noise_consistency(params: OpaParams, pair_grid) -> list[dict]:
         "published amplified noise law at zero gain vs the plain law",
         "fail",
         1e-9,
-        report.zero_gain_reduction,
+        zero_gain_dev,
         note="documented: at zero gain the published amplified law gives 418 "
         "instead of 466 at unit means (about 10.3 percent low)",
     )

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ def test_fit_on_default_sweep_matches_published_constants():
     assert fit.A == pytest.approx(1.082, abs=0.02)
     assert fit.B == pytest.approx(0.584, abs=0.06)
     assert fit.A == pytest.approx(math.sqrt(190.0 / 162.0), abs=0.01)
+
+
+def test_fit_allocates_at_most_two_columns_beyond_its_table():
+    # One reused work column plus the b / n_bar temporary of the residual:
+    # 16 bytes per point, where a fresh array per term held 24.
+    points = 200_000
+    grid = np.geomspace(0.15, 20.0, points)
+    table = RatioTable(SweepSpec(g=2.0), grid, None, 1.082 + 0.584 / grid)
+    tracemalloc.start()
+    try:
+        fit_inverse_law(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * points + 4096
 
 
 def test_fit_requires_three_points_and_distinct_abscissae():

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from opahbt import DomainError, OpaParams, consistency_report
-from opahbt.oracle_checks import _check, check_noise_consistency
+from opahbt import DomainError, OpaParams
+from opahbt.hbt import consistency_report
+from opahbt.oracle_checks import (
+    _check,
+    check_noise_consistency,
+    check_squeeze_propagation,
+    check_wick_vs_fock,
+)
 
 
 def test_check_entry_takes_the_worst_of_its_per_point_deviations():
@@ -36,13 +42,16 @@ def test_check_rejects_a_non_finite_deviation_anywhere(bad):
 def test_noise_consistency_entries_report_the_worst_pair():
     params = OpaParams(2.0)
     grid = [(n, m) for n in (0.1, 1.0, 5.0) for m in (0.1, 1.0, 5.0)]
-    report = consistency_report(params, grid)
-    deviations = (
-        report.plain_vs_substitution,
-        report.amplified_vs_substitution,
-        report.zero_gain_reduction,
-    )
+    deviations = consistency_report(params, grid)
     entries = check_noise_consistency(params, grid)
     assert [entry["max_rel_deviation"] for entry in entries] == [
         max(d.tolist()) for d in deviations
     ]
+
+
+def test_fock_suites_hold_at_means_below_the_ladder_weight_floor():
+    # Below a thermal mean of about 1e-18 ladder 1 holds all the excited
+    # mass; were it dropped with the lighter ladders, every moment would be 0.
+    n_grid, g_grid = (0.0, 1e-20, 1e-300), (0.0, 1e-9, 0.5)
+    for entry in (check_squeeze_propagation(n_grid, g_grid), check_wick_vs_fock(n_grid, g_grid)):
+        assert entry["passed"] and entry["max_rel_deviation"] <= 1e-8, entry

@@ -6,7 +6,10 @@ in a traced benchmark run.  The benchmark files are read, never edited.
 
 import ast
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,25 @@ def test_all_names_resolve_without_duplicates():
     assert len(opahbt.__all__) == len(set(opahbt.__all__))
     for name in opahbt.__all__:
         assert getattr(opahbt, name) is not None, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(opahbt.__all__) <= set(dir(opahbt))
+
+
+def test_package_import_loads_no_numpy_and_no_submodule():
+    src = str(Path(opahbt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys; import opahbt; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('opahbt.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_a_stale_public_name_is_reported_against_the_package(monkeypatch):
