@@ -145,7 +145,6 @@ def _cmd_fit(args) -> int:
     from .analysis import Ratio, fit_inverse_law, sweep_ratios
 
     spec = _sweep_spec(args)
-    fit = fit_inverse_law(sweep_ratios(spec, (Ratio.SNR,)))
     sensitivity = []
     for n_min, n_max in dict.fromkeys(((spec.n_min, spec.n_max),) + _SENSITIVITY_RANGES):
         window = dataclasses.replace(spec, n_min=n_min, n_max=n_max)
@@ -153,10 +152,11 @@ def _cmd_fit(args) -> int:
         sensitivity.append(
             {"n_min": n_min, "n_max": n_max, "A": alt.A, "B": alt.B, "rss": alt.rss}
         )
+    fit = sensitivity[0]  # the first window is the requested range
     document = {
-        "A": fit.A,
-        "B": fit.B,
-        "rss": fit.rss,
+        "A": fit["A"],
+        "B": fit["B"],
+        "rss": fit["rss"],
         "n_min": spec.n_min,
         "n_max": spec.n_max,
         "points": spec.points,
@@ -198,25 +198,25 @@ def _read_scan_csv(path: str) -> tuple[list[float], list[float]]:
             lines = handle.readlines()
     except OSError as exc:
         raise DomainError(f"cannot read scan file {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    rows = [(lineno, raw) for lineno, raw in enumerate(lines, start=1)
+            if raw.strip() and not raw.strip().startswith("#")]
+    for index, (lineno, raw) in enumerate(rows):
+        parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 2:
             raise DomainError(
                 f"{path}: line {lineno}: expected two comma-separated columns, "
                 f"got {raw.rstrip()!r}"
             )
         try:
-            baselines.append(float(parts[0]))
-            values.append(float(parts[1]))
+            baseline, value = float(parts[0]), float(parts[1])
         except ValueError:
-            if lineno == 1:
-                continue  # header row
+            if index == 0:
+                continue  # header row: the first line that is neither blank nor a comment
             raise DomainError(
                 f"{path}: line {lineno}: non-numeric value in {raw.rstrip()!r}"
             ) from None
+        baselines.append(baseline)
+        values.append(value)
     if not baselines:
         raise DomainError(f"{path}: no numeric rows found")
     return baselines, values

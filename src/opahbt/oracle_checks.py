@@ -13,8 +13,8 @@ the tolerance; at small gains it rounds away.
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +37,7 @@ from .hbt import (
     relative_deviation,
 )
 from .opa import OpaParams, coeffs, equivalent_thermal_mean, propagate_moments
-from .photon_stats import (
-    MomentConvention,
-    MomentVector,
-    geometric_summation_moments,
-    thermal_moments,
-)
+from .photon_stats import MomentConvention, geometric_summation_moments, thermal_moments
 from .wick import amplified_thermal, number_moments
 
 DEFAULT_N_GRID = (0.0, 0.5, 1.0)
@@ -72,12 +67,18 @@ def _check(name, description, expected, tol, deviations, note=""):
     }
 
 
-def check_thermal_closed_forms(n_grid) -> dict:
-    """Corrected closed-form moments against the direct-summation oracle."""
-    oracle = np.column_stack(
-        [geometric_summation_moments(n).as_array() for n in n_grid]
-    )
-    closed = thermal_moments(np.asarray(n_grid, dtype=float), MomentConvention.CORRECTED)
+def _confirmed(gap, predicted) -> bool:
+    """Whether an observed gap equals its predicted size to 1e-6, relative above 1."""
+    return bool(np.all(np.abs(gap - predicted) <= 1e-6 * np.maximum(1.0, np.abs(predicted))))
+
+
+def check_thermal_closed_forms(summation: dict) -> dict:
+    """Corrected closed-form moments against the direct-summation oracle.
+
+    ``summation`` maps each mean to its summed moments.
+    """
+    oracle = np.column_stack([moments.as_array() for moments in summation.values()])
+    closed = thermal_moments(np.array(list(summation), dtype=float), MomentConvention.CORRECTED)
     return _check(
         "thermal-moment-closed-forms",
         "corrected thermal moment polynomials vs direct summation of the "
@@ -88,13 +89,12 @@ def check_thermal_closed_forms(n_grid) -> dict:
     )
 
 
-def check_published_third_moment(n_grid) -> dict:
+def check_published_third_moment(summation: dict) -> dict:
     """The as-published third moment against the summation oracle."""
-    n = np.array([x for x in n_grid if x != 0.0], dtype=float)
-    oracle_m3 = np.array([geometric_summation_moments(x).m3 for x in n])
+    n = np.array(list(summation), dtype=float)
+    oracle_m3 = np.array([moments.m3 for moments in summation.values()])
     printed_m3 = thermal_moments(n, MomentConvention.PAPER_PRINTED).m3
-    gap = oracle_m3 - printed_m3
-    cubic_confirmed = np.all(relative_deviation(gap, 5.0 * np.float_power(n, 3)) <= 1e-6)
+    cubic_confirmed = _confirmed(oracle_m3 - printed_m3, 5.0 * np.float_power(n, 3))
     note = (
         "known misprint: the published third moment is low by exactly 5*N^3 "
         "(cubic coefficient 1 instead of 6)"
@@ -128,31 +128,30 @@ def check_thermal_closure(n_grid, g_grid) -> dict:
     )
 
 
-@lru_cache(maxsize=64)
-def _squeezed_thermal(n: float, g: float) -> tuple[MomentVector, float]:
+def _squeezed_thermal(n_grid, g_grid) -> dict:
     """Signal-mode moments and trace of thermal(n) (x) vacuum squeezed at gain g.
 
-    Both Fock suites read the same squeezed states, so each (n, g) is
-    squeezed once.  The states are subnormalized, hence the trace.
+    Maps each (n, g) of the grid to its squeezed state's (moments, trace);
+    both Fock suites read them.  The states are subnormalized, hence the
+    trace.
     """
-    dim = space_for_squeezed_thermal(n, g)
-    probs, deficit = thermal_populations(n, dim)
-    squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    return reduced_moments(squeezed), float(squeezed.sum())
+    states = {}
+    for n, g in dict.fromkeys(itertools.product(n_grid, g_grid)):
+        probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
+        squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
+        states[n, g] = reduced_moments(squeezed), float(squeezed.sum())
+    return states
 
 
-def _vs_squeezed(n_grid, g_grid, reference) -> list[np.ndarray]:
+def _vs_squeezed(squeezed: dict, reference) -> list[np.ndarray]:
     """Deviations of the squeezed Fock moments from ``reference(n, params)`` per grid point."""
-    deviations = []
-    for n in n_grid:
-        for g in g_grid:
-            got, trace = _squeezed_thermal(n, g)
-            want = reference(n, OpaParams(g))
-            deviations.append(relative_deviation(got.as_array(), want.as_array() * trace))
-    return deviations
+    return [
+        relative_deviation(got.as_array(), reference(n, OpaParams(g)).as_array() * trace)
+        for (n, g), (got, trace) in squeezed.items()
+    ]
 
 
-def check_squeeze_propagation(n_grid, g_grid) -> dict:
+def check_squeeze_propagation(squeezed: dict) -> dict:
     """Truncated-Fock reduced moments against the propagation polynomials."""
     return _check(
         "squeeze-moment-propagation",
@@ -160,13 +159,11 @@ def check_squeeze_propagation(n_grid, g_grid) -> dict:
         "closed-form propagation polynomials",
         "pass",
         1e-6,
-        _vs_squeezed(
-            n_grid, g_grid, lambda n, params: propagate_moments(thermal_moments(n), params)
-        ),
+        _vs_squeezed(squeezed, lambda n, params: propagate_moments(thermal_moments(n), params)),
     )
 
 
-def check_wick_vs_fock(n_grid, g_grid) -> dict:
+def check_wick_vs_fock(squeezed: dict) -> dict:
     """Pairing-sum Gaussian moments against the truncated-Fock moments."""
     return _check(
         "wick-vs-fock-moments",
@@ -175,41 +172,33 @@ def check_wick_vs_fock(n_grid, g_grid) -> dict:
         "pass",
         1e-6,
         _vs_squeezed(
-            n_grid,
-            g_grid,
-            lambda n, params: number_moments(amplified_thermal(n, params), mode=0),
+            squeezed, lambda n, params: number_moments(amplified_thermal(n, params), mode=0)
         ),
     )
 
 
-@lru_cache(maxsize=4)
-def _normal_ordered_correlators(n_grid: tuple[float, ...]) -> dict:
+def _normal_ordered_correlators(n_grid) -> dict:
     """Normal-ordered correlator over the phase grid for each (n, m) pair of the grid.
 
-    Both correlator checks read it, so each pair is computed once.
+    Both correlator checks read it.
     """
     deltas = np.array(DEFAULT_DELTA_GRID)
     return {
         (n, m): hbt_two_mode_correlation(n, m, deltas, OrderingConvention.NORMAL_ORDERED)[0]
-        for n in n_grid
-        for m in n_grid
+        for n, m in itertools.product(dict.fromkeys(n_grid), repeat=2)
     }
 
 
-def check_normal_ordered_correlator(n_grid) -> dict:
+def check_normal_ordered_correlator(correlators: dict) -> dict:
     """The matrix correlator against the analytic correlation law."""
-    correlators = _normal_ordered_correlators(tuple(n_grid))
     deviations = []
-    for n in n_grid:
-        for m in n_grid:
-            # The thermal inputs are subnormalized by their tails at the correlator's dim.
-            dim = choose_dim(max(n, m))
-            trace = (1.0 - thermal_populations(n, dim)[1]) * (
-                1.0 - thermal_populations(m, dim)[1]
-            )
-            moments = thermal_moments(n), thermal_moments(m)
-            want = [correlation_full(*moments, d) for d in DEFAULT_DELTA_GRID]
-            deviations.append(relative_deviation(correlators[n, m], np.multiply(want, trace)))
+    for (n, m), correlator in correlators.items():
+        # The thermal inputs are subnormalized by their tails at the correlator's dim.
+        dim = choose_dim(max(n, m))
+        trace = (1.0 - thermal_populations(n, dim)[1]) * (1.0 - thermal_populations(m, dim)[1])
+        moments = thermal_moments(n), thermal_moments(m)
+        want = [correlation_full(*moments, d) for d in DEFAULT_DELTA_GRID]
+        deviations.append(relative_deviation(correlator, np.multiply(want, trace)))
     return _check(
         "normal-ordered-correlator",
         "two-mode matrix correlator under the normal-ordered convention vs "
@@ -220,22 +209,17 @@ def check_normal_ordered_correlator(n_grid) -> dict:
     )
 
 
-def check_ordering_gap(n_grid) -> dict:
+def check_ordering_gap(correlators: dict) -> dict:
     """Literal versus normal-ordered correlator (documented commutator gap)."""
     deviations = []
     gap_confirmed = True
     deltas = np.array(DEFAULT_DELTA_GRID)
-    correlators = _normal_ordered_correlators(tuple(n_grid))
-    for n in n_grid:
-        for m in n_grid:
-            if n == 0.0 and m == 0.0:
-                continue
-            literal, _ = hbt_two_mode_correlation(n, m, deltas, OrderingConvention.AS_WRITTEN)
-            ordered = correlators[n, m]
-            deviations.append(relative_deviation(literal, ordered))
-            predicted = (n + m) * np.cos(deltas)
-            gap = np.abs((literal - ordered) - predicted)
-            gap_confirmed &= bool(np.all(gap <= 1e-6 * np.maximum(1.0, np.abs(predicted))))
+    for (n, m), ordered in correlators.items():
+        if n == 0.0 and m == 0.0:
+            continue
+        literal, _ = hbt_two_mode_correlation(n, m, deltas, OrderingConvention.AS_WRITTEN)
+        deviations.append(relative_deviation(literal, ordered))
+        gap_confirmed &= _confirmed(literal - ordered, (n + m) * np.cos(deltas))
     note = (
         "the literal product keeps commutator terms; the gap equals "
         "(n_bar + m_bar) cos(delta)"
@@ -297,13 +281,10 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid) -> dict:
     c = coeffs(params)
     predicted = 4.0 * (n - m) * c.mu2 * c.nu2**2
     predicted_gap = np.max(np.abs(predicted) / np.maximum(np.abs(direct), np.abs(swapped)))
-    asym_confirmed = np.all(
-        np.abs((direct - swapped) - predicted) <= 1e-6 * np.maximum(1.0, np.abs(predicted))
-    )
     note = (
         "documented: the published amplified law is asymmetric by "
         "4 (n_bar - m_bar) mu^2 nu^4"
-        + (", confirmed on the grid" if asym_confirmed else "")
+        + (", confirmed on the grid" if _confirmed(direct - swapped, predicted) else "")
     )
     return _check(
         "amplified-noise-swap-symmetry",
@@ -347,14 +328,22 @@ def run_oracle_checks(
     # An overflow shows up as a non-finite deviation, which _check turns
     # into a DomainError; the numpy warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Each shared route is computed just before the first check that
+        # reads it, so a grid that breaks several checks raises the error
+        # of the earliest one.
+        means = dict.fromkeys(n_grid + (2.0, 10.0))
+        summation = {n: geometric_summation_moments(n) for n in means}
         checks = [
-            check_thermal_closed_forms(n_grid + (2.0, 10.0)),
-            check_published_third_moment(n_grid + (2.0, 10.0)),
+            check_thermal_closed_forms(summation),
+            check_published_third_moment(summation),
             check_thermal_closure(n_grid + (5.0, 50.0), g_grid + (2.0, 3.0)),
-            check_squeeze_propagation(n_grid, g_grid),
-            check_wick_vs_fock(n_grid, g_grid),
-            check_normal_ordered_correlator(n_grid),
-            check_ordering_gap(n_grid),
+        ]
+        squeezed = _squeezed_thermal(n_grid, g_grid)
+        checks += [check_squeeze_propagation(squeezed), check_wick_vs_fock(squeezed)]
+        correlators = _normal_ordered_correlators(n_grid)
+        checks += [
+            check_normal_ordered_correlator(correlators),
+            check_ordering_gap(correlators),
             *check_noise_consistency(params, pair_grid),
             check_amplified_noise_swap(params, small_pairs),
         ]

@@ -284,6 +284,26 @@ def test_fit_defaults_and_sensitivity(tmp_path):
     assert max(spreads) - min(spreads) < 0.05
 
 
+def test_fit_sweeps_each_window_once(tmp_path, monkeypatch):
+    # The requested range is the first sensitivity window, so its one sweep
+    # gives the main fit too: 5 sweeps at the defaults.
+    calls = []
+    sweep = opahbt.analysis.sweep_ratios
+
+    def counted(spec, ratios):
+        calls.append((spec.n_min, spec.n_max))
+        return sweep(spec, ratios)
+
+    monkeypatch.setattr(opahbt.analysis, "sweep_ratios", counted)
+    target = tmp_path / "fit.json"
+    assert run_cli(["fit", "--out", str(target)]) == 0
+    assert len(calls) == 5 and len(set(calls)) == 5
+    document = json.loads(target.read_text())
+    first = document["sensitivity"][0]
+    assert (first["n_min"], first["n_max"]) == (0.15, 20.0)
+    assert all(document[key] == first[key] for key in ("A", "B", "rss"))
+
+
 def test_fit_high_mean_window_hits_asymptote(tmp_path):
     target = tmp_path / "fit.json"
     assert run_cli(
@@ -334,9 +354,21 @@ def test_oracle_check_computes_each_correlator_once(tmp_path, monkeypatch):
         return correlator(n, m, delta, ordering)
 
     monkeypatch.setattr(oracle_checks, "hbt_two_mode_correlation", counted)
-    oracle_checks._normal_ordered_correlators.cache_clear()
     assert run_cli(["oracle-check", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 17 and len(set(calls)) == 17
+
+
+def test_oracle_check_confirms_the_misprint_at_tiny_means(tmp_path):
+    # At a mean of 1e-20 the 5*N^3 gap is 5e-60, far below the rounding
+    # noise of the summed third moment; it still matches to 1e-6 absolute.
+    target = tmp_path / "r.json"
+    args = ["--n-grid", "0,1e-20,1e-300", "--g-grid", "0,1e-9,0.5", "--out", str(target)]
+    assert run_cli(["oracle-check", *args]) == 0
+    checks = {check["name"]: check for check in json.loads(target.read_text())["checks"]}
+    assert checks["published-third-moment"]["note"].endswith(
+        "; deviation matches 5*N^3 on the grid"
+    )
+    assert checks["ordering-gap"]["note"].endswith(", confirmed on the grid")
 
 
 def test_oracle_check_reaches_the_papers_gain(tmp_path):
@@ -494,6 +526,31 @@ def test_estimate_phi_malformed_csv_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "prelude, header",
+    [("# scan of 2026-01-01\n", "r0,correlation"), ("\n", "r0,correlation"),
+     ("# a\n\n# b\n", "r0,correlation"), ("", "0.0,correlation")],
+)
+def test_estimate_phi_header_follows_comments_and_blank_lines(tmp_path, prelude, header):
+    # The header is the first line that is neither blank nor a comment, and
+    # a header with a numeric first column adds nothing to either column.
+    scan, plain = tmp_path / "scan.csv", tmp_path / "plain.csv"
+    _write_scan(plain, 1e-8)
+    scan.write_text(prelude + plain.read_text().replace("r0,correlation", header, 1))
+    for path in (scan, plain):
+        assert run_cli(
+            ["estimate-phi", str(path), "--k", str(K_BLUE), "--out", str(path) + ".json"]
+        ) == 0
+    assert Path(f"{scan}.json").read_bytes() == Path(f"{plain}.json").read_bytes()
+
+
+def test_estimate_phi_takes_only_one_header(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("# comment\nr0,correlation\nr0,correlation\n1.0,0.5\n")
+    assert run_cli(["estimate-phi", str(scan), "--k", str(K_BLUE)]) == 2
+    assert "line 3: non-numeric value" in capsys.readouterr().err
 
 
 def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):

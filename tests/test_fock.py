@@ -429,6 +429,35 @@ def test_correlator_second_moment_at_unit_means(ordering, delta, mean, variance)
     assert noise_sq == pytest.approx(variance, rel=1e-6)
 
 
+
+def _summed_terms(terms):
+    # Terms as a multiset: each (word_a, word_b, k) with its coefficients summed.
+    summed = {}
+    for wa, wb, c, k in terms:
+        summed[wa, wb, k] = summed.get((wa, wb, k), 0.0) + c
+    return summed
+
+
+def test_normal_ordered_terms_are_the_literal_product_with_mixing_words_sorted():
+    # The normal-ordered table is the literal product I1 I2 with every term
+    # that holds a mode-transfer factor (one letter per mode) normal-ordered:
+    # its words sorted creation ("d") before annihilation ("a").  The number
+    # terms (n_a + n_b)^2 stay as written.
+    creation_first = functools.partial(sorted, key="da".index)
+    literal = [
+        (a1 + a2, b1 + b2, c1 * c2, k1, len(a1) == len(b1) == 1 or len(a2) == len(b2) == 1)
+        for a1, b1, c1, k1 in opahbt.fock._INTENSITY_1
+        for a2, b2, c2, _ in opahbt.fock._INTENSITY_2
+    ]
+    terms = opahbt.fock._CORRELATOR_TERMS
+    assert terms[OrderingConvention.AS_WRITTEN] == tuple(t[:4] for t in literal)
+    ordered = [
+        ("".join(creation_first(wa)), "".join(creation_first(wb)), c, k) if mixing
+        else (wa, wb, c, k)
+        for wa, wb, c, k, mixing in literal
+    ]
+    assert _summed_terms(terms[OrderingConvention.NORMAL_ORDERED]) == _summed_terms(ordered)
+
 def _truncated_lowering(dim):
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
