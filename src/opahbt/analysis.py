@@ -231,14 +231,13 @@ def _periodogram_peak(r: np.ndarray, y: np.ndarray, n_freq: int) -> float:
     omega_min = 0.25 * math.pi / span
     omegas = np.linspace(omega_min, omega_max, n_freq)
     # Blocks of frequency rows bound the memory; a scan of up to 512 points
-    # at the default 16 n frequencies is one block.
+    # at the default 16 n frequencies is one block.  Only the first block
+    # calls exp: block b is it shifted by omegas[b rows] - omegas[0], a
+    # phase factor per scan point, so all blocks are one matrix product.
     rows = max(1, _PERIODOGRAM_BLOCK // r.size)
-    power = np.concatenate(
-        [
-            np.abs(np.exp(-1j * np.outer(omegas[i : i + rows], r)) @ y)
-            for i in range(0, n_freq, rows)
-        ]
-    )
+    first = np.exp(-1j * np.outer(omegas[:rows], r))
+    shifts = np.exp(-1j * np.outer(r, omegas[::rows] - omegas[0]))
+    power = np.abs(first @ (y[:, None] * shifts)).T.ravel()[:n_freq]
     return float(omegas[int(np.argmax(power))])
 
 

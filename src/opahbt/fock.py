@@ -5,9 +5,9 @@ levels.  That is all the modelled amplifier needs.  Thermal and vacuum
 inputs are diagonal, the two-mode squeezer maps a diagonal input to a
 diagonal output, of which only the signal mode's marginal is kept, and on
 a thermal product state the two-detector correlator splits into one sum
-per mode.  Every state is subnormalized: the probability mass lost to
+per mode.  Populations are subnormalized: the probability mass lost to
 truncation is carried explicitly as a trace deficit so trace + deficit = 1
-holds exactly.  The module needs only numpy.
+holds exactly; the correlator renormalizes.  The module needs only numpy.
 
 The two-mode squeezer is the exponential of the anti-Hermitian generator
 g(adag bdag - a b) in the truncated space.  It keeps the photon-number
@@ -384,7 +384,7 @@ def hbt_two_mode_correlation(
 
     Each detector sees the superposition field A_j = a e^(i delta_j) + b
     with delta_1 - delta_2 = ``delta`` and measures I_j = Adag_j A_j.  The
-    function returns (<I1 I2>, Var(I1 I2)) on thermal(n_bar) x
+    function returns (<C>, Var C) for C = I1 I2 on thermal(n_bar) x
     thermal(m_bar) under the requested ordering convention:
 
     * NORMAL_ORDERED evaluates (n_a + n_b)^2 as written and normal-orders
@@ -393,13 +393,18 @@ def hbt_two_mode_correlation(
     * AS_WRITTEN evaluates the literal product I1 I2.  Its expectation
       exceeds the normal-ordered one by commutator terms proportional to
       (n_bar + m_bar) cos(delta); the antisymmetric imaginary part of the
-      literal product is dropped from the returned reading.
+      literal product is dropped from the returned reading.  I1 and I2 do
+      not commute, so <I1 I2> is complex (5.28 + 0.90i at n_bar = 0.3,
+      m_bar = 1.2, delta = pi/2), and the second value returned here,
+      Re<C^2> - (Re<C>)^2, is not the variance of any observable.
 
     The thermal state is a product of diagonal one-mode states, so each
     term's expectation is a product of one sum per mode
     (:func:`_correlator_tables`), and a 1-D array of phases costs one call.
-    Both modes are truncated at :func:`choose_dim` of the larger mean.
-    A scalar ``delta`` gives two floats, a 1-D array two arrays.
+    Both thermal states are truncated at :func:`choose_dim` of the larger
+    mean and renormalized to unit trace, so the values are those of
+    normalized states.  A scalar ``delta`` gives two floats, a 1-D array
+    two arrays.
 
     Raises:
         DomainError: for a mean that is not a finite real >= 0, or a phase
@@ -412,7 +417,8 @@ def hbt_two_mode_correlation(
     if phases.dtype.kind not in "biuf" or phases.ndim > 1 or not np.isfinite(phases).all():
         raise DomainError(f"delta must be a finite real or a 1-D array of them, got {delta!r}")
     dim = choose_dim(max(n_bar, m_bar))
-    p_a, p_b = thermal_populations(n_bar, dim)[0], thermal_populations(m_bar, dim)[0]
+    p_a, p_b = (thermal_populations(mean, dim)[0] for mean in (n_bar, m_bar))
+    p_a, p_b = p_a / p_a.sum(), p_b / p_b.sum()
     # The rows and coefficients are real, so Re e^(i k delta) is cos(k delta).
     c0, second = (
         (np.cos(np.multiply.outer(phases, k)) * coeff * (rows_a @ p_a) * (rows_b @ p_b)).sum(-1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
 from .errors import DomainError
-from .opa import OpaParams, coeffs, propagate_moments
+from .opa import OpaParams, coeffs, equivalent_thermal_mean, propagate_moments
 from .photon_stats import MomentVector, thermal_moments
 
 
@@ -128,9 +128,8 @@ def opa_correlation_ac(
 ) -> FloatOrArray:
     """Amplified AC signal 2(mu^2 n + nu^2)(mu^2 m + nu^2) cos(delta)."""
     n, m = _means(n_bar, m_bar)
-    c = coeffs(params)
-    delta = nonnegative_scalar("phase", delta)
-    return unwrap(2.0 * (c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) * math.cos(delta))
+    n_out, m_out = equivalent_thermal_mean(n, params), equivalent_thermal_mean(m, params)
+    return unwrap(2.0 * n_out * m_out * math.cos(nonnegative_scalar("phase", delta)))
 
 
 def opa_noise_avg_printed(
@@ -192,26 +191,26 @@ def opa_noise_avg_printed(
 
 def signal_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
     """Amplified over plain signal amplitude, (mu^2 n + nu^2)(mu^2 m + nu^2)/(n m)."""
+    # Not the quotient of the AC laws: their factor 2 overflows first.
     n, m = _means(n_bar, m_bar)
     _nonzero(n, m, "signal ratio")
-    c = coeffs(params)
-    return unwrap((c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) / (n * m))
+    n_out, m_out = equivalent_thermal_mean(n, params), equivalent_thermal_mean(m, params)
+    return unwrap(n_out * m_out / (n * m))
 
 
 def snr_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
     """Amplified over plain SNR at peak signal (cos of the phase set to 1).
 
-    Both SNRs use the published phase-averaged noise laws.  Where either
-    law overflows to a non-finite value the ratio is nan, not the 0 or inf
-    its quotient would give.
+    Each SNR is its AC law at zero phase over the root of its published
+    phase-averaged noise law.  Where either noise law overflows, the ratio
+    is nan, not the 0 or inf its quotient would give.
     """
     n, m = _means(n_bar, m_bar)
     _nonzero(n, m, "SNR ratio")
-    c = coeffs(params)
     amplified_noise = opa_noise_avg_printed(n, m, params)
     plain_noise = noise_avg_printed(n, m)
-    amplified = 2.0 * (c.mu2 * n + c.nu2) * (c.mu2 * m + c.nu2) / np.sqrt(amplified_noise)
-    plain = 2.0 * n * m / np.sqrt(plain_noise)
+    amplified = opa_correlation_ac(n, m, params, 0.0) / np.sqrt(amplified_noise)
+    plain = correlation_ac(n, m, 0.0) / np.sqrt(plain_noise)
     finite = np.isfinite(amplified_noise) & np.isfinite(plain_noise)
     return unwrap(np.where(finite, amplified / plain, np.nan))
 

@@ -23,7 +23,6 @@ from .errors import DomainError
 from .fock import (
     DEFAULT_TAIL,
     OrderingConvention,
-    choose_dim,
     hbt_two_mode_correlation,
     reduced_moments,
     space_for_squeezed_thermal,
@@ -129,25 +128,24 @@ def check_thermal_closure(n_grid, g_grid) -> dict:
 
 
 def _squeezed_thermal(n_grid, g_grid) -> dict:
-    """Signal-mode moments and trace of thermal(n) (x) vacuum squeezed at gain g.
+    """Signal-mode moments of thermal(n) (x) vacuum squeezed at gain g.
 
-    Maps each (n, g) of the grid to its squeezed state's (moments, trace);
-    both Fock suites read them.  The states are subnormalized, hence the
-    trace.
+    Maps each (n, g) of the grid to the moments of its squeezed marginal,
+    renormalized to unit trace; both Fock suites read them.
     """
     states = {}
     for n, g in dict.fromkeys(itertools.product(n_grid, g_grid)):
         probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
         squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-        states[n, g] = reduced_moments(squeezed), float(squeezed.sum())
+        states[n, g] = reduced_moments(squeezed / squeezed.sum())
     return states
 
 
 def _vs_squeezed(squeezed: dict, reference) -> list[np.ndarray]:
     """Deviations of the squeezed Fock moments from ``reference(n, params)`` per grid point."""
     return [
-        relative_deviation(got.as_array(), reference(n, OpaParams(g)).as_array() * trace)
-        for (n, g), (got, trace) in squeezed.items()
+        relative_deviation(got.as_array(), reference(n, OpaParams(g)).as_array())
+        for (n, g), got in squeezed.items()
     ]
 
 
@@ -193,12 +191,9 @@ def check_normal_ordered_correlator(correlators: dict) -> dict:
     """The matrix correlator against the analytic correlation law."""
     deviations = []
     for (n, m), correlator in correlators.items():
-        # The thermal inputs are subnormalized by their tails at the correlator's dim.
-        dim = choose_dim(max(n, m))
-        trace = (1.0 - thermal_populations(n, dim)[1]) * (1.0 - thermal_populations(m, dim)[1])
         moments = thermal_moments(n), thermal_moments(m)
         want = [correlation_full(*moments, d) for d in DEFAULT_DELTA_GRID]
-        deviations.append(relative_deviation(correlator, np.multiply(want, trace)))
+        deviations.append(relative_deviation(correlator, want))
     return _check(
         "normal-ordered-correlator",
         "two-mode matrix correlator under the normal-ordered convention vs "

@@ -22,7 +22,8 @@ from opahbt import (
     sweep_ratios,
     target_ratio_operating_point,
 )
-from opahbt.analysis import _BLOCK_ROWS, _MAX_POINTS
+import opahbt.analysis
+from opahbt.analysis import _BLOCK_ROWS, _MAX_POINTS, _periodogram_peak
 
 K_BLUE = 1.42e7  # rad/m, a 443 nm wavenumber
 
@@ -257,6 +258,22 @@ def test_phi_recovery_with_noise_is_calibrated():
         if estimate.converged and abs(estimate.phi - phi_true) <= 3.0 * estimate.stderr:
             hits += 1
     assert hits >= 99
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_periodogram_blocks_find_the_one_block_peak(monkeypatch, rows):
+    # Every block past the first is the first one shifted by a phase factor
+    # per scan point; the peak must stay that of |sum_r y e^(-i omega r)|
+    # evaluated at once on the whole frequency grid.  The fringe at
+    # 7.1 rad/m puts the peak near row 1450, past the first block.
+    r = np.linspace(0.0, 40.0, 200)
+    y = 0.9 * np.cos(K_BLUE * 5e-7 * r) + 0.3 * np.random.default_rng(11).standard_normal(r.size)
+    n_freq = 16 * r.size  # not a multiple of 7 or 64: the last block is cut
+    omegas = np.linspace(0.25 * math.pi / 40.0, math.pi / np.diff(r).min(), n_freq)
+    whole = omegas[np.argmax(np.abs(np.exp(-1j * np.outer(omegas, r)) @ y))]
+    assert _periodogram_peak(r, y, n_freq) == whole
+    monkeypatch.setattr(opahbt.analysis, "_PERIODOGRAM_BLOCK", rows * r.size)
+    assert _periodogram_peak(r, y, n_freq) == whole
 
 
 @pytest.mark.parametrize("seed", [120, 123, 124])

@@ -1,12 +1,16 @@
 import math
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opahbt.oracle_checks as oracle_checks
 from opahbt import DomainError, OpaParams, OrderingConvention
-from opahbt.hbt import consistency_report
+from opahbt.hbt import consistency_report, relative_deviation
+from opahbt.opa import propagate_moments
+from opahbt.photon_stats import thermal_moments
 from opahbt.oracle_checks import (
     _check,
     _squeezed_thermal,
@@ -59,6 +63,23 @@ def test_fock_suites_hold_at_means_below_the_ladder_weight_floor():
     squeezed = _squeezed_thermal((0.0, 1e-20, 1e-300), (0.0, 1e-9, 0.5))
     for entry in (check_squeeze_propagation(squeezed), check_wick_vs_fock(squeezed)):
         assert entry["passed"] and entry["max_rel_deviation"] <= 1e-8, entry
+
+
+def test_squeezer_deviation_at_positive_gain_stays_below_the_g0_truncation():
+    # The reported worst deviation of both Fock suites, 3.45e-8 on these
+    # grids, comes from the g = 0 points, where only the input's thermal
+    # truncation shows.  The squeezer's own deviation, 1.13e-8 at worst,
+    # must stay below that so a regression there cannot hide behind it.
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for n_grid, g_grid in runpy.run_path(str(workloads))["ORACLE_GRIDS"]:
+        squeezed = _squeezed_thermal(
+            [float(n) for n in n_grid.split(",")], [float(g) for g in g_grid.split(",")]
+        )
+        for (n, g), got in squeezed.items():
+            if g > 0.0:
+                want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()
+                deviation = relative_deviation(got.as_array(), want)
+                assert np.max(deviation) <= 1.5e-8, (n, g, deviation)
 
 
 def test_each_grid_point_is_squeezed_once_on_a_grid_over_64_points(monkeypatch):
