@@ -28,7 +28,7 @@ _LAZY = {
         "SummationLimitError", "TruncationError", "UnreachableTargetError",
     ),
     "photon_stats": (
-        "MomentConvention", "MomentVector", "geometric_summation_moments", "thermal_moments",
+        "MomentConvention", "geometric_summation_moments", "thermal_moments",
     ),
     "opa": (
         "BogoliubovCoeffs", "OpaParams", "coeffs", "equivalent_thermal_mean", "propagate_moments",

@@ -1,9 +1,10 @@
 """Scalar-or-array helpers shared by the closed-form laws.
 
 Laws accept Python or numpy reals and arrays of them.  They validate their
-means with :func:`nonnegative` (the package's one finite-and-non-negative
-check), compute on float64 arrays, and hand the result back through
-:func:`unwrap`, so a scalar in gives a float out.
+phases with :func:`finite_real` (the package's one finite-real check) and
+their means with :func:`nonnegative`, which builds on it, compute on
+float64 arrays, and hand the result back through :func:`unwrap`, so a
+scalar in gives a float out.
 """
 
 from __future__ import annotations
@@ -17,24 +18,33 @@ from .errors import DomainError
 FloatOrArray = Union[float, np.ndarray]
 
 
-def nonnegative(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array (0-d for a scalar), every element finite and >= 0.
+def _reject(name: str, array: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    if bad.any():  # a 0-d mask selects its one element too
+        raise DomainError(f"{name} must be {rule}, got {array[bad][0].item()!r}")
+
+
+def finite_real(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array (0-d for a scalar), every element finite.
 
     Raises:
         DomainError: for strings, None, complex or ragged input, and for
-            any NaN, infinite or negative element (the first one is named).
+            any NaN or infinite element (the first one is named).
     """
     try:
         array = np.asarray(value)
     except (TypeError, ValueError):
         array = np.asarray(None)
     if array.dtype.kind not in "biuf":
-        raise DomainError(f"{name} must be a finite real >= 0, got {value!r}")
-    bad = ~(np.isfinite(array) & (array >= 0))
-    if bad.any():
-        shown = array[bad][0].item() if array.ndim else value
-        raise DomainError(f"{name} must be finite and >= 0, got {shown!r}")
+        raise DomainError(f"{name} must be a finite real, got {value!r}")
+    _reject(name, array, ~np.isfinite(array), "finite")
     return array.astype(float, copy=False)
+
+
+def nonnegative(name: str, value) -> np.ndarray:
+    """:func:`finite_real` with every element also >= 0."""
+    array = finite_real(name, value)
+    _reject(name, array, array < 0, ">= 0")
+    return array
 
 
 def nonnegative_scalar(name: str, value) -> float:

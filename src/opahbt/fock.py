@@ -26,10 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, unwrap
+from ._domain import FloatOrArray, finite_real, nonnegative, nonnegative_scalar, unwrap
 from .errors import DomainError, TruncationError
 from .opa import OpaParams, equivalent_thermal_mean
-from .photon_stats import MomentVector
 
 DEFAULT_TAIL = 1e-12
 DIM_CAP = 1024
@@ -280,8 +279,8 @@ def two_mode_squeeze(
     return squeeze_populations(populations[:, 0], g, trace_deficit)
 
 
-def reduced_moments(populations: np.ndarray) -> MomentVector:
-    """Photon-number moments <n^j>, j = 1..4, of one mode's populations p[n].
+def reduced_moments(populations: np.ndarray) -> np.ndarray:
+    """Photon-number moments <n^j>, j = 1..4, of one mode's populations p[n], shape (4,).
 
     The moments are those of the subnormalized populations: divide by
     their trace for the moments of the normalized state.
@@ -289,7 +288,7 @@ def reduced_moments(populations: np.ndarray) -> MomentVector:
     if populations.ndim != 1:
         raise DomainError(f"reduced_moments takes p[n] for one mode, got shape {populations.shape}")
     occupation = np.arange(populations.size, dtype=float)
-    return MomentVector(*(float(populations @ occupation**j) for j in (1, 2, 3, 4)))
+    return np.array([populations @ occupation**j for j in (1, 2, 3, 4)])
 
 
 # Each correlator is a sum of terms coeff * e^(i k delta) * A (x) B, where A
@@ -298,31 +297,26 @@ def reduced_moments(populations: np.ndarray) -> MomentVector:
 # so it contributes adag b e^(-i delta_j) + bdag a e^(+i delta_j).
 _INTENSITY_1 = (("da", "", 1.0, 0), ("d", "a", 1.0, -1), ("a", "d", 1.0, 1), ("", "da", 1.0, 0))
 _INTENSITY_2 = tuple((wa, wb, c, 0) for wa, wb, c, _ in _INTENSITY_1)
+# The literal product I1 I2, each term flagged when it holds a mode-transfer
+# factor (one letter per mode) from either detector.
+_LITERAL = tuple(
+    (a1 + a2, b1 + b2, c1 * c2, k1, 1 in (len(a1), len(a2)))
+    for a1, b1, c1, k1 in _INTENSITY_1
+    for a2, b2, c2, _ in _INTENSITY_2
+)
+
+
+def _creation_first(word: str) -> str:
+    return "".join(sorted(word, key="da".index))
+
+
+# Normal order keeps the number terms (n_a + n_b)^2 as written and sorts the
+# words of every mode-mixing term creation ("d") before annihilation ("a").
 _CORRELATOR_TERMS = {
-    OrderingConvention.AS_WRITTEN: tuple(
-        (a1 + a2, b1 + b2, c1 * c2, k1)
-        for a1, b1, c1, k1 in _INTENSITY_1
-        for a2, b2, c2, _ in _INTENSITY_2
-    ),
-    OrderingConvention.NORMAL_ORDERED: (
-        # (n_a + n_b)^2 as written
-        ("dada", "", 1.0, 0),
-        ("da", "da", 2.0, 0),
-        ("", "dada", 1.0, 0),
-        # double transfers b -> a and a -> b, and the number-number cross term
-        ("dd", "aa", 1.0, -1),
-        ("aa", "dd", 1.0, 1),
-        ("da", "da", 1.0, 1),
-        ("da", "da", 1.0, -1),
-        # single transfers, from detector 1 (k = -1, +1) and detector 2 (k = 0)
-        ("dda", "a", 1.0, -1),
-        ("dda", "a", 1.0, 0),
-        ("d", "daa", 1.0, -1),
-        ("d", "daa", 1.0, 0),
-        ("daa", "d", 1.0, 1),
-        ("daa", "d", 1.0, 0),
-        ("a", "dda", 1.0, 1),
-        ("a", "dda", 1.0, 0),
+    OrderingConvention.AS_WRITTEN: tuple(term[:4] for term in _LITERAL),
+    OrderingConvention.NORMAL_ORDERED: tuple(
+        (_creation_first(wa), _creation_first(wb), c, k) if mixing else (wa, wb, c, k)
+        for wa, wb, c, k, mixing in _LITERAL
     ),
 }
 
@@ -413,8 +407,8 @@ def hbt_two_mode_correlation(
     n_bar, m_bar = nonnegative_scalar("n_bar", n_bar), nonnegative_scalar("m_bar", m_bar)
     if ordering not in _CORRELATOR_TERMS:
         raise DomainError(f"unknown ordering convention {ordering!r}")
-    phases = np.asarray(delta)
-    if phases.dtype.kind not in "biuf" or phases.ndim > 1 or not np.isfinite(phases).all():
+    phases = finite_real("delta", delta)
+    if phases.ndim > 1:
         raise DomainError(f"delta must be a finite real or a 1-D array of them, got {delta!r}")
     dim = choose_dim(max(n_bar, m_bar))
     p_a, p_b = (thermal_populations(mean, dim)[0] for mean in (n_bar, m_bar))

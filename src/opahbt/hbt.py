@@ -5,23 +5,25 @@ The SNR enters only as the amplified-over-plain ratio at peak signal
 routes to the noise coexist deliberately.  The "printed" operations
 evaluate the published closed-form polynomials verbatim (plain
 interferometer and its amplified version).  The "substitution" operations
-evaluate the generic noise polynomial in arbitrary moment vectors, so the
-printed forms can be recomputed independently.  Where the published
-algebra is internally inconsistent, the discrepancy is quantified by
-:func:`consistency_report` rather than papered over.
+evaluate the generic noise polynomial in arbitrary moments, so the
+printed forms can be recomputed independently.  Those laws take each
+source's moments as the ``(4, ...)`` array of
+:func:`~opahbt.photon_stats.thermal_moments`.  Every phase ``delta`` may be
+any finite real or array of them, and broadcasts against the means.  Where
+the published algebra is internally inconsistent, the discrepancy is
+quantified by :func:`consistency_report` rather than papered over.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
+from ._domain import FloatOrArray, finite_real, nonnegative, powers, unwrap
 from .errors import DomainError
 from .opa import OpaParams, coeffs, equivalent_thermal_mean, propagate_moments
-from .photon_stats import MomentVector, thermal_moments
+from .photon_stats import thermal_moments
 
 
 def _means(n_bar: FloatOrArray, m_bar: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,25 +35,26 @@ def _nonzero(n: np.ndarray, m: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} undefined for a zero mean photon number")
 
 
-def correlation_full(nm: MomentVector, mm: MomentVector, delta: float) -> float:
+def correlation_full(nm: np.ndarray, mm: np.ndarray, delta: FloatOrArray) -> FloatOrArray:
     """Full correlator output <n^2> + <m^2> + 2<n><m>(1 + cos(delta))."""
-    delta = nonnegative_scalar("phase", delta)
-    return nm.m2 + mm.m2 + 2.0 * nm.m1 * mm.m1 * (1.0 + math.cos(delta))
+    n1, n2, _, _ = nm
+    m1, m2, _, _ = mm
+    return unwrap(n2 + m2 + 2.0 * n1 * m1 * (1.0 + np.cos(finite_real("phase", delta))))
 
 
-def correlation_ac(n_bar: FloatOrArray, m_bar: FloatOrArray, delta: float) -> FloatOrArray:
+def correlation_ac(n_bar: FloatOrArray, m_bar: FloatOrArray, delta: FloatOrArray) -> FloatOrArray:
     """Phase-dependent signal 2 * n_bar * m_bar * cos(delta) after DC subtraction."""
     n, m = _means(n_bar, m_bar)
-    return unwrap(2.0 * n * m * math.cos(nonnegative_scalar("phase", delta)))
+    return unwrap(2.0 * n * m * np.cos(finite_real("phase", delta)))
 
 
-def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
+def _phase_free_noise(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
     # Generic phase-averaged squared noise in the eight moment components.
     # The +6 cross coefficient makes the thermal reduction identical to
     # noise_avg_printed; the published general form carries -6 there, which
     # is inconsistent with its own quartic law (see consistency_report).
-    n1, n2, n3, n4 = nm.m1, nm.m2, nm.m3, nm.m4
-    m1, m2, m3, m4 = mm.m1, mm.m2, mm.m3, mm.m4
+    n1, n2, n3, n4 = nm
+    m1, m2, m3, m4 = mm
     return (
         n4
         - np.float_power(n2, 2)
@@ -66,11 +69,11 @@ def _phase_free_noise(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
     )
 
 
-def noise_full(nm: MomentVector, mm: MomentVector, delta: float) -> FloatOrArray:
+def noise_full(nm: np.ndarray, mm: np.ndarray, delta: FloatOrArray) -> FloatOrArray:
     """Squared correlator noise including the cos(delta) and cos(2*delta) terms."""
-    n1, n2, n3 = nm.m1, nm.m2, nm.m3
-    m1, m2, m3 = mm.m1, mm.m2, mm.m3
-    delta = nonnegative_scalar("phase", delta)
+    n1, n2, n3, _ = nm
+    m1, m2, m3, _ = mm
+    delta = finite_real("phase", delta)
     nm_sq = np.float_power(n1 * m1, 2)
     cos_group = 4.0 * (
         2.0 * (n3 * m1 + 2.0 * n2 * m2 + n1 * m3)
@@ -81,12 +84,12 @@ def noise_full(nm: MomentVector, mm: MomentVector, delta: float) -> FloatOrArray
     cos2_group = 2.0 * (n2 * m2 - 2.0 * nm_sq)
     return unwrap(
         _phase_free_noise(nm, mm)
-        + cos_group * math.cos(delta)
-        + cos2_group * math.cos(2.0 * delta)
+        + cos_group * np.cos(delta)
+        + cos2_group * np.cos(2.0 * delta)
     )
 
 
-def noise_avg_substitution(nm: MomentVector, mm: MomentVector) -> FloatOrArray:
+def noise_avg_substitution(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
     """Phase-averaged squared noise, generic in the moments.
 
     This is the recomputation route: feeding it thermal moments reproduces
@@ -124,12 +127,12 @@ def noise_avg_printed(n_bar: FloatOrArray, m_bar: FloatOrArray) -> FloatOrArray:
 
 
 def opa_correlation_ac(
-    n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams, delta: float
+    n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams, delta: FloatOrArray
 ) -> FloatOrArray:
     """Amplified AC signal 2(mu^2 n + nu^2)(mu^2 m + nu^2) cos(delta)."""
     n, m = _means(n_bar, m_bar)
     n_out, m_out = equivalent_thermal_mean(n, params), equivalent_thermal_mean(m, params)
-    return unwrap(2.0 * n_out * m_out * math.cos(nonnegative_scalar("phase", delta)))
+    return unwrap(2.0 * n_out * m_out * np.cos(finite_real("phase", delta)))
 
 
 def opa_noise_avg_printed(

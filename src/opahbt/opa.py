@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
 from .errors import DomainError
-from .photon_stats import MomentVector
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,12 @@ def equivalent_thermal_mean(n_bar: FloatOrArray, params: OpaParams) -> FloatOrAr
     return unwrap(c.mu2 * n + c.nu2)
 
 
-def propagate_moments(moments: MomentVector, params: OpaParams) -> MomentVector:
-    """Propagate the first four photon-number moments through the amplifier.
+def propagate_moments(moments: np.ndarray, params: OpaParams) -> np.ndarray:
+    """Propagate the moments <n^j>, j = 1..4, on the first axis through the amplifier.
 
     Evaluates the published propagation polynomials in mu, nu and the input
     moments exactly as printed.  For thermal input moments in the corrected
-    convention the output equals the thermal moment vector at mean
+    convention the output equals the thermal moments at mean
     mu^2 * m1 + nu^2 (the thermal-closure identity, enforced by tests and
     by the Fock-space oracle).
     """
@@ -84,7 +85,7 @@ def propagate_moments(moments: MomentVector, params: OpaParams) -> MomentVector:
     u, v = c.mu2, c.nu2  # mu^2 and nu^2
     u2, u3, u4 = powers(u)
     v2, v3, v4 = powers(v)
-    m1, m2, m3, m4 = moments.m1, moments.m2, moments.m3, moments.m4
+    m1, m2, m3, m4 = moments
     out1 = u * m1 + v
     out2 = u2 * m2 + 3 * u * v * m1 + u * v + v2
     out3 = (
@@ -105,4 +106,4 @@ def propagate_moments(moments: MomentVector, params: OpaParams) -> MomentVector:
         + 11 * u * v3
         + v4
     )
-    return MomentVector(*(unwrap(x) for x in (out1, out2, out3, out4)))
+    return np.stack((out1, out2, out3, out4))

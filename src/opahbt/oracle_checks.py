@@ -48,9 +48,12 @@ def _check(name, description, expected, tol, deviations, note=""):
     """The report entry of one check, judged on the worst of ``deviations``.
 
     ``deviations`` is an array or a list of equally shaped per-point
-    arrays.  A NaN among them, like an infinity, raises :class:`DomainError`.
+    arrays.  A NaN among them, like an infinity, raises :class:`DomainError`,
+    and so does an empty grid, which would otherwise pass unseen.
     """
-    worst = float(np.max(deviations, initial=0.0))
+    if not np.size(deviations):
+        raise DomainError(f"check {name} compares no grid point")
+    worst = float(np.max(deviations))
     if not math.isfinite(worst):
         raise DomainError(f"check {name}: the deviation is {worst}; the inputs overflow")
     passed = worst <= tol
@@ -76,7 +79,7 @@ def check_thermal_closed_forms(summation: dict) -> dict:
 
     ``summation`` maps each mean to its summed moments.
     """
-    oracle = np.column_stack([moments.as_array() for moments in summation.values()])
+    oracle = np.column_stack(list(summation.values()))
     closed = thermal_moments(np.array(list(summation), dtype=float), MomentConvention.CORRECTED)
     return _check(
         "thermal-moment-closed-forms",
@@ -84,15 +87,15 @@ def check_thermal_closed_forms(summation: dict) -> dict:
         "geometric distribution",
         "pass",
         1e-9,
-        relative_deviation(closed.as_array(), oracle),
+        relative_deviation(closed, oracle),
     )
 
 
 def check_published_third_moment(summation: dict) -> dict:
     """The as-published third moment against the summation oracle."""
     n = np.array(list(summation), dtype=float)
-    oracle_m3 = np.array([moments.m3 for moments in summation.values()])
-    printed_m3 = thermal_moments(n, MomentConvention.PAPER_PRINTED).m3
+    _, _, oracle_m3, _ = np.column_stack(list(summation.values()))
+    _, _, printed_m3, _ = thermal_moments(n, MomentConvention.PAPER_PRINTED)
     cubic_confirmed = _confirmed(oracle_m3 - printed_m3, 5.0 * np.float_power(n, 3))
     note = (
         "known misprint: the published third moment is low by exactly 5*N^3 "
@@ -117,7 +120,7 @@ def check_thermal_closure(n_grid, g_grid) -> dict:
         params = OpaParams(g)
         out = propagate_moments(thermal_moments(n), params)
         want = thermal_moments(equivalent_thermal_mean(n, params))
-        deviations.append(relative_deviation(out.as_array(), want.as_array()))
+        deviations.append(relative_deviation(out, want))
     return _check(
         "thermal-closure",
         "propagated thermal moments vs thermal moments at the amplified mean",
@@ -144,7 +147,7 @@ def _squeezed_thermal(n_grid, g_grid) -> dict:
 def _vs_squeezed(squeezed: dict, reference) -> list[np.ndarray]:
     """Deviations of the squeezed Fock moments from ``reference(n, params)`` per grid point."""
     return [
-        relative_deviation(got.as_array(), reference(n, OpaParams(g)).as_array())
+        relative_deviation(got, reference(n, OpaParams(g)))
         for (n, g), got in squeezed.items()
     ]
 
@@ -189,11 +192,11 @@ def _normal_ordered_correlators(n_grid) -> dict:
 
 def check_normal_ordered_correlator(correlators: dict) -> dict:
     """The matrix correlator against the analytic correlation law."""
-    deviations = []
-    for (n, m), correlator in correlators.items():
-        moments = thermal_moments(n), thermal_moments(m)
-        want = [correlation_full(*moments, d) for d in DEFAULT_DELTA_GRID]
-        deviations.append(relative_deviation(correlator, want))
+    deltas = np.array(DEFAULT_DELTA_GRID)
+    deviations = [
+        relative_deviation(got, correlation_full(thermal_moments(n), thermal_moments(m), deltas))
+        for (n, m), got in correlators.items()
+    ]
     return _check(
         "normal-ordered-correlator",
         "two-mode matrix correlator under the normal-ordered convention vs "

@@ -6,17 +6,18 @@ third moment is a known misprint), together with a direct-summation oracle
 that computes the same moments from the geometric distribution itself.
 A thermal source is given by its mean photon number alone, and the oracle
 sums to the fixed relative tail bound :data:`SUMMATION_TAIL_BOUND`.
+Moments are a float64 array ``[<n>, <n^2>, <n^3>, <n^4>]`` of shape
+``(4, *means.shape)``, so ``n1, n2, n3, n4 = moments`` unpacks them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
+from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers
 from .errors import DomainError, SummationLimitError
 
 SUMMATION_TERM_CAP = 10_000_000
@@ -31,24 +32,11 @@ class MomentConvention(Enum):
     PAPER_PRINTED = "paper-printed"
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """First four raw moments <n^j>, j = 1..4, of a photon-number distribution."""
-
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3, self.m4], dtype=float)
-
-
 def thermal_moments(
     n_bar: FloatOrArray,
     convention: MomentConvention = MomentConvention.CORRECTED,
-) -> MomentVector:
-    """Closed-form moments <n^j>, j = 1..4, of a thermal state.
+) -> np.ndarray:
+    """Closed-form moments <n^j>, j = 1..4, of a thermal state, shape ``(4, *n_bar.shape)``.
 
     Parameters
     ----------
@@ -71,11 +59,11 @@ def thermal_moments(
     else:
         raise DomainError(f"unknown moment convention {convention!r}")
     m4 = 24 * n4 + 36 * n3 + 14 * n2 + n
-    return MomentVector(*(unwrap(x) for x in (n, m2, m3, m4)))
+    return np.stack((n, m2, m3, m4))
 
 
-def geometric_summation_moments(n_bar: float) -> MomentVector:
-    """Moments of the thermal distribution by direct summation.
+def geometric_summation_moments(n_bar: float) -> np.ndarray:
+    """Moments <n^j>, j = 1..4, of the thermal distribution by direct summation.
 
     Sums p_n * n^j over the geometric distribution p_n = N^n / (1+N)^(n+1)
     until the remaining weighted tail, bounded analytically through the
@@ -90,7 +78,7 @@ def geometric_summation_moments(n_bar: float) -> MomentVector:
     """
     n_mean = nonnegative_scalar("mean photon number", n_bar)
     if n_mean == 0.0:
-        return MomentVector(0.0, 0.0, 0.0, 0.0)
+        return np.zeros(4)
 
     q = n_mean / (1.0 + n_mean)
     log_q = math.log(q)
@@ -114,7 +102,7 @@ def geometric_summation_moments(n_bar: float) -> MomentVector:
             tails = p_next * (m_last + 1.0) ** np.arange(1, 5) / (1.0 - ratio)
             achieved = float(np.max(tails / sums))
             if achieved <= SUMMATION_TAIL_BOUND:
-                return MomentVector(*sums)
+                return sums
 
     raise SummationLimitError(
         f"summation cap of {SUMMATION_TERM_CAP} terms reached at mean {n_mean}; "

@@ -21,7 +21,6 @@ import numpy as np
 from ._domain import nonnegative
 from .errors import DomainError
 from .opa import OpaParams, coeffs
-from .photon_stats import MomentVector
 
 #: One ladder operator: (mode index, True for a creation operator).
 LadderOp = tuple[int, bool]
@@ -93,13 +92,10 @@ def gaussian_wick_moment(contractions: np.ndarray, monomial: Sequence[LadderOp])
     return complex(contractions[pairs[..., 0], pairs[..., 1]].prod(axis=1).sum())
 
 
-def number_moments(contractions: np.ndarray, mode: int) -> MomentVector:
-    """Moments <(adag a)^j>, j = 1..4, of one mode via the pairing sum."""
+def number_moments(contractions: np.ndarray, mode: int) -> np.ndarray:
+    """Moments <(adag a)^j>, j = 1..4, of one mode via the pairing sum, shape (4,)."""
     pair: list[LadderOp] = [(mode, True), (mode, False)]
-    values = []
-    for j in range(1, 5):
-        value = gaussian_wick_moment(contractions, pair * j)
-        if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-            raise DomainError(f"number moment came out non-real: {value!r}")
-        values.append(value.real)
-    return MomentVector(*values)
+    values = np.array([gaussian_wick_moment(contractions, pair * j) for j in range(1, 5)])
+    if np.any(np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values.real))):
+        raise DomainError(f"number moments came out non-real: {values!r}")
+    return values.real

@@ -650,7 +650,8 @@ probs, deficit = thermal_populations(0.5, 40)
 squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
 assert np.isfinite(squeezed).all() and (squeezed >= 0).all()
 assert abs(squeezed.sum() + deficit - 1.0) <= 1e-10
-print(f"{{reduced_moments(squeezed).m1:.6f}}")
+m1, _, _, _ = reduced_moments(squeezed)
+print(f"{{m1:.6f}}")
 sys.exit(
     main(["oracle-check", "--n-grid", "0,0.5", "--g-grid", "0,0.25",
           "--out", {str(tmp_path / "report.json")!r}])

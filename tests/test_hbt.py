@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from opahbt import (
     DomainError,
     OpaParams,
+    OrderingConvention,
     correlation_ac,
     correlation_full,
     equivalent_thermal_mean,
+    hbt_two_mode_correlation,
     noise_avg_printed,
     noise_avg_substitution,
     noise_full,
@@ -234,7 +236,11 @@ def test_invalid_means_raise_domain_error(bad):
         noise_avg_printed(1.0, bad)
     with pytest.raises(DomainError):
         OpaParams(bad)
-    # The phase shares the validator: every law rejects a bad or negative one.
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1.0", None, 1j])
+def test_invalid_phases_raise_domain_error(bad):
+    # The phase shares one finite-real validator: every law rejects a bad one.
     one = thermal_moments(1.0)
     with pytest.raises(DomainError, match="phase"):
         correlation_full(one, one, bad)
@@ -244,6 +250,35 @@ def test_invalid_means_raise_domain_error(bad):
         correlation_ac(1.0, 1.0, bad)
     with pytest.raises(DomainError, match="phase"):
         opa_correlation_ac(1.0, 1.0, G2, bad)
+
+
+def test_phase_arrays_match_scalar_phases_bit_for_bit():
+    one, half = thermal_moments(1.0), thermal_moments(0.5)
+    deltas = np.array([0.0, math.pi / 4, math.pi / 2, math.pi, -0.7, 10.0])
+    for law in (correlation_full, noise_full):
+        expected = np.array([law(one, half, float(d)) for d in deltas])
+        assert law(one, half, deltas).tobytes() == expected.tobytes()
+    expected = np.array([correlation_ac(1.0, 0.5, float(d)) for d in deltas])
+    assert correlation_ac(1.0, 0.5, deltas).tobytes() == expected.tobytes()
+
+
+def test_laws_are_even_in_the_phase_bit_for_bit():
+    one, half = thermal_moments(1.0), thermal_moments(0.5)
+    deltas = np.array([0.0, 0.7, 1.0, math.pi / 2, 2.5])
+    laws = (
+        lambda d: correlation_full(one, half, d),
+        lambda d: noise_full(one, half, d),
+        lambda d: correlation_ac(1.0, 0.5, d),
+        lambda d: opa_correlation_ac(1.0, 0.5, G2, d),
+        *(
+            lambda d, ordering=ordering: hbt_two_mode_correlation(1.0, 0.5, d, ordering)
+            for ordering in OrderingConvention
+        ),
+    )
+    for law in laws:
+        for delta in (1.0, 0.7):
+            assert law(-delta) == law(delta)
+        assert np.array_equal(law(-deltas), law(deltas))
 
 
 def test_invalid_array_element_is_named():
@@ -260,10 +295,15 @@ def test_scalar_laws_return_python_floats():
         noise_avg_printed(1.0, 2.0),
         opa_noise_avg_printed(1.0, 2.0, G2),
         noise_avg_substitution(thermal_moments(1.0), thermal_moments(2.0)),
+        correlation_full(thermal_moments(1.0), thermal_moments(2.0), 0.5),
+        noise_full(thermal_moments(1.0), thermal_moments(2.0), 0.5),
         equivalent_thermal_mean(1.0, G2),
-        thermal_moments(1.0).m4,
     ):
         assert type(value) is float
+    # Moment functions give one float64 array of <n^j>, j = 1..4, per mean.
+    moments = thermal_moments(1.0)
+    assert moments.dtype == np.float64 and moments.shape == (4,)
+    assert thermal_moments(np.ones((2, 3))).shape == (4, 2, 3)
 
 
 def test_array_laws_match_scalar_laws_bit_for_bit():

@@ -36,8 +36,16 @@ def test_check_entry_takes_the_worst_of_its_per_point_deviations():
     assert known_defect["note"] == "documented"
 
 
-def test_check_of_no_points_reports_zero():
-    assert _check("demo", "a demo", "pass", 1e-9, [])["max_rel_deviation"] == 0.0
+def test_check_of_no_points_raises_naming_the_check():
+    # An empty grid would otherwise pass at deviation 0 without comparing anything.
+    for empty in ([], np.zeros((4, 0))):
+        with pytest.raises(DomainError, match="check demo compares no grid point"):
+            _check("demo", "a demo", "pass", 1e-9, empty)
+
+
+def test_an_empty_gain_grid_raises_instead_of_passing():
+    with pytest.raises(DomainError, match="squeeze-moment-propagation"):
+        run_oracle_checks(g_grid=())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -77,8 +85,8 @@ def test_squeezer_deviation_at_positive_gain_stays_below_the_g0_truncation():
         )
         for (n, g), got in squeezed.items():
             if g > 0.0:
-                want = propagate_moments(thermal_moments(n), OpaParams(g)).as_array()
-                deviation = relative_deviation(got.as_array(), want)
+                want = propagate_moments(thermal_moments(n), OpaParams(g))
+                deviation = relative_deviation(got, want)
                 assert np.max(deviation) <= 1.5e-8, (n, g, deviation)
 
 
