@@ -75,11 +75,11 @@ class SweepSpec:
                 )
 
     def grid(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.n_min])
-        if self.spacing is Spacing.LOG:
-            return np.geomspace(self.n_min, self.n_max, self.points)
-        return np.linspace(self.n_min, self.n_max, self.points)
+        # At the largest float numpy's power overflows before it pins the endpoints.
+        with np.errstate(over="ignore"):
+            if self.spacing is Spacing.LOG:
+                return np.geomspace(self.n_min, self.n_max, self.points)
+            return np.linspace(self.n_min, self.n_max, self.points)
 
 
 class Ratio(Enum):
@@ -96,7 +96,6 @@ class RatioTable:
     A column the sweep was not asked to evaluate is ``None``.
     """
 
-    spec: SweepSpec
     n_bar: np.ndarray
     signal_ratio: np.ndarray | None = None
     snr_ratio: np.ndarray | None = None
@@ -137,7 +136,7 @@ def sweep_ratios(
                 f"ratios overflow the float range at grid point {start + i} "
                 f"(n_bar = {float(n[i])!r}, m_bar = {float(m[i])!r}, g = {spec.g!r})"
             )
-    return RatioTable(spec, grid, **columns)
+    return RatioTable(grid, **columns)
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,6 @@ class FitResult:
     A: float
     B: float
     rss: float
-    grid_used: SweepSpec
 
 
 def fit_inverse_law(table: RatioTable) -> FitResult:
@@ -187,7 +185,7 @@ def fit_inverse_law(table: RatioTable) -> FitResult:
     residual = np.subtract(y, a, out=work)
     residual -= np.divide(b, n)
     rss = float(np.sum(np.square(residual, out=residual)))
-    return FitResult(a, b, rss, table.spec)
+    return FitResult(a, b, rss)
 
 
 def target_ratio_operating_point(fit: FitResult, target: float) -> float:
@@ -218,8 +216,8 @@ class PhiEstimate:
 
     phi: float
     stderr: float
-    iterations: int
     converged: bool
+    iterations: int
     amplitude: float
 
 
@@ -254,14 +252,15 @@ def estimate_phi(
     spatial frequency initialised from the dominant peak of the scan's
     discrete spectrum, for at most :data:`PHI_MAX_ITERATIONS` steps.  The
     linearised standard error of phi comes from the residual variance and
-    the Jacobian at the solution.  If the damped iteration stalls, a few
-    seeded perturbations of the initial frequency are tried before
-    reporting a non-converged estimate.
+    the Jacobian at the solution; a singular Jacobian gives an infinite
+    one.  If the damped iteration stalls, a few seeded perturbations of the
+    initial frequency are tried before reporting a non-converged estimate.
 
     Raises:
         DomainError: for fewer than 4 points, non-finite input, a
             wavenumber or known amplitude that is not a finite real > 0, or
-            a seed that is not an integer >= 0.
+            a seed that is not an integer >= 0; also when the fit, its
+            covariance or phi = |omega| / k overflows the float range.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
@@ -345,29 +344,34 @@ def estimate_phi(
                 break
         return p, cost, iterations, converged
 
-    p, cost, iterations, converged = solve_from(omega0)
-    if not converged:
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            retry = solve_from(omega0 * float(rng.uniform(0.8, 1.25)))
-            _, retry_cost, _, retry_converged = retry
-            if retry_converged and retry_cost <= cost:
-                p, cost, iterations, converged = retry
-                break
+    # Overflow is checked below, so no numpy warning leaks out of the fit.
+    with np.errstate(all="ignore"):
+        p, cost, iterations, converged = solve_from(omega0)
+        if not converged:
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                retry = solve_from(omega0 * float(rng.uniform(0.8, 1.25)))
+                _, retry_cost, _, retry_converged = retry
+                if retry_converged and retry_cost <= cost:
+                    p, cost, iterations, converged = retry
+                    break
 
-    # Linearised covariance at the solution.
-    jac = jacobian(p)
-    dof = max(1, r.size - jac.shape[1])
-    try:
-        cov = cost / dof * np.linalg.inv(jac.T @ jac)
-        omega_stderr = math.sqrt(max(float(cov[-1, -1]), 0.0))
-    except np.linalg.LinAlgError:
-        omega_stderr = math.inf
+        # Linearised covariance at the solution; None marks a singular Jacobian.
+        jac = jacobian(p)
+        dof = max(1, r.size - jac.shape[1])
+        try:
+            variance = float(cost / dof * np.linalg.inv(jac.T @ jac)[-1, -1])
+        except np.linalg.LinAlgError:
+            variance = None
     s, w = p.tolist()
-    return PhiEstimate(
-        phi=abs(w) / k,
-        stderr=omega_stderr / k,
-        iterations=iterations,
-        converged=converged,
-        amplitude=s,
-    )
+    if not all(map(math.isfinite, (cost, s, w, 0.0 if variance is None else variance))):
+        raise DomainError(
+            f"the fit overflows the float range (amplitude {s!r}, residual cost {cost!r}); "
+            "rescale the scan or the amplitude"
+        )
+    phi = abs(w) / k
+    # A singular Jacobian reports an infinite stderr, not an error.
+    stderr = math.inf if variance is None else math.sqrt(max(variance, 0.0)) / k
+    if not (math.isfinite(phi) and (variance is None or math.isfinite(stderr))):
+        raise DomainError(f"phi = |omega| / k overflows the float range at k = {k!r}")
+    return PhiEstimate(phi, stderr, converged, iterations, s)

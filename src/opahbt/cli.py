@@ -10,6 +10,9 @@ The figure commands evaluate and write their rows in blocks of 2,048, so
 beyond the import a figure job holds about 16 bytes per grid point (the
 grid and one ratio column), not its output text.
 
+``fig4``, ``fig5`` and ``fit`` share one parent parser of sweep flags, and
+each command's parser names the function that runs it (``set_defaults``).
+
 Exit codes: 0 success, 2 usage or input error (out of memory included),
 3 degenerate fit, 4 truncation infeasible, 5 non-convergence.
 """
@@ -72,28 +75,6 @@ def _json_payload(document: dict | list) -> tuple[str]:
     return (json.dumps(document, indent=2) + "\n",)
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--g", type=float, default=2.0, help="amplifier gain (default 2)")
-    parser.add_argument("--n-min", type=float, default=0.15, help="grid lower bound")
-    parser.add_argument("--n-max", type=float, default=20.0, help="grid upper bound")
-    parser.add_argument("--points", type=int, default=200, help="grid size (default 200)")
-    parser.add_argument(
-        "--spacing", choices=("log", "linear"), default="log", help="grid spacing"
-    )
-    parser.add_argument(
-        "--m-bar",
-        type=float,
-        default=None,
-        help="hold the companion source at this mean instead of equal sources",
-    )
-
-
-def _add_out_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out", "-o", default="-", help="output path ('-' for stdout, the default)"
-    )
-
-
 def _sweep_spec(args):
     from .analysis import Spacing, SweepSpec
 
@@ -102,7 +83,7 @@ def _sweep_spec(args):
         n_min=args.n_min,
         n_max=args.n_max,
         points=args.points,
-        spacing=Spacing.LOG if args.spacing == "log" else Spacing.LINEAR,
+        spacing=Spacing(args.spacing),
         equal_sources=args.m_bar is None,
         m_bar=args.m_bar,
     )
@@ -126,11 +107,11 @@ def _json_chunks(blocks):
     yield "\n]\n"
 
 
-def _cmd_figure(args, column: str) -> int:
+def _cmd_figure(args) -> int:
     from .analysis import _BLOCK_ROWS, Ratio, sweep_ratios
 
-    table = sweep_ratios(_sweep_spec(args), (Ratio(column),))
-    n_bar, values = table.n_bar, getattr(table, column)
+    table = sweep_ratios(_sweep_spec(args), (Ratio(args.column),))
+    n_bar, values = table.n_bar, getattr(table, args.column)
     # One block of rows is formatted at a time, so the text never exists whole.
     blocks = (
         (n_bar[i : i + _BLOCK_ROWS].tolist(), values[i : i + _BLOCK_ROWS].tolist())
@@ -233,14 +214,7 @@ def _cmd_estimate_phi(args) -> int:
         amplitude_known=args.amplitude,
         seed=args.seed,
     )
-    document = {
-        "phi": estimate.phi,
-        "stderr": estimate.stderr,
-        "converged": estimate.converged,
-        "iterations": estimate.iterations,
-        "amplitude": estimate.amplitude,
-        "seed": args.seed,
-    }
+    document = {**dataclasses.asdict(estimate), "seed": args.seed}
     _write_output(args.out, _json_payload(document))
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED
 
@@ -255,46 +229,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig4 = sub.add_parser("fig4", help="signal-ratio sweep as CSV (n_bar,ratio)")
-    _add_sweep_flags(fig4)
-    _add_out_flag(fig4)
-    fig4.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    fig5 = sub.add_parser("fig5", help="SNR-ratio sweep as CSV (n_bar,ratio)")
-    _add_sweep_flags(fig5)
-    _add_out_flag(fig5)
-    fig5.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    fit = sub.add_parser("fit", help="fit A + B/n_bar to the SNR-ratio sweep (JSON)")
-    _add_sweep_flags(fit)
-    _add_out_flag(fit)
-
-    oracle = sub.add_parser(
-        "oracle-check", help="run the verification suites and report (JSON)"
-    )
-    oracle.add_argument("--n-grid", help="comma-separated thermal means")
-    oracle.add_argument(
-        "--g-grid", help="comma-separated gains for the Fock-space suites"
-    )
-    oracle.add_argument(
-        "--g-noise",
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--g", type=float, default=2.0, help="amplifier gain (default 2)")
+    sweep.add_argument("--n-min", type=float, default=0.15, help="grid lower bound")
+    sweep.add_argument("--n-max", type=float, default=20.0, help="grid upper bound")
+    sweep.add_argument("--points", type=int, default=200, help="grid size (default 200)")
+    sweep.add_argument("--spacing", choices=("log", "linear"), default="log", help="grid spacing")
+    sweep.add_argument(
+        "--m-bar",
         type=float,
-        default=2.0,
-        help="gain for the noise-law consistency checks",
+        default=None,
+        help="hold the companion source at this mean instead of equal sources",
     )
-    _add_out_flag(oracle)
 
-    phi = sub.add_parser(
-        "estimate-phi", help="recover the angular size from a baseline scan CSV"
+    figures = []
+    for name, column, text in (
+        ("fig4", "signal_ratio", "signal-ratio sweep as CSV (n_bar,ratio)"),
+        ("fig5", "snr_ratio", "SNR-ratio sweep as CSV (n_bar,ratio)"),
+    ):
+        figure = sub.add_parser(name, parents=[sweep], help=text)
+        figure.set_defaults(run=_cmd_figure, column=column)
+        figures.append(figure)
+
+    fit_help = "fit A + B/n_bar to the SNR-ratio sweep (JSON)"
+    sub.add_parser("fit", parents=[sweep], help=fit_help).set_defaults(run=_cmd_fit)
+
+    oracle = sub.add_parser("oracle-check", help="run the verification suites and report (JSON)")
+    oracle.add_argument("--n-grid", help="comma-separated thermal means")
+    oracle.add_argument("--g-grid", help="comma-separated gains for the Fock-space suites")
+    oracle.add_argument(
+        "--g-noise", type=float, default=2.0, help="gain for the noise-law consistency checks"
     )
+    oracle.set_defaults(run=_cmd_oracle_check)
+
+    phi = sub.add_parser("estimate-phi", help="recover the angular size from a baseline scan CSV")
     phi.add_argument("scan", help="CSV file with columns (baseline, correlation)")
     phi.add_argument("--k", type=float, required=True, help="wavenumber in rad per length")
     phi.add_argument("--seed", type=int, default=0, help="seed for retry perturbations")
-    phi.add_argument(
-        "--amplitude", type=float, default=None, help="hold the amplitude fixed"
-    )
-    _add_out_flag(phi)
+    phi.add_argument("--amplitude", type=float, default=None, help="hold the amplitude fixed")
+    phi.set_defaults(run=_cmd_estimate_phi)
 
+    for command in sub.choices.values():
+        command.add_argument(
+            "--out", "-o", default="-", help="output path ('-' for stdout, the default)"
+        )
+    for figure in figures:
+        figure.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -304,15 +284,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    handlers = {
-        "fig4": lambda a: _cmd_figure(a, "signal_ratio"),
-        "fig5": lambda a: _cmd_figure(a, "snr_ratio"),
-        "fit": _cmd_fit,
-        "oracle-check": _cmd_oracle_check,
-        "estimate-phi": _cmd_estimate_phi,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except DegenerateFitError as exc:
         print(f"opahbt: degenerate fit: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_FIT

@@ -167,12 +167,11 @@ def test_snr_ratio_decreases_along_positive_gain_sweep():
 def test_fit_recovers_its_own_model_exactly():
     spec = SweepSpec(g=1.0, n_min=0.2, n_max=30.0, points=50)
     grid = spec.grid()
-    table = RatioTable(spec, grid, np.ones_like(grid), 1.082 + 0.584 / grid)
+    table = RatioTable(grid, np.ones_like(grid), 1.082 + 0.584 / grid)
     fit = fit_inverse_law(table)
     assert fit.A == pytest.approx(1.082, abs=1e-9)
     assert fit.B == pytest.approx(0.584, abs=1e-9)
     assert fit.rss <= 1e-18
-    assert fit.grid_used == spec
 
 
 def test_fit_on_default_sweep_matches_published_constants():
@@ -187,7 +186,7 @@ def test_fit_allocates_at_most_two_columns_beyond_its_table():
     # 16 bytes per point, where a fresh array per term held 24.
     points = 200_000
     grid = np.geomspace(0.15, 20.0, points)
-    table = RatioTable(SweepSpec(g=2.0), grid, None, 1.082 + 0.584 / grid)
+    table = RatioTable(grid, None, 1.082 + 0.584 / grid)
     tracemalloc.start()
     try:
         fit_inverse_law(table)
@@ -201,12 +200,7 @@ def test_fit_requires_three_points_and_distinct_abscissae():
     spec = SweepSpec(g=2.0, n_min=1.0, n_max=1.0, points=1)
     with pytest.raises(DomainError):
         fit_inverse_law(sweep_ratios(spec))
-    degenerate = RatioTable(
-        SweepSpec(g=2.0, n_min=1.0, n_max=1.0, points=4, spacing=Spacing.LINEAR),
-        np.ones(4),
-        np.ones(4),
-        np.ones(4),
-    )
+    degenerate = RatioTable(np.ones(4), np.ones(4), np.ones(4))
     with pytest.raises(DegenerateFitError):
         fit_inverse_law(degenerate)
 
@@ -214,7 +208,7 @@ def test_fit_requires_three_points_and_distinct_abscissae():
 def test_operating_point_inversion():
     spec = SweepSpec(g=2.0, n_min=0.2, n_max=30.0, points=50)
     grid = spec.grid()
-    table = RatioTable(spec, grid, np.ones_like(grid), 1.082 + 0.584 / grid)
+    table = RatioTable(grid, np.ones_like(grid), 1.082 + 0.584 / grid)
     fit = fit_inverse_law(table)
     assert target_ratio_operating_point(fit, 5.0) == pytest.approx(
         0.584 / (5.0 - 1.082), rel=1e-9
@@ -228,7 +222,7 @@ def test_operating_point_inversion():
 def test_operating_point_target_shares_the_domain_validator(bad):
     spec = SweepSpec(g=2.0, n_min=0.2, n_max=30.0, points=50)
     grid = spec.grid()
-    fit = fit_inverse_law(RatioTable(spec, grid, np.ones_like(grid), 1.082 + 0.584 / grid))
+    fit = fit_inverse_law(RatioTable(grid, np.ones_like(grid), 1.082 + 0.584 / grid))
     with pytest.raises(DomainError, match="target"):
         target_ratio_operating_point(fit, bad)
 

@@ -1,6 +1,7 @@
 import json
 import os
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import opahbt.analysis
 from opahbt.analysis import _BLOCK_ROWS, RatioTable, Spacing, SweepSpec, sweep_ratios
-from opahbt.cli import _write_output, format_float, main
+from opahbt.cli import _write_output, build_parser, format_float, main
 
 K_BLUE = 1.42e7
 SRC = str(Path(opahbt.__file__).resolve().parents[1])
@@ -91,7 +92,7 @@ def test_figure_writers_match_the_reference_writers_on_edge_values(monkeypatch, 
     values = np.array(EDGE_VALUES)
 
     def sweep(spec, ratios):
-        return RatioTable(spec, values, signal_ratio=values[::-1], snr_ratio=values[::-1])
+        return RatioTable(values, signal_ratio=values[::-1], snr_ratio=values[::-1])
 
     monkeypatch.setattr("opahbt.analysis.sweep_ratios", sweep)
     for command in ("fig4", "fig5"):
@@ -178,6 +179,35 @@ def test_unknown_flag_exits_2_without_output(tmp_path, capsys):
     capsys.readouterr()
     assert code == 2
     assert not target.exists()
+
+
+_SWEEP_FLAGS = ["--g", "--n-min", "--n-max", "--points", "--spacing", "--m-bar"]
+_SWEEP_DEFAULTS = {"g": 2.0, "n_min": 0.15, "n_max": 20.0, "points": 200, "spacing": "log",
+                   "m_bar": None, "out": "-"}
+_FIGURE_DEFAULTS = {**_SWEEP_DEFAULTS, "format": "csv"}
+
+
+@pytest.mark.parametrize(
+    "argv, options, defaults",
+    [
+        (["fig4"], ["-h", *_SWEEP_FLAGS, "--out", "--format"], _FIGURE_DEFAULTS),
+        (["fig5"], ["-h", *_SWEEP_FLAGS, "--out", "--format"], _FIGURE_DEFAULTS),
+        (["fit"], ["-h", *_SWEEP_FLAGS, "--out"], _SWEEP_DEFAULTS),
+        (["oracle-check"], ["-h", "--n-grid", "--g-grid", "--g-noise", "--out"],
+         {"n_grid": None, "g_grid": None, "g_noise": 2.0, "out": "-"}),
+        (["estimate-phi", "scan.csv", "--k", "1"], ["scan", "-h", "--k", "--seed", "--amplitude",
+                                                    "--out"],
+         {"scan": "scan.csv", "k": 1.0, "seed": 0, "amplitude": None, "out": "-"}),
+    ],
+    ids=["fig4", "fig5", "fit", "oracle-check", "estimate-phi"],
+)
+def test_each_command_keeps_its_options_and_defaults(capsys, argv, options, defaults):
+    assert run_cli([argv[0], "--help"]) == 0
+    assert re.findall(r"^  (-?-?[\w-]+)", capsys.readouterr().out, re.M) == options
+    parsed = vars(build_parser().parse_args(argv))
+    for key in ("run", "column"):
+        parsed.pop(key, None)
+    assert parsed == {"command": argv[0], **defaults}
 
 
 def test_device_output_is_written_in_place(capsys):
@@ -567,6 +597,25 @@ def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     assert document["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k", "1e-310"], "opahbt: phi = |omega| / k overflows the float range at k = 1e-310"),
+        (["--k", str(K_BLUE), "--amplitude", "1e200"], "opahbt: the fit overflows the float range"),
+    ],
+    ids=["phi", "fit"],
+)
+def test_estimate_phi_non_finite_result_exits_2_without_output_or_warnings(tmp_path, flags, message):
+    scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
+    _write_scan(scan, 1e-8)
+    result = run_python("-W", "error::RuntimeWarning", "-m", "opahbt", "estimate-phi", str(scan),
+                        *flags, "--out", str(target))
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(message)
+    assert not target.exists()
+
+
 def test_estimate_phi_rejects_a_negative_seed_before_fitting(tmp_path, capsys):
     # The scan converges at once, so only an up-front check sees the seed.
     scan = tmp_path / "scan.csv"
@@ -605,6 +654,10 @@ def test_estimate_phi_rejects_an_amplitude_that_is_not_positive(tmp_path, amplit
         ["fig5", "--g", "200"],
         # The amplified noise overflows while the ratio's other terms stay finite.
         ["fig5", "--g", "10", "--n-min", "1e70", "--n-max", "1e70", "--points", "1"],
+        # numpy's geomspace overflows in its power step at the largest float.
+        ["fig5", "--n-min", "1.7976931348623157e308", "--n-max", "1.7976931348623157e308",
+         "--points", "1"],
+        ["fig5", "--n-min", "1e308", "--n-max", "1.7976931348623157e308", "--points", "2"],
     ],
 )
 def test_overflowing_sweep_exits_2_without_output_or_warnings(tmp_path, args):
