@@ -12,9 +12,9 @@ name loads on first use, and each lookup imports only the module that
 defines it (with the modules that one imports): the laws in
 ``photon_stats``, ``opa`` and ``hbt``, ``analysis`` for the ``fig4``,
 ``fig5``, ``fit`` and ``estimate-phi`` commands, and ``wick``, ``fock``
-and ``oracle_checks`` for ``oracle-check``.  A Fock state is a numpy array
-of photon-number populations plus its trace deficit, truncated at an int
-number of levels per mode; the package needs only numpy at run time.
+and ``oracle_checks`` for ``oracle-check``.  A Fock state is one numpy array
+of photon-number populations on an int number of levels per mode, short of
+the mass truncation dropped; the package needs only numpy at run time.
 """
 
 from importlib import import_module

@@ -1,10 +1,9 @@
 """Scalar-or-array helpers shared by the closed-form laws.
 
-Laws accept Python or numpy reals and arrays of them.  They validate their
-phases with :func:`finite_real` (the package's one finite-real check) and
-their means with :func:`nonnegative`, which builds on it, compute on
-float64 arrays, and hand the result back through :func:`unwrap`, so a
-scalar in gives a float out.
+Laws accept Python or numpy reals and arrays of them.  They validate phases
+with :func:`finite_real` (the one finite-real check), means with
+:func:`nonnegative`, which builds on it, and counts with :func:`integer`,
+compute on float64 arrays, and unwrap the result, so a scalar gives a float.
 """
 
 from __future__ import annotations
@@ -53,6 +52,15 @@ def nonnegative_scalar(name: str, value) -> float:
     if array.ndim:
         raise DomainError(f"{name} must be a scalar, got shape {array.shape}")
     return float(array)
+
+
+def integer(name: str, value, low: int, high: float = np.inf) -> int:
+    """``value`` as a Python int in [low, high]; numpy integers pass, bools do not."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (whole and low <= value <= high):
+        rule = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be an integer {rule}, got {value!r}")
+    return int(value)
 
 
 def powers(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

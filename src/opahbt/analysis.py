@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._domain import nonnegative_scalar
+from ._domain import integer, nonnegative_scalar
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -62,10 +62,7 @@ class SweepSpec:
             raise DomainError(
                 f"need 0 < n_min <= n_max, got [{self.n_min}, {self.n_max}]"
             )
-        if not isinstance(self.points, int) or not 1 <= self.points <= _MAX_POINTS:
-            raise DomainError(
-                f"points must be an integer in [1, {_MAX_POINTS}], got {self.points!r}"
-            )
+        object.__setattr__(self, "points", integer("points", self.points, 1, _MAX_POINTS))
         if self.points == 1 and self.n_min != self.n_max:
             raise DomainError("a single-point sweep requires n_min == n_max")
         if not self.equal_sources:
@@ -221,7 +218,11 @@ class PhiEstimate:
     amplitude: float
 
 
-def _periodogram_peak(r: np.ndarray, y: np.ndarray, n_freq: int) -> float:
+def _periodogram_peak(r: np.ndarray, y: np.ndarray) -> float:
+    n_freq = max(512, 16 * r.size)
+    # Scaling to max |y| in [0.5, 1) by a power of two is exact, so the peak is
+    # the scan's own, and a scan near the float limit cannot overflow below.
+    y = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
     span = float(r.max() - r.min())
     gaps = np.diff(np.sort(r))
     min_gap = float(gaps[gaps > 0].min()) if np.any(gaps > 0) else span
@@ -229,7 +230,7 @@ def _periodogram_peak(r: np.ndarray, y: np.ndarray, n_freq: int) -> float:
     omega_min = 0.25 * math.pi / span
     omegas = np.linspace(omega_min, omega_max, n_freq)
     # Blocks of frequency rows bound the memory; a scan of up to 512 points
-    # at the default 16 n frequencies is one block.  Only the first block
+    # at 16 n frequencies is one block.  Only the first block
     # calls exp: block b is it shifted by omegas[b rows] - omegas[0], a
     # phase factor per scan point, so all blocks are one matrix product.
     rows = max(1, _PERIODOGRAM_BLOCK // r.size)
@@ -276,13 +277,12 @@ def estimate_phi(
         raise DomainError(f"wavenumber must be > 0, got {k!r}")
     if amplitude_known is not None and nonnegative_scalar("amplitude", amplitude_known) == 0.0:
         raise DomainError(f"amplitude must be > 0, got {amplitude_known!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = integer("seed", seed, 0)
     span = float(r.max() - r.min())
     if span <= 0:
         raise DomainError("scan baselines are all identical")
 
-    omega0 = _periodogram_peak(r, y, n_freq=max(512, 16 * r.size))
+    omega0 = _periodogram_peak(r, y)
     if omega0 * span < math.pi:
         raise FringeCoverageError(
             f"scan spans {omega0 * span / (2 * math.pi):.3f} fringes at the "

@@ -5,9 +5,9 @@ levels.  That is all the modelled amplifier needs.  Thermal and vacuum
 inputs are diagonal, the two-mode squeezer maps a diagonal input to a
 diagonal output, of which only the signal mode's marginal is kept, and on
 a thermal product state the two-detector correlator splits into one sum
-per mode.  Populations are subnormalized: the probability mass lost to
-truncation is carried explicitly as a trace deficit so trace + deficit = 1
-holds exactly; the correlator renormalizes.  The module needs only numpy.
+per mode.  The mass a truncated state lacks, 1 - sum p, is what truncation
+dropped: the squeezer bounds it, and every reader takes the normalized
+state p / sum p.  The module needs only numpy.
 
 The two-mode squeezer is the exponential of the anti-Hermitian generator
 g(adag bdag - a b) in the truncated space.  It keeps the photon-number
@@ -26,13 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._domain import FloatOrArray, finite_real, nonnegative, nonnegative_scalar, unwrap
+from ._domain import FloatOrArray, finite_real, integer, nonnegative, nonnegative_scalar, unwrap
 from .errors import DomainError, TruncationError
 from .opa import OpaParams, equivalent_thermal_mean
 
 DEFAULT_TAIL = 1e-12
 DIM_CAP = 1024
-# Largest input deficit plus output boundary-shell mass a squeeze may leave.
+# Largest missing mass plus output boundary-shell mass a squeeze may leave.
 SQUEEZED_TAIL_BOUND = 1e-9
 # Ladders other than 1 with less input weight than this are not propagated.
 LADDER_WEIGHT_FLOOR = 1e-18
@@ -98,21 +98,17 @@ def space_for_squeezed_thermal(n_bar: float, g: float) -> int:
     return choose_dim(equivalent_thermal_mean(n_bar, OpaParams(g)))
 
 
-def thermal_populations(n_bar: float, dim: int) -> tuple[np.ndarray, float]:
-    """Thermal weights p_n = N^n / (1+N)^(n+1), n < dim, and the tail mass.
-
-    The tail mass (N/(1+N))^dim is what truncation to ``dim`` levels
-    drops.
+def thermal_populations(n_bar: float, dim: int) -> np.ndarray:
+    """Thermal weights p_n = N^n / (1+N)^(n+1), n < dim, short of the tail mass (N/(1+N))^dim.
 
     Raises:
         DomainError: if ``n_bar`` is not a finite real >= 0, or ``dim`` is
             not an integer >= 2.
     """
     n_bar = nonnegative_scalar("mean photon number", n_bar)
-    if not isinstance(dim, int) or dim < 2:
-        raise DomainError(f"dim must be an integer >= 2, got {dim!r}")
+    dim = integer("dim", dim, 2)
     q = n_bar / (1.0 + n_bar)
-    return (1.0 - q) * q ** np.arange(dim), q**dim
+    return (1.0 - q) * q ** np.arange(dim)
 
 
 def _bessel_j(z: float) -> np.ndarray:
@@ -188,11 +184,11 @@ def _squeeze_strip(ladders: np.ndarray, dim: int, g: float) -> np.ndarray:
     return psi
 
 
-def _check_squeezed_tail(marginal: np.ndarray, trace_deficit: float, g: float) -> None:
-    """Raise when deficit plus output boundary-shell mass exceeds the bound."""
+def _check_squeezed_tail(marginal: np.ndarray, g: float) -> None:
+    """Raise when missing mass plus output boundary-shell mass exceeds the bound."""
     # The idler k of |d + k, k> never exceeds the signal level, so the whole
     # boundary shell sits on the signal's top retained level.
-    tail_estimate = trace_deficit + float(marginal[-1])
+    tail_estimate = 1.0 - float(marginal.sum()) + float(marginal[-1])
     if tail_estimate <= SQUEEZED_TAIL_BOUND:
         return
     mean_out = float(marginal @ np.arange(marginal.size))
@@ -209,28 +205,26 @@ def _check_squeezed_tail(marginal: np.ndarray, trace_deficit: float, g: float) -
     )
 
 
-def squeeze_populations(
-    signal: np.ndarray, g: float, trace_deficit: float = 0.0
-) -> tuple[np.ndarray, float]:
+def squeeze_populations(signal: np.ndarray, g: float) -> np.ndarray:
     """Squeeze signal populations p[d] against an idler in vacuum.
 
     The input |d, 0> starts ladder d in its bottom level, and the squeezer
     keeps the ladder, so the output population of |d + k, k> is p[d]
     times the squared amplitude that :func:`_squeeze_strip` propagates
     from |d, 0>, and the signal level d + k collects it.  Ladders whose
-    input weight is below :data:`LADDER_WEIGHT_FLOOR` are not propagated;
-    their mass joins the trace deficit.  Ladder 1 always is: at a thermal
-    mean below about the floor it holds all the excited mass, and dropping
-    it would leave every moment zero.  Truncation quality is verified a
-    posteriori: that deficit, ``trace_deficit`` (the input's) included,
-    plus the realized boundary-shell mass must stay below
-    :data:`SQUEEZED_TAIL_BOUND`.
+    input weight is below :data:`LADDER_WEIGHT_FLOOR` are not propagated,
+    so their mass is absent from the output.  Ladder 1 always is: at a
+    thermal mean below about the floor it holds all the excited mass, and
+    dropping it would leave every moment zero.  Truncation quality is
+    verified a posteriori: the output's missing mass, 1 - sum p (the
+    input's own included), plus the realized boundary-shell mass must stay
+    below :data:`SQUEEZED_TAIL_BOUND`.
 
     Returns:
-        The signal mode's output populations p[n] on the dim levels of
-        ``signal``, and the output's trace deficit.
+        The signal mode's output populations p[n] on the levels of ``signal``.
 
     Raises:
+        DomainError: for populations not 1-D on >= 2 levels or above unit mass.
         TruncationError: when the combined tail estimate exceeds the
             bound; the error suggests a larger dimension.
     """
@@ -239,33 +233,30 @@ def squeeze_populations(
         raise DomainError(
             f"signal populations must be 1-D with >= 2 levels, got shape {signal.shape}"
         )
+    if signal.sum() > 1.0 + SQUEEZED_TAIL_BOUND:
+        raise DomainError(f"signal populations must sum to at most 1, got {float(signal.sum())!r}")
     g = nonnegative_scalar("gain", g)
     dim = signal.size
-    kept = signal >= LADDER_WEIGHT_FLOOR
-    kept[1] = True
-    deficit = trace_deficit + float(signal[~kept].sum())
-    ladders = np.flatnonzero(kept)
+    ladders = np.flatnonzero((signal >= LADDER_WEIGHT_FLOOR) | (np.arange(dim) == 1))
     psi = _squeeze_strip(ladders, dim, g)
     level = ladders + np.arange(psi.shape[0])[:, None]
     inside = level < dim
     weights = (signal[ladders] * psi**2)[inside]
     marginal = np.bincount(level[inside], weights=weights, minlength=dim)
-    _check_squeezed_tail(marginal, deficit, g)
-    return marginal, deficit
+    _check_squeezed_tail(marginal, g)
+    return marginal
 
 
-def two_mode_squeeze(
-    populations: np.ndarray, g: float, trace_deficit: float = 0.0
-) -> tuple[np.ndarray, float]:
+def two_mode_squeeze(populations: np.ndarray, g: float) -> np.ndarray:
     """Apply the two-mode squeezer with gain ``g`` to a signal (x) vacuum grid.
 
     ``populations`` is p[n_a, n_b] on a square grid.  See
-    :func:`squeeze_populations` for the algorithm, the trace deficit, the
-    truncation check and the returned signal marginal and deficit.
+    :func:`squeeze_populations` for the algorithm, the truncation check
+    and the returned signal marginal.
 
     Raises:
         DomainError: unless the grid is square and mode 1, the idler, is in
-            vacuum.
+            vacuum, or as for :func:`squeeze_populations`.
         TruncationError: when the combined tail estimate exceeds the
             bound; the error suggests a larger dimension.
     """
@@ -276,19 +267,23 @@ def two_mode_squeeze(
         )
     if populations[:, 1:].any():
         raise DomainError("two_mode_squeeze needs the idler (mode 1) in vacuum")
-    return squeeze_populations(populations[:, 0], g, trace_deficit)
+    return squeeze_populations(populations[:, 0], g)
 
 
 def reduced_moments(populations: np.ndarray) -> np.ndarray:
-    """Photon-number moments <n^j>, j = 1..4, of one mode's populations p[n], shape (4,).
+    """Moments <n^j>, j = 1..4, of one mode's normalized state p / sum p, shape (4,).
 
-    The moments are those of the subnormalized populations: divide by
-    their trace for the moments of the normalized state.
+    Raises:
+        DomainError: unless ``populations`` is 1-D with a positive sum.
     """
     if populations.ndim != 1:
         raise DomainError(f"reduced_moments takes p[n] for one mode, got shape {populations.shape}")
+    mass = float(populations.sum())
+    if not mass > 0.0:
+        raise DomainError(f"reduced_moments needs populations with positive mass, got {mass!r}")
+    normalized = populations / mass
     occupation = np.arange(populations.size, dtype=float)
-    return np.array([populations @ occupation**j for j in (1, 2, 3, 4)])
+    return np.array([normalized @ occupation**j for j in (1, 2, 3, 4)])
 
 
 # Each correlator is a sum of terms coeff * e^(i k delta) * A (x) B, where A
@@ -411,7 +406,7 @@ def hbt_two_mode_correlation(
     if phases.ndim > 1:
         raise DomainError(f"delta must be a finite real or a 1-D array of them, got {delta!r}")
     dim = choose_dim(max(n_bar, m_bar))
-    p_a, p_b = (thermal_populations(mean, dim)[0] for mean in (n_bar, m_bar))
+    p_a, p_b = (thermal_populations(mean, dim) for mean in (n_bar, m_bar))
     p_a, p_b = p_a / p_a.sum(), p_b / p_b.sum()
     # The rows and coefficients are real, so Re e^(i k delta) is cos(k delta).
     c0, second = (

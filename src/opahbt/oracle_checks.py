@@ -131,17 +131,13 @@ def check_thermal_closure(n_grid, g_grid) -> dict:
 
 
 def _squeezed_thermal(n_grid, g_grid) -> dict:
-    """Signal-mode moments of thermal(n) (x) vacuum squeezed at gain g.
-
-    Maps each (n, g) of the grid to the moments of its squeezed marginal,
-    renormalized to unit trace; both Fock suites read them.
-    """
-    states = {}
-    for n, g in dict.fromkeys(itertools.product(n_grid, g_grid)):
-        probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
-        squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-        states[n, g] = reduced_moments(squeezed / squeezed.sum())
-    return states
+    """Moments of thermal(n) (x) vacuum squeezed at g, keyed by (n, g), for both Fock suites."""
+    return {
+        (n, g): reduced_moments(
+            squeeze_populations(thermal_populations(n, space_for_squeezed_thermal(n, g)), g)
+        )
+        for n, g in dict.fromkeys(itertools.product(n_grid, g_grid))
+    }
 
 
 def _vs_squeezed(squeezed: dict, reference) -> list[np.ndarray]:

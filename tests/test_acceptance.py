@@ -109,17 +109,15 @@ def test_c06_moment_propagation_oracle():
     with criterion(6, "Fock oracle confirms the moment propagation rules"):
         for n in (0.0, 0.5, 1.0):
             for g in (0.0, 0.25, 0.5, 1.0):
-                probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
-                squeezed, deficit = squeeze_populations(probs, g, trace_deficit=deficit)
-                # Boundary-shell certificate: deficit plus the signal's top
-                # level, where the whole shell sits (the idler never
-                # exceeds the signal).
-                assert deficit + squeezed[-1] < 1e-9
+                probs = thermal_populations(n, space_for_squeezed_thermal(n, g))
+                squeezed = squeeze_populations(probs, g)
+                # Boundary-shell certificate: the missing mass plus the
+                # signal's top level, where the whole shell sits (the idler
+                # never exceeds the signal).
+                assert 1.0 - squeezed.sum() + squeezed[-1] < 1e-9
                 got = reduced_moments(squeezed)
                 want = propagate_moments(thermal_moments(n), OpaParams(g))
-                np.testing.assert_allclose(
-                    got, want * squeezed.sum(), rtol=1e-6, atol=1e-12
-                )
+                np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
 
 
 def test_c07_thermal_closure():
@@ -232,3 +230,28 @@ def test_c13_semiclassical_diagonal_moment_gap():
                     assert ordered == pytest.approx(classical, rel=1e-12, abs=1e-12)
                     quantum = correlation_full(thermal_moments(n), thermal_moments(m), delta)
                     assert quantum - classical == pytest.approx(n + m, rel=1e-12, abs=1e-12)
+
+
+def test_c14_published_law_root_and_faint_source_limit():
+    with criterion(14, "the published SNR law's own 400 percent root and faint-source limit"):
+        # Bisection on the law itself, not on the fitted A + B/n (whose root
+        # is criterion 5's 0.149).
+        low, high = 0.01, 1.0
+        for _ in range(60):
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if snr_ratio(mid, mid, G2) > 5.0 else (low, mid)
+        assert low == pytest.approx(0.16033064, abs=1e-8)
+        # Faint sources: the ratio diverges as n^(-3/2), not as 1/n, and
+        # n^(3/2) r tends to sqrt(2) nu^4 / sqrt(2 mu^6 nu^2 + 46 mu^4 nu^4
+        # + 93 mu^2 nu^6 + 14 nu^8), approached from above with an excess
+        # that falls as n.
+        mu, nu = math.cosh(2.0), math.sinh(2.0)
+        limit = math.sqrt(2.0) * nu**4 / math.sqrt(
+            2 * mu**6 * nu**2 + 46 * mu**4 * nu**4 + 93 * mu**2 * nu**6 + 14 * nu**8
+        )
+        assert limit == pytest.approx(0.10852219, abs=1e-8)
+        scaled = [n**1.5 * snr_ratio(n, n, G2) for n in (1e-4, 1e-6, 1e-8)]
+        assert scaled == pytest.approx([0.1086790, 0.1085238, 0.1085222], abs=1e-7)
+        excess = [value / limit - 1.0 for value in scaled]
+        assert excess[0] > excess[1] > excess[2] > 0.0
+        assert excess[2] <= 2e-7

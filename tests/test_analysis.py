@@ -38,6 +38,11 @@ def test_sweep_spec_validation():
     with pytest.raises(DomainError):
         SweepSpec(g=2.0, points=_MAX_POINTS + 1)
     assert SweepSpec(g=2.0, points=_MAX_POINTS).points == _MAX_POINTS
+    # One integer rule: a numpy integer is a count, a bool is not.
+    with pytest.raises(DomainError, match=r"points must be an integer in \[1, \d+\], got True"):
+        SweepSpec(g=2.0, n_min=1.0, n_max=1.0, points=True)
+    spec = SweepSpec(g=2.0, points=np.int64(200))
+    assert type(spec.points) is int and spec == SweepSpec(g=2.0)
     with pytest.raises(DomainError):
         SweepSpec(g=2.0, n_min=1.0, n_max=2.0, points=1)
     with pytest.raises(DomainError):
@@ -262,12 +267,12 @@ def test_periodogram_blocks_find_the_one_block_peak(monkeypatch, rows):
     # 7.1 rad/m puts the peak near row 1450, past the first block.
     r = np.linspace(0.0, 40.0, 200)
     y = 0.9 * np.cos(K_BLUE * 5e-7 * r) + 0.3 * np.random.default_rng(11).standard_normal(r.size)
-    n_freq = 16 * r.size  # not a multiple of 7 or 64: the last block is cut
+    n_freq = 16 * r.size  # the function's count; not a multiple of 7 or 64: the last block is cut
     omegas = np.linspace(0.25 * math.pi / 40.0, math.pi / np.diff(r).min(), n_freq)
     whole = omegas[np.argmax(np.abs(np.exp(-1j * np.outer(omegas, r)) @ y))]
-    assert _periodogram_peak(r, y, n_freq) == whole
+    assert _periodogram_peak(r, y) == whole
     monkeypatch.setattr(opahbt.analysis, "_PERIODOGRAM_BLOCK", rows * r.size)
-    assert _periodogram_peak(r, y, n_freq) == whole
+    assert _periodogram_peak(r, y) == whole
 
 
 @pytest.mark.parametrize("seed", [120, 123, 124])
@@ -319,7 +324,7 @@ def test_phi_wavenumber_shares_the_domain_validator(bad):
         estimate_phi(r, y, k=bad)
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5, "1", True, None])
+@pytest.mark.parametrize("bad", [-1, 1.5, "1", True, None, np.int64(-1), np.bool_(True)])
 def test_phi_seed_is_checked_before_fitting(bad):
     # The scan converges without a retry, so the seed would otherwise go unused.
     r, y = _scan(1e-8)

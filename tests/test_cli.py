@@ -482,9 +482,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, code, loaded
     assert result.stdout.splitlines()[-1] == f"{code} {loaded}"
 
 
-def _write_scan(path, phi, noise=0.0, seed=0, points=64):
+def _write_scan(path, phi, noise=0.0, seed=0, points=64, amplitude=0.9):
     r = np.linspace(0.0, 40.0, points)
-    y = 0.9 * np.cos(K_BLUE * phi * r)
+    y = amplitude * np.cos(K_BLUE * phi * r)
     if noise:
         y = y + noise * np.random.default_rng(seed).standard_normal(points)
     lines = ["r0,correlation"]
@@ -616,6 +616,29 @@ def test_estimate_phi_non_finite_result_exits_2_without_output_or_warnings(tmp_p
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "amplitude, message",
+    [
+        (1e307, "opahbt: the fit overflows the float range"),
+        (0.0, "opahbt: scan spans 0.125 fringes at the detected frequency"),
+    ],
+    ids=["near-limit", "all-zero"],
+)
+def test_estimate_phi_scan_scale_exits_2_without_warnings(tmp_path, amplitude, message):
+    # The periodogram reads the scan scaled by a power of two to unit
+    # magnitude, so a scan near the float limit leaves only the fit's own
+    # overflow check to speak, and an all-zero scan still peaks at the
+    # lowest frequency.
+    scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
+    _write_scan(scan, 1e-8, amplitude=amplitude)
+    result = run_python("-W", "error::RuntimeWarning", "-m", "opahbt", "estimate-phi", str(scan),
+                        "--k", str(K_BLUE), "--out", str(target))
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(message)
+    assert not target.exists()
+
+
 def test_estimate_phi_rejects_a_negative_seed_before_fitting(tmp_path, capsys):
     # The scan converges at once, so only an up-front check sees the seed.
     scan = tmp_path / "scan.csv"
@@ -699,10 +722,9 @@ sys.modules["scipy"] = None
 import numpy as np
 from opahbt import reduced_moments, squeeze_populations, thermal_populations
 from opahbt.cli import main
-probs, deficit = thermal_populations(0.5, 40)
-squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
+squeezed = squeeze_populations(thermal_populations(0.5, 40), 0.5)
 assert np.isfinite(squeezed).all() and (squeezed >= 0).all()
-assert abs(squeezed.sum() + deficit - 1.0) <= 1e-10
+assert abs(squeezed.sum() - 1.0) <= 1e-10
 m1, _, _, _ = reduced_moments(squeezed)
 print(f"{{m1:.6f}}")
 sys.exit(

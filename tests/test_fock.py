@@ -26,10 +26,11 @@ from opahbt import (
 from opahbt.oracle_checks import DEFAULT_G_GRID, DEFAULT_N_GRID
 
 
-def _assert_valid(populations, deficit):
-    # Every population finite and >= 0, and trace + deficit = 1.
+def _assert_valid(populations):
+    # Every population finite and >= 0, and the mass truncation drops,
+    # 1 - sum p, negligible.
     assert np.isfinite(populations).all() and (populations >= 0.0).all()
-    assert populations.sum() + deficit == pytest.approx(1.0, abs=1e-10)
+    assert populations.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def _idler_populations(signal, g):
@@ -40,39 +41,37 @@ def _idler_populations(signal, g):
 
 
 def _thermal_signal_vacuum_grid(n, dim):
-    # thermal(n) (x) vacuum as a dim x dim grid, and its trace deficit.
-    probs, deficit = thermal_populations(n, dim)
+    # thermal(n) (x) vacuum as a dim x dim grid.
     grid = np.zeros((dim, dim))
-    grid[:, 0] = probs
-    return grid, deficit
+    grid[:, 0] = thermal_populations(n, dim)
+    return grid
 
 
 def test_thermal_state_geometric_weights_and_deficit():
-    probs, deficit = thermal_populations(1.0, 40)
+    probs = thermal_populations(1.0, 40)
     assert probs[0] == pytest.approx(0.5)
     assert probs[1] == pytest.approx(0.25)
-    assert deficit == pytest.approx(2.0**-40, rel=1e-12)
-    assert probs.sum() + deficit == pytest.approx(1.0, abs=1e-12)
-    _assert_valid(probs, deficit)
+    # The missing mass is the dropped tail (1/2)^40.
+    assert 1.0 - probs.sum() == pytest.approx(2.0**-40, abs=1e-15)
+    _assert_valid(probs)
 
 
 def test_thermal_state_moments_match_closed_forms():
     # At dim 40 the fourth moment carries the genuine weighted tail of the
     # distribution (a few parts in 1e8); dim 56 pushes it below 1e-9.
-    probs, _ = thermal_populations(1.0, 40)
+    probs = thermal_populations(1.0, 40)
     np.testing.assert_allclose(
         reduced_moments(probs), [1.0, 3.0, 13.0, 75.0], rtol=1e-7
     )
-    finer, _ = thermal_populations(1.0, 56)
+    finer = thermal_populations(1.0, 56)
     np.testing.assert_allclose(
         reduced_moments(finer), [1.0, 3.0, 13.0, 75.0], rtol=1e-9
     )
 
 
 def test_vacuum_state_is_exact():
-    probs, deficit = thermal_populations(0.0, 8)
+    probs = thermal_populations(0.0, 8)
     assert probs.sum() == 1.0
-    assert deficit == 0.0
     assert reduced_moments(probs).tolist() == [0, 0, 0, 0]
 
 
@@ -137,10 +136,31 @@ def test_squeezer_inputs_must_be_finite_populations_on_a_square_grid():
 
 
 def test_reduced_moments_reject_a_joint_grid():
-    probs, _ = thermal_populations(0.5, 8)
+    probs = thermal_populations(0.5, 8)
     for bad in (np.outer(probs, probs), np.float64(0.5)):
         with pytest.raises(DomainError, match="one mode"):
             reduced_moments(bad)
+
+
+def test_reduced_moments_read_the_normalized_state():
+    probs = thermal_populations(1.0, 40)
+    np.testing.assert_array_equal(reduced_moments(0.5 * probs), reduced_moments(probs))
+    # Populations with no mass have no normalized state.
+    with pytest.raises(DomainError, match="positive mass"):
+        reduced_moments(np.zeros(8))
+
+
+def test_squeezer_rejects_input_above_unit_mass():
+    # The tail estimate derives the missing mass as 1 - sum p, so an excess
+    # input mass would offset the boundary shell; it is an input error.
+    grid = np.zeros((4, 4))
+    grid[:2, 0] = 0.5, 0.5 + 2e-9
+    with pytest.raises(DomainError, match="sum to at most 1"):
+        squeeze_populations(grid[:, 0], 0.1)
+    with pytest.raises(DomainError, match="sum to at most 1"):
+        two_mode_squeeze(grid, 0.1)
+    # An excess within the bound is accepted as unit mass.
+    squeeze_populations(np.array([0.5, 0.5 + 1e-12, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 0.01)
 
 
 def test_choose_dim_rule_and_cap():
@@ -212,10 +232,9 @@ def test_ladder_exponential_matches_scipy(difference, monkeypatch):
     moved = scipy.linalg.expm(_ladder_generator(difference, length, g))[:, 0] ** 2
     want = np.zeros(dim)
     want[k + difference] = moved
-    got, deficit = squeeze_populations(signal, g)
+    got = squeeze_populations(signal, g)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert got.sum() == pytest.approx(1.0, abs=1e-13)
-    assert deficit == 0.0
 
 
 def test_squeeze_matches_dense_generator_exponential():
@@ -227,15 +246,15 @@ def test_squeeze_matches_dense_generator_exponential():
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     ad = a.T
     unitary = scipy.linalg.expm(g * (np.kron(ad, ad) - np.kron(a, a)))
-    grid, deficit = _thermal_signal_vacuum_grid(0.4, dim)
+    grid = _thermal_signal_vacuum_grid(0.4, dim)
     rho = np.diag(grid.ravel())
     expected = np.diag(unitary @ rho @ unitary.T).reshape(dim, dim)
-    squeezed, _ = two_mode_squeeze(grid, g, deficit)
+    squeezed = two_mode_squeeze(grid, g)
     np.testing.assert_allclose(squeezed, expected.sum(axis=1), rtol=0, atol=1e-13)
 
 
 def test_squeezing_a_thermal_idler_is_a_domain_error():
-    grid = np.outer(thermal_populations(0.4, 12)[0], thermal_populations(0.2, 12)[0])
+    grid = np.outer(thermal_populations(0.4, 12), thermal_populations(0.2, 12))
     with pytest.raises(DomainError, match="vacuum"):
         two_mode_squeeze(grid, 0.4)
 
@@ -247,8 +266,8 @@ def test_squeeze_matches_the_untruncated_su11_column_at_g2():
     # checked on the strip's amplitudes, the returned marginal on the row sums.
     n, g = 1.0, 2.0
     dim = space_for_squeezed_thermal(n, g)
-    probs, deficit = thermal_populations(n, dim)
-    got, _ = squeeze_populations(probs, g, trace_deficit=deficit)
+    probs = thermal_populations(n, dim)
+    got = squeeze_populations(probs, g)
     ladders = np.flatnonzero(probs >= opahbt.fock.LADDER_WEIGHT_FLOOR)
     psi = opahbt.fock._squeeze_strip(ladders, dim, g)
     joint = np.zeros((dim, dim))
@@ -270,15 +289,16 @@ def test_squeeze_matches_the_untruncated_su11_column_at_g2():
 
 
 def test_ladders_below_the_weight_floor_join_the_deficit():
-    signal = np.array([1e-20, 0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
-    got, deficit = squeeze_populations(signal, 0.1, trace_deficit=1e-12)
-    assert deficit == 1e-12 + 1e-20
-    # Ladder 0, |k, k>, is not propagated.  Signal level 0 is reached only
-    # by ladder 0 at k = 0, so any weight it carried would show there.
+    signal = np.array([1e-20, 0.6, 0.4 - 1e-12, 0.0, 0.0, 0.0, 0.0, 0.0])
+    got = squeeze_populations(signal, 0.1)
+    # Ladder 0, |k, k>, is not propagated, so its mass is absent from the
+    # output.  Signal level 0 is reached only by ladder 0 at k = 0, so any
+    # weight it carried would show there.
     assert got[0] == 0.0
-    without, _ = squeeze_populations(np.where(signal < 1e-18, 0.0, signal), 0.1)
+    without = squeeze_populations(np.where(signal < 1e-18, 0.0, signal), 0.1)
     np.testing.assert_array_equal(got, without)
-    assert got.sum() == pytest.approx(1.0, abs=1e-15)
+    # The output lacks the input's missing mass, and no more.
+    assert 1.0 - got.sum() == pytest.approx(1e-12, abs=1e-15)
 
 
 def _ladder_expm_squeeze(populations, g):
@@ -300,28 +320,26 @@ def _ladder_expm_squeeze(populations, g):
 def test_squeeze_populations_match_full_squeeze_on_oracle_grid(n, g):
     # The oracle's thermal (x) vacuum inputs at their real dims, against the
     # signal marginal of the full per-ladder propagator from scipy.linalg.expm.
-    grid, input_deficit = _thermal_signal_vacuum_grid(n, space_for_squeezed_thermal(n, g))
+    grid = _thermal_signal_vacuum_grid(n, space_for_squeezed_thermal(n, g))
     want = _ladder_expm_squeeze(grid, g).sum(axis=1)
-    got, deficit = squeeze_populations(grid[:, 0], g, trace_deficit=input_deficit)
+    got = squeeze_populations(grid[:, 0], g)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(
         reduced_moments(got), reduced_moments(want), rtol=1e-12
     )
-    squeezed, squeezed_deficit = two_mode_squeeze(grid, g, input_deficit)
-    np.testing.assert_array_equal(squeezed, got)
-    assert squeezed_deficit == deficit >= input_deficit
+    np.testing.assert_array_equal(two_mode_squeeze(grid, g), got)
 
 
 def test_zero_gain_squeeze_is_identity():
-    probs, _ = thermal_populations(0.7, 40)
-    out, _ = squeeze_populations(probs, 0.0)
+    probs = thermal_populations(0.7, 40)
+    out = squeeze_populations(probs, 0.0)
     np.testing.assert_array_equal(out, probs)
     # At g = 1e-20 the series is J_0 = 1 and J_1 = g rho / 2: |d, 0> keeps
     # amplitude 1 exactly, sends p_d (d + 1) g^2 to |d + 1, 1>, and nothing
     # reaches any other level.  That transfer is far below the last bit of
     # the signal marginal.
     g = 1e-20
-    out, _ = squeeze_populations(probs, g)
+    out = squeeze_populations(probs, g)
     np.testing.assert_array_equal(out, probs)
     psi = opahbt.fock._squeeze_strip(np.arange(40), 40, g)
     np.testing.assert_array_equal(psi[0], 1.0)
@@ -332,8 +350,8 @@ def test_zero_gain_squeeze_is_identity():
 
 
 def test_two_mode_squeezed_vacuum_arm_is_thermal():
-    vacuum = thermal_populations(0.0, 30)[0]
-    squeezed, _ = squeeze_populations(vacuum, 0.5)
+    vacuum = thermal_populations(0.0, 30)
+    squeezed = squeeze_populations(vacuum, 0.5)
     squeezed_m1, _, _, _ = reduced_moments(squeezed)
     assert squeezed_m1 == pytest.approx(math.sinh(0.5) ** 2, abs=1e-8)
     idler_m1, _, _, _ = reduced_moments(_idler_populations(vacuum, 0.5))
@@ -341,8 +359,8 @@ def test_two_mode_squeezed_vacuum_arm_is_thermal():
 
 
 def test_squeezed_thermal_mode_means():
-    probs = thermal_populations(0.5, 40)[0]
-    squeezed, _ = squeeze_populations(probs, 0.5)
+    probs = thermal_populations(0.5, 40)
+    squeezed = squeeze_populations(probs, 0.5)
     mu2, nu2 = math.cosh(0.5) ** 2, math.sinh(0.5) ** 2
     squeezed_m1, _, _, _ = reduced_moments(squeezed)
     assert squeezed_m1 == pytest.approx(mu2 * 0.5 + nu2, abs=1e-8)
@@ -354,17 +372,16 @@ def test_squeezed_thermal_mode_means():
 @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 1.0])
 def test_reduced_moments_match_propagation_polynomials(n, g):
-    probs, deficit = thermal_populations(n, space_for_squeezed_thermal(n, g))
-    squeezed, _ = squeeze_populations(probs, g, trace_deficit=deficit)
-    got = reduced_moments(squeezed)
+    probs = thermal_populations(n, space_for_squeezed_thermal(n, g))
+    got = reduced_moments(squeeze_populations(probs, g))
     want = propagate_moments(thermal_moments(n), OpaParams(g))
-    np.testing.assert_allclose(got, want * squeezed.sum(), rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
 
 
 def test_squeeze_truncation_error_names_tail_and_suggestion():
-    probs, deficit = thermal_populations(1.0, 12)
+    probs = thermal_populations(1.0, 12)
     with pytest.raises(TruncationError) as excinfo:
-        squeeze_populations(probs, 1.5, trace_deficit=deficit)
+        squeeze_populations(probs, 1.5)
     assert excinfo.value.achieved > 1e-9
     assert excinfo.value.suggested_dim > 12
     # Only the top ladder, with no couplings, carries weight.
@@ -456,7 +473,7 @@ def _dense_correlators(n, m, delta, ordering):
         b = np.kron(np.eye(dim), _truncated_lowering(dim))
         field_1 = np.exp(1j * delta) * a + b
         corrs.append((field_1.conj().T @ field_1) @ ((a + b).T @ (a + b)))
-    rho = np.kron(thermal_populations(n, dim)[0], thermal_populations(m, dim)[0])
+    rho = np.kron(thermal_populations(n, dim), thermal_populations(m, dim))
     return rho, corrs
 
 
@@ -496,15 +513,20 @@ def test_correlator_rejects_a_phase_that_is_not_a_finite_real(bad):
 
 def test_fock_space_validation():
     # The dimension is a plain int >= 2, checked where it enters.
-    for bad in (1, 0, 8.0, "8", None):
-        with pytest.raises(DomainError, match="dim must be an integer"):
+    # The dimension is a Python or numpy int >= 2 (never a bool), checked
+    # where it enters.
+    for bad in (1, 0, 8.0, "8", None, True, np.int64(1)):
+        with pytest.raises(DomainError, match="dim must be an integer >= 2"):
             thermal_populations(0.5, bad)
-    assert thermal_populations(0.5, 2)[0].size == 2
+    assert thermal_populations(0.5, 2).size == 2
+    assert thermal_populations(0.5, np.int64(8)).tolist() == thermal_populations(0.5, 8).tolist()
 
 
 def test_state_invariants_maintained_through_pipeline():
-    probs, deficit = thermal_populations(1.0, space_for_squeezed_thermal(1.0, 0.5))
-    _assert_valid(probs, deficit)
-    squeezed, deficit = squeeze_populations(probs, 0.5, trace_deficit=deficit)
-    _assert_valid(squeezed, deficit)
-    _assert_valid(_idler_populations(probs, 0.5), deficit)
+    probs = thermal_populations(1.0, space_for_squeezed_thermal(1.0, 0.5))
+    _assert_valid(probs)
+    squeezed = squeeze_populations(probs, 0.5)
+    _assert_valid(squeezed)
+    _assert_valid(_idler_populations(probs, 0.5))
+    # The squeezer keeps mass: the output lacks what the input lacked.
+    assert 1.0 - squeezed.sum() == pytest.approx(1.0 - probs.sum(), abs=1e-15)

@@ -96,9 +96,9 @@ def test_each_grid_point_is_squeezed_once_on_a_grid_over_64_points(monkeypatch):
     calls = []
     squeeze = oracle_checks.squeeze_populations
 
-    def counted(populations, g, trace_deficit):
+    def counted(populations, g):
         calls.append(g)
-        return squeeze(populations, g, trace_deficit=trace_deficit)
+        return squeeze(populations, g)
 
     monkeypatch.setattr(oracle_checks, "squeeze_populations", counted)
     n_grid, g_grid = [0.1 * i for i in range(9)], [0.1 * i for i in range(8)]
