@@ -25,21 +25,19 @@ __version__ = "0.1.0"
 _LAZY = {
     "errors": (
         "DegenerateFitError", "DomainError", "FringeCoverageError", "OpaHbtError",
-        "SummationLimitError", "TruncationError", "UnreachableTargetError",
+        "SummationLimitError", "TruncationError",
     ),
     "photon_stats": (
         "MomentConvention", "geometric_summation_moments", "thermal_moments",
     ),
-    "opa": (
-        "BogoliubovCoeffs", "OpaParams", "coeffs", "equivalent_thermal_mean", "propagate_moments",
-    ),
+    "opa": ("OpaParams", "coeffs", "equivalent_thermal_mean", "propagate_moments"),
     "hbt": (
         "correlation_ac", "correlation_full", "noise_avg_printed", "noise_avg_substitution",
         "noise_full", "opa_correlation_ac", "opa_noise_avg_printed", "signal_ratio", "snr_ratio",
     ),
     "analysis": (
         "FitResult", "PhiEstimate", "Ratio", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
-        "fit_inverse_law", "sweep_ratios", "target_ratio_operating_point",
+        "fit_inverse_law", "sweep_ratios",
     ),
     "fock": (
         "OrderingConvention", "choose_dim", "hbt_two_mode_correlation", "reduced_moments",

@@ -13,12 +13,7 @@ from enum import Enum
 import numpy as np
 
 from ._domain import integer, nonnegative_scalar
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    FringeCoverageError,
-    UnreachableTargetError,
-)
+from .errors import DegenerateFitError, DomainError, FringeCoverageError
 from .hbt import signal_ratio, snr_ratio
 from .opa import OpaParams
 
@@ -40,8 +35,9 @@ class Spacing(Enum):
 class SweepSpec:
     """Grid settings for a ratio sweep at a fixed gain.
 
-    With ``equal_sources`` both source means track the grid; otherwise the
-    companion mean is held at ``m_bar`` while the grid sweeps the other.
+    With ``equal_sources`` both source means track the grid and ``m_bar``
+    must be None; otherwise the companion mean is held at ``m_bar`` while
+    the grid sweeps the other.
     ``points == 1`` is allowed for single-point evaluations and then
     requires ``n_min == n_max``.
     """
@@ -65,11 +61,11 @@ class SweepSpec:
         object.__setattr__(self, "points", integer("points", self.points, 1, _MAX_POINTS))
         if self.points == 1 and self.n_min != self.n_max:
             raise DomainError("a single-point sweep requires n_min == n_max")
-        if not self.equal_sources:
-            if self.m_bar is None or nonnegative_scalar("m_bar", self.m_bar) == 0.0:
-                raise DomainError(
-                    "an unequal-sources sweep needs a positive fixed m_bar"
-                )
+        if self.equal_sources:
+            if self.m_bar is not None:
+                raise DomainError(f"an equal-sources sweep holds no m_bar, got {self.m_bar!r}")
+        elif self.m_bar is None or nonnegative_scalar("m_bar", self.m_bar) == 0.0:
+            raise DomainError("an unequal-sources sweep needs a positive fixed m_bar")
 
     def grid(self) -> np.ndarray:
         # At the largest float numpy's power overflows before it pins the endpoints.
@@ -183,28 +179,6 @@ def fit_inverse_law(table: RatioTable) -> FitResult:
     residual -= np.divide(b, n)
     rss = float(np.sum(np.square(residual, out=residual)))
     return FitResult(a, b, rss)
-
-
-def target_ratio_operating_point(fit: FitResult, target: float) -> float:
-    """Mean photon number at which the fitted law reaches a given ratio.
-
-    Inverts target = A + B / n_bar.
-
-    Raises:
-        DomainError: if the target is not a finite real >= 0.
-        UnreachableTargetError: if the target does not exceed the fitted
-            asymptote A, or the fitted B is not positive.
-    """
-    target = nonnegative_scalar("target", target)
-    if target <= fit.A:
-        raise UnreachableTargetError(
-            f"target {target} is at or below the fitted asymptote {fit.A:.6g}"
-        )
-    if fit.B <= 0:
-        raise UnreachableTargetError(
-            f"fitted law has no decreasing branch (B = {fit.B:.6g})"
-        )
-    return fit.B / (target - fit.A)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,5 @@ class DegenerateFitError(OpaHbtError, RuntimeError):
     """The normal equations of a linear fit are singular."""
 
 
-class UnreachableTargetError(OpaHbtError, ValueError):
-    """A requested ratio target lies at or below the large-mean asymptote."""
-
-
 class FringeCoverageError(DomainError):
     """A baseline scan does not cover enough of a fringe to identify the frequency."""

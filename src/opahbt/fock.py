@@ -274,8 +274,10 @@ def reduced_moments(populations: np.ndarray) -> np.ndarray:
     """Moments <n^j>, j = 1..4, of one mode's normalized state p / sum p, shape (4,).
 
     Raises:
-        DomainError: unless ``populations`` is 1-D with a positive sum.
+        DomainError: unless ``populations`` is 1-D, finite and >= 0, with a
+            positive sum.
     """
+    populations = nonnegative("populations", populations)
     if populations.ndim != 1:
         raise DomainError(f"reduced_moments takes p[n] for one mode, got shape {populations.shape}")
     mass = float(populations.sum())

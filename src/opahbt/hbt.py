@@ -149,8 +149,8 @@ def opa_noise_avg_printed(
     n, m = _means(n_bar, m_bar)
     n2, n3, n4 = powers(n)
     m2, m3, m4 = powers(m)
-    c = coeffs(params)
-    u, v = c.mu2, c.nu2  # mu^2 and nu^2
+    mu, nu = coeffs(params)
+    u, v = mu * mu, nu * nu
     u2, u3, u4 = powers(u)
     v2, v3, v4 = powers(v)
     group_u4 = (

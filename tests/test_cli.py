@@ -465,11 +465,13 @@ _LAYERS = ["numpy", "opahbt.analysis", "opahbt.fock", "opahbt.oracle_checks", "o
     [
         (["oracle-check", "--n-grid", "0,0.5", "--g-grid", "0,0.25"], 0,
          ["numpy", "opahbt.fock", "opahbt.oracle_checks", "opahbt.wick"]),
+        (["fig4"], 0, ["numpy", "opahbt.analysis"]),
         (["fig5"], 0, ["numpy", "opahbt.analysis"]),
+        (["fit"], 0, ["numpy", "opahbt.analysis"]),
         (["--help"], 0, []),
         (["fig5", "--points", "x"], 2, []),
     ],
-    ids=["oracle-check", "fig5", "help", "usage-error"],
+    ids=["oracle-check", "fig4", "fig5", "fit", "help", "usage-error"],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, code, loaded):
     script = (
@@ -480,6 +482,21 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, code, loaded
     result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{code} {loaded}"
+
+
+def test_module_entry_point_help_loads_no_numpy():
+    # The cases above call cli.main in process; this runs the whole
+    # `python -m opahbt` path, __main__ included.  -X importtime names on
+    # stderr every module the process imports.
+    result = run_python("-X", "importtime", "-m", "opahbt", "--help")
+    assert result.returncode == 0, result.stderr
+    loaded = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "opahbt.cli" in loaded
+    assert "numpy" not in loaded
 
 
 def _write_scan(path, phi, noise=0.0, seed=0, points=64, amplitude=0.9):

@@ -150,6 +150,19 @@ def test_reduced_moments_read_the_normalized_state():
         reduced_moments(np.zeros(8))
 
 
+@pytest.mark.parametrize(
+    "bad, rule",
+    [
+        ([2.0, -0.5], ">= 0, got -0.5"),  # sums to 1.5: every moment would read -1/3
+        ([np.inf, 1.0], "finite, got inf"),  # the moments would be NaN
+    ],
+    ids=["negative", "infinite"],
+)
+def test_reduced_moments_reject_a_non_state(bad, rule):
+    with pytest.raises(DomainError, match=f"populations must be {rule}"):
+        reduced_moments(np.array(bad))
+
+
 def test_squeezer_rejects_input_above_unit_mass():
     # The tail estimate derives the missing mass as 1 - sum p, so an excess
     # input mass would offset the boundary shell; it is an input error.

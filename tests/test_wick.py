@@ -93,8 +93,8 @@ def test_derived_amplifier_contractions_match_the_closed_table(n, g):
     # <adag_0 a_0> = mu^2 n + nu^2, <adag_1 a_1> = nu^2 (n + 1),
     # <a_0 a_1> = <adag_0 adag_1> = mu nu (n + 1); the commutator adds 1
     # to <a_i adag_i>, and every other contraction vanishes.
-    c = coeffs(OpaParams(g))
-    signal, idler, cross = c.mu2 * n + c.nu2, c.nu2 * (n + 1.0), c.mu * c.nu * (n + 1.0)
+    mu, nu = coeffs(OpaParams(g))
+    signal, idler, cross = mu * mu * n + nu * nu, nu * nu * (n + 1.0), mu * nu * (n + 1.0)
     expected = np.array(
         [
             [0.0, cross, signal + 1.0, 0.0],
