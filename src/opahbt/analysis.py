@@ -1,7 +1,7 @@
 """Parameter sweeps, SNR-law fitting and fringe inversion.
 
-Everything here is deterministic given its inputs; the only seed is the one
-:func:`estimate_phi` uses to perturb the start of a stalled fit.
+Everything here is deterministic given its inputs and draws no random
+numbers; :func:`estimate_phi` checks its ``seed`` and does not use it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import numpy as np
 
 from ._domain import integer, nonnegative_scalar
 from .errors import DegenerateFitError, DomainError, FringeCoverageError
-from .hbt import signal_ratio, snr_ratio
-from .opa import OpaParams
 
 PHI_MAX_ITERATIONS = 200
 _PERIODOGRAM_BLOCK = 1 << 22  # complex elements per block of the periodogram
@@ -108,9 +106,13 @@ def sweep_ratios(
         DomainError: if a requested ratio overflows to a non-finite value;
             the first such grid point is named.
     """
+    # Imported here, so estimate-phi loads no ratio law; looked up per call,
+    # so a rebinding of hbt's names is honoured.
+    from .hbt import signal_ratio, snr_ratio
+    from .opa import OpaParams
+
     params = OpaParams(spec.g)
     grid = spec.grid()
-    # Looked up per call, so a rebinding of the module's names is honoured.
     laws = {Ratio.SIGNAL: signal_ratio, Ratio.SNR: snr_ratio}
     columns = {ratio.value: np.empty_like(grid) for ratio in ratios}
     # Blocks of rows bound the laws' temporaries; each law is elementwise,
@@ -192,17 +194,13 @@ class PhiEstimate:
     amplitude: float
 
 
-def _periodogram_peak(r: np.ndarray, y: np.ndarray) -> float:
+def _periodogram_peak(r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """The periodogram's frequency grid over its band, and the index of its peak."""
     n_freq = max(512, 16 * r.size)
-    # Scaling to max |y| in [0.5, 1) by a power of two is exact, so the peak is
-    # the scan's own, and a scan near the float limit cannot overflow below.
-    y = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
     span = float(r.max() - r.min())
     gaps = np.diff(np.sort(r))
     min_gap = float(gaps[gaps > 0].min()) if np.any(gaps > 0) else span
-    omega_max = math.pi / min_gap
-    omega_min = 0.25 * math.pi / span
-    omegas = np.linspace(omega_min, omega_max, n_freq)
+    omegas = np.linspace(0.25 * math.pi / span, math.pi / min_gap, n_freq)
     # Blocks of frequency rows bound the memory; a scan of up to 512 points
     # at 16 n frequencies is one block.  Only the first block
     # calls exp: block b is it shifted by omegas[b rows] - omegas[0], a
@@ -211,7 +209,27 @@ def _periodogram_peak(r: np.ndarray, y: np.ndarray) -> float:
     first = np.exp(-1j * np.outer(omegas[:rows], r))
     shifts = np.exp(-1j * np.outer(r, omegas[::rows] - omegas[0]))
     power = np.abs(first @ (y[:, None] * shifts)).T.ravel()[:n_freq]
-    return float(omegas[int(np.argmax(power))])
+    return omegas, int(np.argmax(power))
+
+
+def _projected_fit(omega: np.ndarray, r: np.ndarray, y: np.ndarray, amplitude: float | None):
+    """Amplitude, cost, slope -cost'/2 and Gauss-Newton curvature at each omega.
+
+    The curvature is the squared omega column of the Jacobian, with the
+    amplitude column projected out when S is free.
+    """
+    basis = np.cos(omega[:, None] * r)
+    norm = np.sum(basis * basis, axis=1, keepdims=True)
+    if amplitude is None:
+        s = np.sum(basis * y, axis=1, keepdims=True) / norm
+    else:
+        s = np.full_like(norm, amplitude)
+    residual = y - s * basis
+    column = -s * r * np.sin(omega[:, None] * r)
+    slope = np.sum(column * residual, axis=1)
+    if amplitude is None:
+        column -= basis * (np.sum(basis * column, axis=1, keepdims=True) / norm)
+    return s[:, 0], np.sum(residual * residual, axis=1), slope, np.sum(column * column, axis=1)
 
 
 def estimate_phi(
@@ -223,19 +241,25 @@ def estimate_phi(
 ) -> PhiEstimate:
     """Recover the angular size from a scan of the AC correlation vs baseline.
 
-    Fits C(r0) = S * cos(k * r0 * phi) by damped Gauss-Newton, with the
-    spatial frequency initialised from the dominant peak of the scan's
-    discrete spectrum, for at most :data:`PHI_MAX_ITERATIONS` steps.  The
+    Fits C(r0) = S * cos(omega * r0), omega = k * phi, in omega alone: at
+    each trial omega, S is the exact least-squares amplitude or the known
+    one.  The bracket is the cell of the periodogram's frequency grid,
+    within one main lobe (2 pi / span) of its peak and nearest it, across
+    which the cost's slope falls through zero.  In it a Newton iteration
+    with Gauss-Newton curvature, bisecting when a step leaves the bracket,
+    runs for at most :data:`PHI_MAX_ITERATIONS` steps.  ``converged`` means
+    it stopped at a stationary point strictly inside the bracket, fitting
+    at least as well as every grid frequency of the lobe.  The fit reads
+    the scan scaled exactly by a power of two to unit magnitude.  The
     linearised standard error of phi comes from the residual variance and
-    the Jacobian at the solution; a singular Jacobian gives an infinite
-    one.  If the damped iteration stalls, a few seeded perturbations of the
-    initial frequency are tried before reporting a non-converged estimate.
+    the Jacobian of (S, omega); a singular Jacobian gives an infinite one.
+    ``seed`` is validated and otherwise unused.
 
     Raises:
         DomainError: for fewer than 4 points, non-finite input, a
             wavenumber or known amplitude that is not a finite real > 0, or
             a seed that is not an integer >= 0; also when the fit, its
-            covariance or phi = |omega| / k overflows the float range.
+            covariance or phi = omega / k overflows the float range.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
@@ -251,99 +275,66 @@ def estimate_phi(
         raise DomainError(f"wavenumber must be > 0, got {k!r}")
     if amplitude_known is not None and nonnegative_scalar("amplitude", amplitude_known) == 0.0:
         raise DomainError(f"amplitude must be > 0, got {amplitude_known!r}")
-    seed = integer("seed", seed, 0)
+    integer("seed", seed, 0)
     span = float(r.max() - r.min())
     if span <= 0:
         raise DomainError("scan baselines are all identical")
 
-    omega0 = _periodogram_peak(r, y)
-    if omega0 * span < math.pi:
+    # Scaling to max |y| in [0.5, 1) by a power of two is exact, so the fit
+    # is the scan's own, and a scan near the float limit cannot overflow.
+    exponent = math.frexp(float(np.abs(y).max()))[1]
+    y = np.ldexp(y, -exponent)
+    omegas, peak = _periodogram_peak(r, y)
+    if omegas[peak] * span < math.pi:
         raise FringeCoverageError(
-            f"scan spans {omega0 * span / (2 * math.pi):.3f} fringes at the "
+            f"scan spans {omegas[peak] * span / (2 * math.pi):.3f} fringes at the "
             "detected frequency; at least half a fringe is required"
         )
 
-    # p = (S, omega); a known amplitude leaves only omega free.
-    free = slice(0, 2) if amplitude_known is None else slice(1, 2)
-
-    def residual(p):
-        return y - p[0] * np.cos(p[1] * r)
-
-    def jacobian(p):
-        s, w = p
-        return np.column_stack((np.cos(w * r), -s * r * np.sin(w * r))[free])
-
-    def solve_from(omega_init):
-        if amplitude_known is not None:
-            s = float(amplitude_known)
-        else:
-            basis = np.cos(omega_init * r)
-            denom = float(basis @ basis)
-            s = float(basis @ y) / denom if denom > 0 else float(np.max(np.abs(y)))
-        p = np.array([s, omega_init])
-        res = residual(p)
-        cost = float(res @ res)
-        iterations = 0
-        converged = False
-        for iterations in range(1, PHI_MAX_ITERATIONS + 1):
-            jac = jacobian(p)
-            grad = jac.T @ res
-            try:
-                step = np.linalg.solve(jac.T @ jac, grad)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            for _ in range(40):
-                trial = p.copy()
-                trial[free] += scale * step
-                trial_res = residual(trial)
-                trial_cost = float(trial_res @ trial_res)
-                if trial_cost < cost:
-                    break
-                scale *= 0.5
-            else:
-                # A stalled line search has converged when the residual is
-                # negligible or the Gauss-Newton step predicts no cost
-                # reduction above rounding (noisy scans stall at the optimum).
-                converged = cost <= 1e-24 * max(1.0, float(y @ y)) or (
-                    float(grad @ step) <= 1e-12 * cost
-                )
-                break
-            step_size = scale * float(np.max(np.abs(step)))
-            p, res, prev_cost, cost = trial, trial_res, cost, trial_cost
-            if step_size <= 1e-12 * max(abs(p[1]), 1e-30) or (
-                prev_cost - cost <= 1e-14 * max(prev_cost, 1e-300)
-            ):
-                converged = True
-                break
-        return p, cost, iterations, converged
-
     # Overflow is checked below, so no numpy warning leaks out of the fit.
     with np.errstate(all="ignore"):
-        p, cost, iterations, converged = solve_from(omega0)
-        if not converged:
-            rng = np.random.default_rng(seed)
-            for _ in range(5):
-                retry = solve_from(omega0 * float(rng.uniform(0.8, 1.25)))
-                _, retry_cost, _, retry_converged = retry
-                if retry_converged and retry_cost <= cost:
-                    p, cost, iterations, converged = retry
-                    break
+        amplitude = None if amplitude_known is None else float(np.ldexp(amplitude_known, -exponent))
 
-        # Linearised covariance at the solution; None marks a singular Jacobian.
-        jac = jacobian(p)
-        dof = max(1, r.size - jac.shape[1])
-        try:
-            variance = float(cost / dof * np.linalg.inv(jac.T @ jac)[-1, -1])
-        except np.linalg.LinAlgError:
-            variance = None
-    s, w = p.tolist()
-    if not all(map(math.isfinite, (cost, s, w, 0.0 if variance is None else variance))):
+        def fit_at(omega):
+            return [float(v[0]) for v in _projected_fit(np.array([omega]), r, y, amplitude)]
+
+        # The bracket: the cell of the periodogram's grid nearest its peak,
+        # within one main lobe, across which the slope falls through zero
+        # (a positive slope means the cost falls toward higher omega).
+        lobe = np.searchsorted(omegas, omegas[peak] + np.array([-2.0, 2.0]) * math.pi / span)
+        grid = omegas[lobe[0]:lobe[1]]
+        _, grid_cost, slope, _ = _projected_fit(grid, r, y, amplitude)
+        cells = np.flatnonzero((slope[:-1] > 0) & (slope[1:] <= 0))
+        omega, iterations, converged = float(omegas[peak]), 0, False
+        if cells.size:
+            cell = cells[np.argmin(np.abs(cells + lobe[0] + 0.5 - peak))]
+            low, high = float(grid[cell]), float(grid[cell + 1])
+            omega = 0.5 * (low + high)
+            for iterations in range(1, PHI_MAX_ITERATIONS + 1):
+                _, _, slope, curvature = fit_at(omega)
+                trial = omega + slope / curvature
+                converged = abs(trial - omega) <= 1e-13 * omega
+                low, high = (omega, high) if slope > 0 else (low, omega)
+                if not (converged or low < trial < high):
+                    trial = 0.5 * (low + high)
+                omega = trial
+                if converged:
+                    break
+        s, cost, _, curvature = fit_at(omega)
+        converged = converged and cost <= float(grid_cost.min())
+        # cost / curvature, and so the stderr, is the same at every scale of the scan.
+        dof = max(1, r.size - (2 if amplitude_known is None else 1))
+        variance = cost / dof / curvature if curvature > 0 else None
+    try:
+        if not all(map(math.isfinite, (cost, s, 0.0 if variance is None else variance))):
+            raise OverflowError
+        s = math.ldexp(s, exponent) if amplitude is None else float(amplitude_known)
+    except OverflowError:
         raise DomainError(
-            f"the fit overflows the float range (amplitude {s!r}, residual cost {cost!r}); "
-            "rescale the scan or the amplitude"
-        )
-    phi = abs(w) / k
+            f"the fit overflows the float range (amplitude {s!r}, residual cost {cost!r} "
+            f"of the scan scaled by 2**{-exponent}); rescale the scan or the amplitude"
+        ) from None
+    phi = omega / k
     # A singular Jacobian reports an infinite stderr, not an error.
     stderr = math.inf if variance is None else math.sqrt(max(variance, 0.0)) / k
     if not (math.isfinite(phi) and (variance is None or math.isfinite(stderr))):

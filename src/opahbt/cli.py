@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands emit figure data (CSV or JSON), fits and verification reports
-(JSON).  All output is deterministic given the flags (plus the seed for
-stochastic estimators), files are written atomically with LF line endings.
+(JSON).  All output is deterministic given the flags, and files are
+written atomically with LF line endings.
 CSV numbers carry 15 significant digits; JSON numbers are Python's
 shortest round-trip ``repr`` of the float, up to 17 significant digits.
 
@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     phi = sub.add_parser("estimate-phi", help="recover the angular size from a baseline scan CSV")
     phi.add_argument("scan", help="CSV file with columns (baseline, correlation)")
     phi.add_argument("--k", type=float, required=True, help="wavenumber in rad per length")
-    phi.add_argument("--seed", type=int, default=0, help="seed for retry perturbations")
+    phi.add_argument(
+        "--seed", type=int, default=0, help="echoed in the output; the estimate does not use it"
+    )
     phi.add_argument("--amplitude", type=float, default=None, help="hold the amplitude fixed")
     phi.set_defaults(run=_cmd_estimate_phi)
 

@@ -109,7 +109,7 @@ def test_each_figure_command_evaluates_only_the_law_it_writes(monkeypatch, capsy
     def fail(*args):
         raise AssertionError(f"{command} evaluated {unused}")
 
-    monkeypatch.setattr(f"opahbt.analysis.{unused}", fail)
+    monkeypatch.setattr(f"opahbt.hbt.{unused}", fail)
     assert run_cli([command, "--points", "20"]) == 0
     assert capsys.readouterr().out
 
@@ -484,6 +484,23 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, code, loaded
     assert result.stdout.splitlines()[-1] == f"{code} {loaded}"
 
 
+def test_estimate_phi_loads_no_ratio_law(tmp_path):
+    # The sweep imports the laws it runs, so estimate-phi, which only
+    # imports analysis, leaves them unloaded while fig5 still loads them.
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, 1e-8)
+    laws = ["opahbt.hbt", "opahbt.opa", "opahbt.photon_stats"]
+    for args, loaded in [(["estimate-phi", str(scan), "--k", str(K_BLUE)], []), (["fig5"], laws)]:
+        script = (
+            "import sys; from opahbt.cli import main; "
+            f"code = main({args + ['--out', str(tmp_path / 'out')]!r}); "
+            f"print(code, [m for m in {laws!r} if m in sys.modules])"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
 def test_module_entry_point_help_loads_no_numpy():
     # The cases above call cli.main in process; this runs the whole
     # `python -m opahbt` path, __main__ included.  -X importtime names on
@@ -634,26 +651,32 @@ def test_estimate_phi_non_finite_result_exits_2_without_output_or_warnings(tmp_p
 
 
 @pytest.mark.parametrize(
-    "amplitude, message",
+    "amplitude, code, message",
     [
-        (1e307, "opahbt: the fit overflows the float range"),
-        (0.0, "opahbt: scan spans 0.125 fringes at the detected frequency"),
+        (1e307, 0, None),
+        (0.0, 2, "opahbt: scan spans 0.125 fringes at the detected frequency"),
     ],
     ids=["near-limit", "all-zero"],
 )
-def test_estimate_phi_scan_scale_exits_2_without_warnings(tmp_path, amplitude, message):
-    # The periodogram reads the scan scaled by a power of two to unit
-    # magnitude, so a scan near the float limit leaves only the fit's own
-    # overflow check to speak, and an all-zero scan still peaks at the
-    # lowest frequency.
+def test_estimate_phi_scan_scale_exits_2_without_warnings(tmp_path, amplitude, code, message):
+    # The periodogram and the fit read the scan scaled by a power of two to
+    # unit magnitude, so a scan near the float limit is fitted like any
+    # other, and an all-zero scan still peaks at the lowest frequency.
     scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
     _write_scan(scan, 1e-8, amplitude=amplitude)
     result = run_python("-W", "error::RuntimeWarning", "-m", "opahbt", "estimate-phi", str(scan),
                         "--k", str(K_BLUE), "--out", str(target))
-    assert result.returncode == 2, result.stderr
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith(message)
-    assert not target.exists()
+    assert result.returncode == code, result.stderr
+    if code:
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(message)
+        assert not target.exists()
+    else:
+        assert result.stderr == ""
+        document = json.loads(target.read_text())
+        assert document["converged"] is True
+        assert abs(document["phi"] - 1e-8) <= 1e-9 * 1e-8
+        assert document["amplitude"] == pytest.approx(amplitude, rel=1e-9)
 
 
 def test_estimate_phi_rejects_a_negative_seed_before_fitting(tmp_path, capsys):
