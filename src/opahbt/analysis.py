@@ -218,14 +218,15 @@ def _projected_fit(omega: np.ndarray, r: np.ndarray, y: np.ndarray, amplitude: f
     The curvature is the squared omega column of the Jacobian, with the
     amplitude column projected out when S is free.
     """
-    basis = np.cos(omega[:, None] * r)
+    phase = omega[:, None] * r
+    basis = np.cos(phase)
     norm = np.sum(basis * basis, axis=1, keepdims=True)
     if amplitude is None:
         s = np.sum(basis * y, axis=1, keepdims=True) / norm
     else:
         s = np.full_like(norm, amplitude)
     residual = y - s * basis
-    column = -s * r * np.sin(omega[:, None] * r)
+    column = -s * r * np.sin(phase)
     slope = np.sum(column * residual, axis=1)
     if amplitude is None:
         column -= basis * (np.sum(basis * column, axis=1, keepdims=True) / norm)
