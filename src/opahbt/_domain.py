@@ -2,12 +2,16 @@
 
 Laws accept Python or numpy reals and arrays of them.  They validate phases
 with :func:`finite_real` (the one finite-real check), means with
-:func:`nonnegative`, which builds on it, and counts with :func:`integer`,
-compute on float64 arrays, and unwrap the result, so a scalar gives a float.
+:func:`nonnegative`, which builds on it, moment arrays with
+:func:`four_moments` and counts with :func:`integer`, compute on float64
+arrays, and unwrap the result, so a scalar gives a float.  Every polynomial
+law is a coefficient table that :func:`evaluator` reads.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Union
 
 import numpy as np
@@ -54,6 +58,14 @@ def nonnegative_scalar(name: str, value) -> float:
     return float(array)
 
 
+def four_moments(name: str, value) -> np.ndarray:
+    """:func:`nonnegative` moments <n^j>, j = 1..4, on a first axis of length 4."""
+    array = nonnegative(name, value)
+    if array.ndim == 0 or len(array) != 4:
+        raise DomainError(f"{name} must hold 4 moments on its first axis, got shape {array.shape}")
+    return array
+
+
 def integer(name: str, value, low: int, high: float = np.inf) -> int:
     """``value`` as a Python int in [low, high]; numpy integers pass, bools do not."""
     whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -63,15 +75,35 @@ def integer(name: str, value, low: int, high: float = np.inf) -> int:
     return int(value)
 
 
-def powers(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^2, x^3 and x^4 by ``np.float_power``.
+def evaluator(*variables):
+    """The function that evaluates polynomial tables at ``variables``.
 
-    float_power calls the libm pow that a Python or numpy scalar ``**``
-    uses, so an array evaluation matches per-point scalar evaluation bit
-    for bit; ndarray ``**`` does not (it differs by an ulp at some points).
-    Overflow gives inf rather than raising OverflowError.
+    A table is a sequence of rows ``(coefficient, powers)``, one power per
+    variable.  Rows add in table order, and a row multiplies its coefficient
+    by the variables' powers in argument order, so a law written in its
+    published order keeps the bits of its term-by-term form.  A group row's
+    coefficient is a table in the later variables, times the row's monomial.
+
+    Each power above 1 is computed once, by ``np.float_power``: its libm pow
+    is the one scalar ``**`` uses, so arrays match per-point scalars bit for
+    bit (ndarray ``**`` can differ by an ulp), and overflow gives inf.
     """
-    return np.float_power(x, 2), np.float_power(x, 3), np.float_power(x, 4)
+    power = functools.cache(lambda i, k: variables[i] if k == 1 else np.float_power(variables[i], k))
+    # Not a recursive closure: that is a reference cycle, which would hold
+    # every power array until the garbage collector runs.
+    return functools.partial(_sum_rows, power=power)
+
+
+def _sum_rows(table, power, first=0):
+    total = None
+    for coefficient, exponents in table:
+        factors = [power(first + i, k) for i, k in enumerate(exponents) if k]
+        if isinstance(coefficient, tuple):
+            term = math.prod(factors) * _sum_rows(coefficient, power, first + len(exponents))
+        else:
+            term = math.prod(factors, start=coefficient)
+        total = term if total is None else total + term
+    return total
 
 
 def unwrap(value):

@@ -20,10 +20,57 @@ from typing import Sequence
 
 import numpy as np
 
-from ._domain import FloatOrArray, finite_real, nonnegative, powers, unwrap
+from ._domain import FloatOrArray, evaluator, finite_real, four_moments, nonnegative, unwrap
 from .errors import DomainError
 from .opa import OpaParams, coeffs, equivalent_thermal_mean, propagate_moments
 from .photon_stats import thermal_moments
+
+
+# Each law is a table of (coefficient, powers) rows in the published order
+# (see _domain.evaluator).  The plain law, in (n_bar, m_bar).
+PLAIN_NOISE = (
+    (1, (1, 0)), (13, (2, 0)), (32, (3, 0)), (20, (4, 0)),
+    (1, (0, 1)), (13, (0, 2)), (32, (0, 3)), (20, (0, 4)),
+    (32, (1, 1)), (76, (2, 1)), (76, (1, 2)), (40, (3, 1)), (40, (1, 3)), (70, (2, 2)),
+)
+
+# The amplified law: five groups, each a table in (n_bar, m_bar), times
+# mu^2a nu^2b with powers (a, b) of (mu^2, nu^2).
+AMPLIFIED_NOISE = (
+    ((
+        (1, (1, 0)), (13, (2, 0)), (32, (3, 0)), (20, (4, 0)),
+        (1, (0, 1)), (13, (0, 2)), (32, (0, 3)), (20, (0, 4)),
+        (28, (1, 1)), (68, (2, 1)), (68, (1, 2)), (42, (2, 2)), (40, (1, 3)), (40, (3, 1)),
+    ), (4, 0)),
+    ((
+        (2, (0, 0)), (51, (1, 0)), (138, (2, 0)), (88, (3, 0)),
+        (51, (0, 1)), (138, (0, 2)), (88, (0, 3)), (216, (1, 1)), (136, (2, 1)), (136, (1, 2)),
+    ), (3, 1)),
+    ((
+        (46, (0, 0)), (199, (1, 0)), (131, (2, 0)), (195, (0, 1)), (164, (1, 1)), (131, (0, 2)),
+    ), (2, 2)),
+    (((93, (0, 0)), (73, (1, 0)), (77, (0, 1))), (1, 3)),
+    (((14, (0, 0)),), (0, 4)),
+)
+
+# The generic noise in (n1, n2, n3, n4, m1, m2, m3, m4, cos delta, cos 2 delta),
+# the sources' moments <n^j>, <m^j> and the phase.  The +6 on (n1 m1)^2 makes
+# the thermal reduction identical to noise_avg_printed; the published general
+# form carries -6 there, inconsistent with its own quartic law.
+NOISE_FULL = (
+    (1, (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)), (-1, (0, 2, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (1, (0, 0, 0, 0, 0, 0, 0, 1, 0, 0)), (-1, (0, 0, 0, 0, 0, 2, 0, 0, 0, 0)),
+    (8, (0, 0, 1, 0, 1, 0, 0, 0, 0, 0)), (8, (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+    (-4, (1, 1, 0, 0, 1, 0, 0, 0, 0, 0)), (-4, (1, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
+    (16, (0, 1, 0, 0, 0, 1, 0, 0, 0, 0)), (6, (2, 0, 0, 0, 2, 0, 0, 0, 0, 0)),
+    (8, (0, 0, 1, 0, 1, 0, 0, 0, 1, 0)), (16, (0, 1, 0, 0, 0, 1, 0, 0, 1, 0)),
+    (8, (1, 0, 0, 0, 0, 0, 1, 0, 1, 0)), (-4, (1, 1, 0, 0, 1, 0, 0, 0, 1, 0)),
+    (-8, (2, 0, 0, 0, 2, 0, 0, 0, 1, 0)), (-4, (1, 0, 0, 0, 1, 1, 0, 0, 1, 0)),
+    (2, (0, 1, 0, 0, 0, 1, 0, 0, 0, 1)), (-4, (2, 0, 0, 0, 2, 0, 0, 0, 0, 1)),
+)
+
+# Its phase average, in the eight moments: the rows with no cosine.
+NOISE_AVG = tuple((c, powers[:8]) for c, powers in NOISE_FULL if not any(powers[8:]))
 
 
 def _means(n_bar: FloatOrArray, m_bar: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
@@ -37,8 +84,8 @@ def _nonzero(n: np.ndarray, m: np.ndarray, what: str) -> None:
 
 def correlation_full(nm: np.ndarray, mm: np.ndarray, delta: FloatOrArray) -> FloatOrArray:
     """Full correlator output <n^2> + <m^2> + 2<n><m>(1 + cos(delta))."""
-    n1, n2, _, _ = nm
-    m1, m2, _, _ = mm
+    n1, n2, _, _ = four_moments("nm", nm)
+    m1, m2, _, _ = four_moments("mm", mm)
     return unwrap(n2 + m2 + 2.0 * n1 * m1 * (1.0 + np.cos(finite_real("phase", delta))))
 
 
@@ -48,45 +95,11 @@ def correlation_ac(n_bar: FloatOrArray, m_bar: FloatOrArray, delta: FloatOrArray
     return unwrap(2.0 * n * m * np.cos(finite_real("phase", delta)))
 
 
-def _phase_free_noise(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
-    # Generic phase-averaged squared noise in the eight moment components.
-    # The +6 cross coefficient makes the thermal reduction identical to
-    # noise_avg_printed; the published general form carries -6 there, which
-    # is inconsistent with its own quartic law (see consistency_report).
-    n1, n2, n3, n4 = nm
-    m1, m2, m3, m4 = mm
-    return (
-        n4
-        - np.float_power(n2, 2)
-        + m4
-        - np.float_power(m2, 2)
-        + 8.0 * n3 * m1
-        + 8.0 * n1 * m3
-        - 4.0 * n2 * n1 * m1
-        - 4.0 * n1 * m1 * m2
-        + 16.0 * n2 * m2
-        + 6.0 * np.float_power(n1 * m1, 2)
-    )
-
-
 def noise_full(nm: np.ndarray, mm: np.ndarray, delta: FloatOrArray) -> FloatOrArray:
     """Squared correlator noise including the cos(delta) and cos(2*delta) terms."""
-    n1, n2, n3, _ = nm
-    m1, m2, m3, _ = mm
+    nm, mm = four_moments("nm", nm), four_moments("mm", mm)
     delta = finite_real("phase", delta)
-    nm_sq = np.float_power(n1 * m1, 2)
-    cos_group = 4.0 * (
-        2.0 * (n3 * m1 + 2.0 * n2 * m2 + n1 * m3)
-        - n2 * n1 * m1
-        - 2.0 * nm_sq
-        - n1 * m1 * m2
-    )
-    cos2_group = 2.0 * (n2 * m2 - 2.0 * nm_sq)
-    return unwrap(
-        _phase_free_noise(nm, mm)
-        + cos_group * np.cos(delta)
-        + cos2_group * np.cos(2.0 * delta)
-    )
+    return unwrap(evaluator(*nm, *mm, np.cos(delta), np.cos(2.0 * delta))(NOISE_FULL))
 
 
 def noise_avg_substitution(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
@@ -96,34 +109,16 @@ def noise_avg_substitution(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
     :func:`noise_avg_printed`, and feeding it amplifier-propagated moments
     gives the value the published amplified noise law should have had.
     """
-    return unwrap(_phase_free_noise(nm, mm))
+    return unwrap(evaluator(*four_moments("nm", nm), *four_moments("mm", mm))(NOISE_AVG))
 
 
 def noise_avg_printed(n_bar: FloatOrArray, m_bar: FloatOrArray) -> FloatOrArray:
     """Published phase-averaged squared noise of the plain interferometer.
 
-    Quartic polynomial in the two mean photon numbers, evaluated with the
-    coefficients exactly as published.
+    Quartic polynomial in the two mean photon numbers, the table
+    :data:`PLAIN_NOISE` with the coefficients exactly as published.
     """
-    n, m = _means(n_bar, m_bar)
-    n2, n3, n4 = powers(n)
-    m2, m3, m4 = powers(m)
-    return unwrap(
-        n
-        + 13.0 * n2
-        + 32.0 * n3
-        + 20.0 * n4
-        + m
-        + 13.0 * m2
-        + 32.0 * m3
-        + 20.0 * m4
-        + 32.0 * n * m
-        + 76.0 * n2 * m
-        + 76.0 * n * m2
-        + 40.0 * n3 * m
-        + 40.0 * n * m3
-        + 70.0 * n2 * m2
-    )
+    return unwrap(evaluator(*_means(n_bar, m_bar))(PLAIN_NOISE))
 
 
 def opa_correlation_ac(
@@ -140,56 +135,15 @@ def opa_noise_avg_printed(
 ) -> FloatOrArray:
     """Published phase-averaged squared noise of the amplified interferometer.
 
-    Evaluated verbatim, grouped by powers mu^8, mu^6 nu^2, mu^4 nu^4,
-    mu^2 nu^6 and nu^8 with exactly the published coefficients.  Note that
-    the published polynomial is not symmetric under swapping the two source
-    means and does not reduce to :func:`noise_avg_printed` at zero gain;
-    both deviations are quantified by the consistency checks.
+    The table :data:`AMPLIFIED_NOISE`, grouped by powers mu^8, mu^6 nu^2,
+    mu^4 nu^4, mu^2 nu^6 and nu^8 with exactly the published coefficients.
+    Note that the published polynomial is not symmetric under swapping the
+    two source means and does not reduce to :func:`noise_avg_printed` at
+    zero gain; both deviations are quantified by the consistency checks.
     """
     n, m = _means(n_bar, m_bar)
-    n2, n3, n4 = powers(n)
-    m2, m3, m4 = powers(m)
     mu, nu = coeffs(params)
-    u, v = mu * mu, nu * nu
-    u2, u3, u4 = powers(u)
-    v2, v3, v4 = powers(v)
-    group_u4 = (
-        n
-        + 13.0 * n2
-        + 32.0 * n3
-        + 20.0 * n4
-        + m
-        + 13.0 * m2
-        + 32.0 * m3
-        + 20.0 * m4
-        + 28.0 * n * m
-        + 68.0 * n2 * m
-        + 68.0 * n * m2
-        + 42.0 * n2 * m2
-        + 40.0 * n * m3
-        + 40.0 * n3 * m
-    )
-    group_u3v = (
-        2.0
-        + 51.0 * n
-        + 138.0 * n2
-        + 88.0 * n3
-        + 51.0 * m
-        + 138.0 * m2
-        + 88.0 * m3
-        + 216.0 * n * m
-        + 136.0 * n2 * m
-        + 136.0 * n * m2
-    )
-    group_u2v2 = 46.0 + 199.0 * n + 131.0 * n2 + 195.0 * m + 164.0 * n * m + 131.0 * m2
-    group_uv3 = 93.0 + 73.0 * n + 77.0 * m
-    return unwrap(
-        u4 * group_u4
-        + u3 * v * group_u3v
-        + u2 * v2 * group_u2v2
-        + u * v3 * group_uv3
-        + 14.0 * v4
-    )
+    return unwrap(evaluator(mu * mu, nu * nu, n, m)(AMPLIFIED_NOISE))
 
 
 def signal_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
@@ -242,7 +196,8 @@ def consistency_report(
     expression per law.
 
     Raises:
-        DomainError: if the grid is empty or not a sequence of pairs.
+        DomainError: if the grid is empty or not a sequence of pairs, or
+            the propagated moments overflow.
     """
     pairs = nonnegative("grid", grid)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
@@ -251,9 +206,9 @@ def consistency_report(
     nm, mm = thermal_moments(n), thermal_moments(m)
     plain = noise_avg_printed(n, m)
     plain_dev = relative_deviation(plain, noise_avg_substitution(nm, mm))
-    amp_dev = relative_deviation(
-        opa_noise_avg_printed(n, m, params),
-        noise_avg_substitution(propagate_moments(nm, params), propagate_moments(mm, params)),
-    )
+    out = propagate_moments(nm, params), propagate_moments(mm, params)
+    if not np.isfinite(out).all():
+        raise DomainError(f"the moments propagated at gain {params.gain} overflow the float range")
+    amp_dev = relative_deviation(opa_noise_avg_printed(n, m, params), noise_avg_substitution(*out))
     g0_dev = relative_deviation(opa_noise_avg_printed(n, m, OpaParams(0.0)), plain)
     return plain_dev, amp_dev, g0_dev

@@ -5,8 +5,8 @@ hyperbolic coefficients mu = cosh(g), nu = sinh(g).  The pump phase is
 taken as zero, as in the published model, so every law depends on the gain
 alone.  With vacuum on the idler port, the photon-number moments of the
 amplified signal mode follow closed-form propagation rules that are
-polynomial in mu, nu and the input moments; those rules are implemented
-here verbatim.
+polynomial in mu, nu and the input moments; those rules are the
+coefficient tables :data:`PROPAGATION`, evaluated verbatim.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers, unwrap
+from ._domain import FloatOrArray, evaluator, four_moments, nonnegative, nonnegative_scalar, unwrap
 from .errors import DomainError
 
 
@@ -56,38 +56,34 @@ def equivalent_thermal_mean(n_bar: FloatOrArray, params: OpaParams) -> FloatOrAr
     return unwrap(mu * mu * n + nu * nu)
 
 
+# One table per output moment <n^j>, j = 1..4, in
+# (mu^2, nu^2, <n>, <n^2>, <n^3>, <n^4>) of the input, as published.
+PROPAGATION = (
+    ((1, (1, 0, 1, 0, 0, 0)), (1, (0, 1, 0, 0, 0, 0))),
+    ((1, (2, 0, 0, 1, 0, 0)), (3, (1, 1, 1, 0, 0, 0)), (1, (1, 1, 0, 0, 0, 0)),
+     (1, (0, 2, 0, 0, 0, 0))),
+    ((1, (3, 0, 0, 0, 1, 0)), (6, (2, 1, 0, 1, 0, 0)), (4, (2, 1, 1, 0, 0, 0)),
+     (7, (1, 2, 1, 0, 0, 0)), (1, (2, 1, 0, 0, 0, 0)), (4, (1, 2, 0, 0, 0, 0)),
+     (1, (0, 3, 0, 0, 0, 0))),
+    ((1, (4, 0, 0, 0, 0, 1)), (10, (3, 1, 0, 0, 1, 0)), (10, (3, 1, 0, 1, 0, 0)),
+     (25, (2, 2, 0, 1, 0, 0)), (30, (2, 2, 1, 0, 0, 0)), (5, (3, 1, 1, 0, 0, 0)),
+     (15, (1, 3, 1, 0, 0, 0)), (11, (2, 2, 0, 0, 0, 0)), (1, (3, 1, 0, 0, 0, 0)),
+     (11, (1, 3, 0, 0, 0, 0)), (1, (0, 4, 0, 0, 0, 0))),
+)
+
+
 def propagate_moments(moments: np.ndarray, params: OpaParams) -> np.ndarray:
     """Propagate the moments <n^j>, j = 1..4, on the first axis through the amplifier.
 
-    Evaluates the published propagation polynomials in mu, nu and the input
-    moments exactly as printed.  For thermal input moments in the corrected
-    convention the output equals the thermal moments at mean
-    mu^2 * m1 + nu^2 (the thermal-closure identity, enforced by tests and
-    by the Fock-space oracle).
+    Evaluates the published propagation polynomials, the tables
+    :data:`PROPAGATION`, in mu, nu and the input moments.  For thermal
+    input moments in the corrected convention the output equals the
+    thermal moments at mean mu^2 * m1 + nu^2 (the thermal-closure identity,
+    enforced by tests and by the Fock-space oracle).
+
+    Raises:
+        DomainError: unless ``moments`` holds four finite moments >= 0.
     """
+    moments = four_moments("moments", moments)
     mu, nu = coeffs(params)
-    u, v = mu * mu, nu * nu
-    u2, u3, u4 = powers(u)
-    v2, v3, v4 = powers(v)
-    m1, m2, m3, m4 = moments
-    out1 = u * m1 + v
-    out2 = u2 * m2 + 3 * u * v * m1 + u * v + v2
-    out3 = (
-        u3 * m3
-        + 6 * u2 * v * m2
-        + (4 * u2 * v + 7 * u * v2) * m1
-        + u2 * v
-        + 4 * u * v2
-        + v3
-    )
-    out4 = (
-        u4 * m4
-        + 10 * u3 * v * m3
-        + (10 * u3 * v + 25 * u2 * v2) * m2
-        + (30 * u2 * v2 + 5 * u3 * v + 15 * u * v3) * m1
-        + 11 * u2 * v2
-        + u3 * v
-        + 11 * u * v3
-        + v4
-    )
-    return np.stack((out1, out2, out3, out4))
+    return np.stack(list(map(evaluator(mu * mu, nu * nu, *moments), PROPAGATION)))

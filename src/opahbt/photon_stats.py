@@ -1,9 +1,10 @@
 """Photon-number statistics of thermal (Bose-Einstein) light.
 
 Provides the closed-form first four moments of the thermal distribution in
-two conventions (the corrected algebra and the form as published, whose
-third moment is a known misprint), together with a direct-summation oracle
-that computes the same moments from the geometric distribution itself.
+two conventions, the tables :data:`CORRECTED` and :data:`PAPER_PRINTED` (as
+published, whose third moment is a known misprint), together with a
+direct-summation oracle that computes the same moments from the geometric
+distribution itself.
 A thermal source is given by its mean photon number alone, and the oracle
 sums to the fixed relative tail bound :data:`SUMMATION_TAIL_BOUND`.
 Moments are a float64 array ``[<n>, <n^2>, <n^3>, <n^4>]`` of shape
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._domain import FloatOrArray, nonnegative, nonnegative_scalar, powers
+from ._domain import FloatOrArray, evaluator, nonnegative, nonnegative_scalar
 from .errors import DomainError, SummationLimitError
 
 SUMMATION_TERM_CAP = 10_000_000
@@ -30,6 +31,17 @@ class MomentConvention(Enum):
 
     CORRECTED = "corrected"
     PAPER_PRINTED = "paper-printed"
+
+
+# One table per moment <n^j>, j = 1..4, of (coefficient, (power of N,)) rows.
+CORRECTED = (
+    ((1, (1,)),),
+    ((2, (2,)), (1, (1,))),
+    ((6, (3,)), (6, (2,)), (1, (1,))),
+    ((24, (4,)), (36, (3,)), (14, (2,)), (1, (1,))),
+)
+# As published: the cubic row of the third moment has coefficient 1, not 6.
+PAPER_PRINTED = (CORRECTED[0], CORRECTED[1], ((1, (3,)),) + CORRECTED[2][1:], CORRECTED[3])
 
 
 def thermal_moments(
@@ -50,16 +62,13 @@ def thermal_moments(
         misprint (it is low by exactly 5N^3).
     """
     n = nonnegative("mean photon number", n_bar)
-    n2, n3, n4 = powers(n)
-    m2 = 2 * n2 + n
     if convention is MomentConvention.CORRECTED:
-        m3 = 6 * n3 + 6 * n2 + n
+        table = CORRECTED
     elif convention is MomentConvention.PAPER_PRINTED:
-        m3 = n3 + 6 * n2 + n
+        table = PAPER_PRINTED
     else:
         raise DomainError(f"unknown moment convention {convention!r}")
-    m4 = 24 * n4 + 36 * n3 + 14 * n2 + n
-    return np.stack((n, m2, m3, m4))
+    return np.stack(list(map(evaluator(n), table)))
 
 
 def geometric_summation_moments(n_bar: float) -> np.ndarray:
@@ -74,13 +83,20 @@ def geometric_summation_moments(n_bar: float) -> np.ndarray:
     Raises:
         DomainError: if ``n_bar`` is not a finite real >= 0.
         SummationLimitError: if :data:`SUMMATION_TERM_CAP` terms do not
-            reach the bound; the error reports the relative bound achieved.
+            reach the bound (at once where mean/(1+mean) is too close to 1
+            for any); the error reports the relative bound achieved.
     """
     n_mean = nonnegative_scalar("mean photon number", n_bar)
     if n_mean == 0.0:
         return np.zeros(4)
 
     q = n_mean / (1.0 + n_mean)
+    if q * (1.0 + 1.0 / SUMMATION_TERM_CAP) ** 4 >= 1.0:  # the ratio below stays >= 1
+        raise SummationLimitError(
+            f"at mean {n_mean:g}, mean/(1+mean) = {q!r} is too close to 1 for a tail bound "
+            f"within the cap of {SUMMATION_TERM_CAP} terms; lower the mean",
+            achieved_bound=math.inf,
+        )
     log_q = math.log(q)
     sums = np.zeros(4)
     achieved = math.inf

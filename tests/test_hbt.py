@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -238,6 +239,37 @@ def test_invalid_means_raise_domain_error(bad):
         OpaParams(bad)
 
 
+MOMENT_LAWS = {
+    "correlation_full": lambda moments: correlation_full(thermal_moments(1.0), moments, 0.5),
+    "noise_full": lambda moments: noise_full(moments, thermal_moments(1.0), 0.5),
+    "noise_avg_substitution": lambda moments: noise_avg_substitution(
+        thermal_moments(1.0), moments
+    ),
+    "propagate_moments": lambda moments: propagate_moments(moments, G2),
+}
+
+
+@pytest.mark.parametrize("law", MOMENT_LAWS.values(), ids=MOMENT_LAWS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1.0, 3.0, float("nan"), 75.0],
+        [1.0, 3.0, 13.0],
+        [1.0, -3.0, 13.0, 75.0],
+        np.ones((4, 2)) * float("inf"),
+        1.0,
+        "1.0",
+        None,
+    ],
+    ids=["nan", "three", "negative", "inf", "scalar", "string", "none"],
+)
+def test_invalid_moments_raise_domain_error(law, bad):
+    # Every law that takes moments shares one rule: four finite moments >= 0
+    # on the first axis.
+    with pytest.raises(DomainError):
+        law(bad)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1.0", None, 1j])
 def test_invalid_phases_raise_domain_error(bad):
     # The phase shares one finite-real validator: every law rejects a bad one.
@@ -314,6 +346,21 @@ def test_array_laws_match_scalar_laws_bit_for_bit():
         assert law(n, m, G2).tobytes() == expected.tobytes()
     expected = np.array([noise_avg_printed(float(a), float(b)) for a, b in zip(n, m)])
     assert noise_avg_printed(n, m).tobytes() == expected.tobytes()
+
+
+def test_laws_leave_no_reference_cycle():
+    # A cycle would keep each call's arrays alive until the collector runs,
+    # so a blocked sweep's peak memory would grow with its length.
+    n = np.geomspace(0.1, 10.0, 2048)
+    gc.collect()
+    gc.disable()
+    try:
+        snr_ratio(n, n, G2)
+        noise_full(thermal_moments(n), thermal_moments(n), 0.3)
+        propagate_moments(thermal_moments(n), G2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gain_overflowing_the_coefficients_raises_domain_error():

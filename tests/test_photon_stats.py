@@ -90,3 +90,14 @@ def test_summation_iteration_cap_reports_achieved_bound(monkeypatch):
     with pytest.raises(SummationLimitError) as excinfo:
         geometric_summation_moments(50.0)
     assert excinfo.value.achieved_bound > opahbt.photon_stats.SUMMATION_TAIL_BOUND
+
+
+@pytest.mark.parametrize("n", [3e6, 1e15, 1e16, 1e300])
+def test_summation_too_close_to_one_raises_at_once(monkeypatch, n):
+    # From about 2.5e6 the tail bound's term ratio stays above 1 up to the
+    # cap, and from about 1e16 mean/(1+mean) rounds to 1.  No term may be
+    # summed: without a chunk size, summing raises TypeError.
+    monkeypatch.setattr(opahbt.photon_stats, "_CHUNK", None)
+    with pytest.raises(SummationLimitError, match=r"mean/\(1\+mean\)") as excinfo:
+        geometric_summation_moments(n)
+    assert excinfo.value.achieved_bound == float("inf")
