@@ -13,6 +13,11 @@ grid and one ratio column), not its output text.
 ``fig4``, ``fig5`` and ``fit`` share one parent parser of sweep flags, and
 each command's parser names the function that runs it (``set_defaults``).
 
+When ``main`` runs before numpy is imported, it sets OpenBLAS's
+``OPENBLAS_THREAD_TIMEOUT`` to 4 unless the environment already sets it,
+so that BLAS worker threads sleep at once instead of spinning.  Importing
+this module loads no numpy and leaves ``os.environ`` alone.
+
 Exit codes: 0 success, 2 usage or input error (out of memory included),
 3 degenerate fit, 4 truncation infeasible, 5 non-convergence.
 """
@@ -36,6 +41,8 @@ EXIT_TRUNCATION = 4
 EXIT_NOT_CONVERGED = 5
 
 _SENSITIVITY_RANGES = ((0.15, 20.0), (0.1, 10.0), (0.3, 30.0), (0.5, 50.0), (1.0, 100.0))
+# OpenBLAS's minimum: an idle worker spins 2^4 cycles before it sleeps.
+_BLAS_THREAD_TIMEOUT = "4"
 
 
 def format_float(value: float) -> str:
@@ -281,6 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy loads it.  Its idle worker
+        # threads otherwise busy-wait 2^28 cycles (about 0.1 s of CPU each)
+        # before they sleep, and no command has BLAS work a second thread
+        # speeds up.  A value the user set is kept.
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _BLAS_THREAD_TIMEOUT)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

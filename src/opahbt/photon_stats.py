@@ -24,6 +24,8 @@ from .errors import DomainError, SummationLimitError
 SUMMATION_TERM_CAP = 10_000_000
 SUMMATION_TAIL_BOUND = 1e-13
 _CHUNK = 4096
+_ORDERS = np.arange(1, 5)
+_FACTORIALS = np.array([1.0, 2.0, 6.0, 24.0])
 
 
 class MomentConvention(Enum):
@@ -83,21 +85,36 @@ def geometric_summation_moments(n_bar: float) -> np.ndarray:
     Raises:
         DomainError: if ``n_bar`` is not a finite real >= 0.
         SummationLimitError: if :data:`SUMMATION_TERM_CAP` terms do not
-            reach the bound (at once where mean/(1+mean) is too close to 1
-            for any); the error reports the relative bound achieved.
+            reach the bound.  It is raised before any term is summed where
+            mean/(1+mean) is too close to 1 for a bound, or where the bound
+            predicted at the cap already misses (means from about 2.4e5);
+            the error reports the relative bound achieved or predicted.
     """
     n_mean = nonnegative_scalar("mean photon number", n_bar)
     if n_mean == 0.0:
         return np.zeros(4)
 
     q = n_mean / (1.0 + n_mean)
-    if q * (1.0 + 1.0 / SUMMATION_TERM_CAP) ** 4 >= 1.0:  # the ratio below stays >= 1
+    log_q = math.log(q)
+    tails = _tail_bounds(q, log_q, SUMMATION_TERM_CAP - 1)
+    if tails is None:
         raise SummationLimitError(
             f"at mean {n_mean:g}, mean/(1+mean) = {q!r} is too close to 1 for a tail bound "
             f"within the cap of {SUMMATION_TERM_CAP} terms; lower the mean",
             achieved_bound=math.inf,
         )
-    log_q = math.log(q)
+    # The bound the loop would reach at the cap, with each sum replaced by
+    # its upper bound j!/lambda^j, lambda = -log q: n is the floor of an
+    # exponential variable of rate lambda, whose moments those are.  A miss
+    # here is a miss after summing, so it raises before summing.
+    predicted = float(np.max(tails * (-log_q) ** _ORDERS / _FACTORIALS))
+    if predicted > SUMMATION_TAIL_BOUND:
+        raise SummationLimitError(
+            f"summation cap of {SUMMATION_TERM_CAP} terms too small at mean {n_mean}; "
+            f"relative tail bound at the cap at least {predicted:.3e} > "
+            f"{SUMMATION_TAIL_BOUND:.3e}",
+            achieved_bound=predicted,
+        )
     sums = np.zeros(4)
     achieved = math.inf
     start = 0
@@ -109,13 +126,8 @@ def geometric_summation_moments(n_bar: float) -> np.ndarray:
         sums += powers @ p
         start = stop
 
-        # Tail bound: for n > M the term ratio is below q * (1 + 1/(M+1))^4,
-        # so each weighted tail is under p_{M+1} * (M+1)^j / (1 - ratio).
-        m_last = stop - 1
-        ratio = q * (1.0 + 1.0 / (m_last + 1)) ** 4
-        if ratio < 1.0 and np.all(sums > 0):
-            p_next = (1.0 - q) * math.exp((m_last + 1) * log_q)
-            tails = p_next * (m_last + 1.0) ** np.arange(1, 5) / (1.0 - ratio)
+        tails = _tail_bounds(q, log_q, stop - 1)
+        if tails is not None and np.all(sums > 0):
             achieved = float(np.max(tails / sums))
             if achieved <= SUMMATION_TAIL_BOUND:
                 return sums
@@ -125,3 +137,17 @@ def geometric_summation_moments(n_bar: float) -> np.ndarray:
         f"achieved relative tail bound {achieved:.3e} > {SUMMATION_TAIL_BOUND:.3e}",
         achieved_bound=achieved,
     )
+
+
+def _tail_bounds(q: float, log_q: float, m_last: int) -> np.ndarray | None:
+    """Bounds on the tails sum_{n > M} p_n n^j, j = 1..4, of the geometric series.
+
+    For n > M = ``m_last`` the term ratio is below q (1 + 1/(M+1))^4; where
+    that ratio is below 1, each tail is under p_{M+1} (M+1)^j / (1 - ratio).
+    None where it is not.
+    """
+    ratio = q * (1.0 + 1.0 / (m_last + 1)) ** 4
+    if ratio >= 1.0:
+        return None
+    p_next = (1.0 - q) * math.exp((m_last + 1) * log_q)
+    return p_next * (m_last + 1.0) ** _ORDERS / (1.0 - ratio)

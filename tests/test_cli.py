@@ -474,6 +474,8 @@ _LAYERS = ["numpy", "opahbt.analysis", "opahbt.fock", "opahbt.oracle_checks", "o
     ids=["oracle-check", "fig4", "fig5", "fit", "help", "usage-error"],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, code, loaded):
+    # main sets OpenBLAS's thread timeout only while numpy is unloaded, so
+    # its default rests on `import opahbt.cli` loading no numpy.
     script = (
         "import sys; from opahbt.cli import main; "
         f"code = main({args + ['--out', str(tmp_path / 'out')]!r}); "
@@ -482,6 +484,54 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, code, loaded
     result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{code} {loaded}"
+
+
+# Installed as sitecustomize, so it runs before the command in every launch
+# form: it records OPENBLAS_THREAD_TIMEOUT as numpy starts to load, checks
+# that importing the CLI leaves the environment alone, and prints both at exit.
+_TIMEOUT_PROBE = """
+import atexit, os, sys
+seen = []
+class _Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, _Probe())
+before = dict(os.environ)
+import opahbt.cli
+untouched = dict(os.environ) == before and "numpy" not in sys.modules
+atexit.register(lambda: print("probe", untouched, seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [["-c", "import sys; from opahbt.cli import main; sys.exit(main(sys.argv[1:]))"],
+     ["-m", "opahbt"]],
+    ids=["main", "python-m"],
+)
+@pytest.mark.parametrize("user_value, seen", [(None, "4"), ("28", "28")], ids=["unset", "user"])
+def test_cli_sets_the_blas_thread_timeout_before_numpy_loads(tmp_path, launch, user_value, seen):
+    (tmp_path / "sitecustomize.py").write_text(_TIMEOUT_PROBE)
+    path = os.pathsep.join(filter(None, [str(tmp_path), SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if user_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_value
+    result = subprocess.run(
+        [sys.executable, *launch, "fig5", "--out", str(tmp_path / "fig5.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"probe True [{seen!r}]"]
+
+
+def test_main_after_numpy_is_imported_leaves_the_environment_alone(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    environment = dict(os.environ)
+    assert "numpy" in sys.modules
+    assert run_cli(["fig4", "--n-min", "1", "--n-max", "1", "--points", "1"]) == 0
+    assert dict(os.environ) == environment
 
 
 def test_estimate_phi_loads_no_ratio_law(tmp_path):

@@ -101,3 +101,43 @@ def test_summation_too_close_to_one_raises_at_once(monkeypatch, n):
     with pytest.raises(SummationLimitError, match=r"mean/\(1\+mean\)") as excinfo:
         geometric_summation_moments(n)
     assert excinfo.value.achieved_bound == float("inf")
+
+
+@pytest.mark.parametrize("n", [2.4e5, 3e5, 1e6, 2.4e6])
+def test_summation_predicted_to_miss_the_bound_raises_at_once(monkeypatch, n):
+    # From about 2.4e5 the cap is too short: the bound reached there misses
+    # even with every sum at its upper bound, so no term may be summed.
+    # Without a chunk size, summing raises TypeError.
+    monkeypatch.setattr(opahbt.photon_stats, "_CHUNK", None)
+    with pytest.raises(SummationLimitError, match="summation cap of 10000000 terms") as excinfo:
+        geometric_summation_moments(n)
+    assert opahbt.photon_stats.SUMMATION_TAIL_BOUND < excinfo.value.achieved_bound < np.inf
+
+
+def _summed_to_the_cap(monkeypatch, n):
+    """The sums, or the bound achieved at the cap, with the prediction off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(opahbt.photon_stats, "_FACTORIALS", np.full(4, np.inf))
+        try:
+            return geometric_summation_moments(n)
+        except SummationLimitError as exc:
+            return exc.achieved_bound
+
+
+def test_summation_prediction_raises_exactly_where_summing_misses(monkeypatch):
+    # On a short cap, across the mean where the cap stops reaching the bound
+    # (about 195 for 8,192 terms), each mean either returns the sums summing
+    # gives or raises at once with a bound no larger than summing achieves.
+    monkeypatch.setattr(opahbt.photon_stats, "SUMMATION_TERM_CAP", 8192)
+    outcomes = set()
+    for n in np.linspace(150.0, 400.0, 251):
+        summed = _summed_to_the_cap(monkeypatch, n)
+        try:
+            sums = geometric_summation_moments(n)
+        except SummationLimitError as exc:
+            assert np.ndim(summed) == 0 and exc.achieved_bound <= summed, n
+            outcomes.add("raised")
+        else:
+            assert sums.tobytes() == summed.tobytes(), n
+            outcomes.add("summed")
+    assert outcomes == {"raised", "summed"}
