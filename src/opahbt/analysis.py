@@ -1,7 +1,7 @@
 """Parameter sweeps, SNR-law fitting and fringe inversion.
 
 Everything here is deterministic given its inputs and draws no random
-numbers; :func:`estimate_phi` checks its ``seed`` and does not use it.
+numbers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,11 @@ import numpy as np
 from ._domain import integer, nonnegative_scalar
 from .errors import DegenerateFitError, DomainError, FringeCoverageError
 
+# The fit loop's termination guard.  A Newton step that stays inside the
+# bracket need not halve it, so the bracket's width bounds no step count.
+# 175 scans of the benchmark's phi-scan deck need at most 8 steps and 4,000
+# band-edge stress scans at most 20, or 46 on the two that do not converge;
+# a known amplitude far below the scan's (1e-150 against 0.9) runs into the cap.
 PHI_MAX_ITERATIONS = 200
 _PERIODOGRAM_BLOCK = 1 << 22  # complex elements per block of the periodogram
 _BLOCK_ROWS = 2048  # grid rows per block of a sweep and of a figure writer
@@ -154,7 +159,8 @@ def fit_inverse_law(table: RatioTable) -> FitResult:
 
     Raises:
         DomainError: for a table without the SNR column or fewer than 3
-            points.
+            points, and when A, B or ``rss`` overflows the float range; the
+            window of n_bar is named.
         DegenerateFitError: when all abscissae coincide.
     """
     if table.snr_ratio is None:
@@ -163,23 +169,30 @@ def fit_inverse_law(table: RatioTable) -> FitResult:
     y = np.asarray(table.snr_ratio, dtype=float)
     if n.size < 3:
         raise DomainError(f"fit needs at least 3 points, got {n.size}")
-    # One work column holds each per-point term in turn, so beyond the
-    # table the fit allocates at most two columns at once.
-    work = np.multiply(n, n)
-    s_nn = float(np.sum(work))
-    s_n = float(np.sum(n))
-    count = float(n.size)
-    det = s_nn * count - s_n * s_n
-    if abs(det) <= 1e-12 * max(s_nn * count, s_n * s_n):
-        raise DegenerateFitError("all grid points coincide; the fit is degenerate")
-    target = np.multiply(n, y, out=work)
-    rhs_b = float(np.sum(target))
-    rhs_a = float(np.sum(np.multiply(n, target, out=work)))
-    a = (rhs_a * count - rhs_b * s_n) / det
-    b = (s_nn * rhs_b - s_n * rhs_a) / det
-    residual = np.subtract(y, a, out=work)
-    residual -= np.divide(b, n)
-    rss = float(np.sum(np.square(residual, out=residual)))
+    # Overflow is checked below, so no numpy warning leaks out of the fit.
+    with np.errstate(all="ignore"):
+        # One work column holds each per-point term in turn, so beyond the
+        # table the fit allocates at most two columns at once.
+        work = np.multiply(n, n)
+        s_nn = float(np.sum(work))
+        s_n = float(np.sum(n))
+        count = float(n.size)
+        det = s_nn * count - s_n * s_n
+        if abs(det) <= 1e-12 * max(s_nn * count, s_n * s_n):
+            raise DegenerateFitError("all grid points coincide; the fit is degenerate")
+        target = np.multiply(n, y, out=work)
+        rhs_b = float(np.sum(target))
+        rhs_a = float(np.sum(np.multiply(n, target, out=work)))
+        a = (rhs_a * count - rhs_b * s_n) / det
+        b = (s_nn * rhs_b - s_n * rhs_a) / det
+        residual = np.subtract(y, a, out=work)
+        residual -= np.divide(b, n)
+        rss = float(np.sum(np.square(residual, out=residual)))
+    if not all(map(math.isfinite, (a, b, rss))):
+        raise DomainError(
+            f"the fit over n_bar in [{float(n.min())!r}, {float(n.max())!r}] overflows the "
+            f"float range (A = {a!r}, B = {b!r}, rss = {rss!r})"
+        )
     return FitResult(a, b, rss)
 
 
@@ -238,7 +251,6 @@ def estimate_phi(
     c_values: np.ndarray,
     k: float,
     amplitude_known: float | None = None,
-    seed: int = 0,
 ) -> PhiEstimate:
     """Recover the angular size from a scan of the AC correlation vs baseline.
 
@@ -254,13 +266,12 @@ def estimate_phi(
     the scan scaled exactly by a power of two to unit magnitude.  The
     linearised standard error of phi comes from the residual variance and
     the Jacobian of (S, omega); a singular Jacobian gives an infinite one.
-    ``seed`` is validated and otherwise unused.
 
     Raises:
         DomainError: for fewer than 4 points, non-finite input, a
-            wavenumber or known amplitude that is not a finite real > 0, or
-            a seed that is not an integer >= 0; also when the fit, its
-            covariance or phi = omega / k overflows the float range.
+            wavenumber or known amplitude that is not a finite real > 0;
+            also when the fit, its covariance or phi = omega / k overflows
+            the float range.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
@@ -276,7 +287,6 @@ def estimate_phi(
         raise DomainError(f"wavenumber must be > 0, got {k!r}")
     if amplitude_known is not None and nonnegative_scalar("amplitude", amplitude_known) == 0.0:
         raise DomainError(f"amplitude must be > 0, got {amplitude_known!r}")
-    integer("seed", seed, 0)
     span = float(r.max() - r.min())
     if span <= 0:
         raise DomainError("scan baselines are all identical")
@@ -313,7 +323,8 @@ def estimate_phi(
             omega = 0.5 * (low + high)
             for iterations in range(1, PHI_MAX_ITERATIONS + 1):
                 _, _, slope, curvature = fit_at(omega)
-                trial = omega + slope / curvature
+                # A curvature that underflows to 0 gives a nan trial, which bisects.
+                trial = omega + slope / curvature if curvature > 0 else math.nan
                 converged = abs(trial - omega) <= 1e-13 * omega
                 low, high = (omega, high) if slope > 0 else (low, omega)
                 if not (converged or low < trial < high):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -79,7 +80,11 @@ def _write_output(path: str, chunks: Iterable[str]) -> None:
 
 
 def _json_payload(document: dict | list) -> tuple[str]:
-    return (json.dumps(document, indent=2) + "\n",)
+    # Strict JSON readers reject NaN and Infinity, so no document may hold them.
+    try:
+        return (json.dumps(document, indent=2, allow_nan=False) + "\n",)
+    except ValueError as exc:
+        raise DomainError(f"the output holds a non-finite number: {exc}") from None
 
 
 def _sweep_spec(args):
@@ -211,18 +216,18 @@ def _read_scan_csv(path: str) -> tuple[list[float], list[float]]:
 
 
 def _cmd_estimate_phi(args) -> int:
+    from ._domain import integer
     from .analysis import estimate_phi
 
+    integer("seed", args.seed, 0)  # checked, so a bad flag still exits 2, and then unused
     r0, values = _read_scan_csv(args.scan)
-    estimate = estimate_phi(
-        r0,
-        values,
-        k=args.k,
-        amplitude_known=args.amplitude,
-        seed=args.seed,
-    )
-    document = {**dataclasses.asdict(estimate), "seed": args.seed}
-    _write_output(args.out, _json_payload(document))
+    estimate = estimate_phi(r0, values, k=args.k, amplitude_known=args.amplitude)
+    if math.isinf(estimate.stderr):
+        raise DomainError(
+            f"the fit's Jacobian is singular at phi = {estimate.phi!r} (amplitude "
+            f"{estimate.amplitude!r}), so phi has no finite standard error"
+        )
+    _write_output(args.out, _json_payload(dataclasses.asdict(estimate)))
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED
 
 
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     phi.add_argument("scan", help="CSV file with columns (baseline, correlation)")
     phi.add_argument("--k", type=float, required=True, help="wavenumber in rad per length")
     phi.add_argument(
-        "--seed", type=int, default=0, help="echoed in the output; the estimate does not use it"
+        "--seed", type=int, default=0, help="accepted and ignored; the estimate is deterministic"
     )
     phi.add_argument("--amplitude", type=float, default=None, help="hold the amplitude fixed")
     phi.set_defaults(run=_cmd_estimate_phi)

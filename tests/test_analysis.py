@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import tracemalloc
@@ -21,7 +22,7 @@ from opahbt import (
     sweep_ratios,
 )
 import opahbt.analysis
-from opahbt.analysis import _BLOCK_ROWS, _MAX_POINTS, _periodogram_peak
+from opahbt.analysis import PHI_MAX_ITERATIONS, _BLOCK_ROWS, _MAX_POINTS, _periodogram_peak
 
 K_BLUE = 1.42e7  # rad/m, a 443 nm wavenumber
 
@@ -211,6 +212,23 @@ def test_fit_requires_three_points_and_distinct_abscissae():
         fit_inverse_law(degenerate)
 
 
+@pytest.mark.parametrize(
+    "table, window",
+    [
+        # The SNR ratio near 1e160 at a companion mean of 1e-160 squares to inf.
+        (sweep_ratios(SweepSpec(g=2.0, equal_sources=False, m_bar=1e-160), (Ratio.SNR,)),
+         "[0.15, 20.0]"),
+        # n_bar squared overflows before any residual is formed.
+        (RatioTable(np.array([1e200, 2e200, 3e200]), snr_ratio=np.ones(3)), "[1e+200, 3e+200]"),
+    ],
+    ids=["residual", "abscissa"],
+)
+def test_fit_that_overflows_names_its_window(table, window):
+    # Runtime warnings are errors in this suite, so none may leak either.
+    with pytest.raises(DomainError, match=re.escape(f"the fit over n_bar in {window} overflows")):
+        fit_inverse_law(table)
+
+
 def _scan(phi, points=64, r_max=40.0, amplitude=0.9):
     r = np.linspace(0.0, r_max, points)
     return r, amplitude * np.cos(K_BLUE * phi * r)
@@ -309,7 +327,7 @@ def test_phi_stderr_is_calibrated_away_from_the_band_edge():
         amplitude = rng.uniform(0.5, 2.0)
         noise = rng.choice([0.01, 0.03, 0.1]) * amplitude
         y = amplitude * np.cos(K_BLUE * phi * r) + noise * rng.standard_normal(r.size)
-        estimate = estimate_phi(r, y, K_BLUE, seed=index)
+        estimate = estimate_phi(r, y, K_BLUE)
         assert estimate.converged, index
         z.append((estimate.phi - phi) / estimate.stderr)
     assert 0.85 <= np.std(z) <= 1.15
@@ -358,13 +376,43 @@ def test_phi_wavenumber_shares_the_domain_validator(bad):
         estimate_phi(r, y, k=bad)
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5, "1", True, None, np.int64(-1), np.bool_(True)])
-def test_phi_seed_is_checked_before_fitting(bad):
-    # The scan converges without a retry, so the seed would otherwise go unused.
-    r, y = _scan(1e-8)
-    with pytest.raises(DomainError, match="seed"):
-        estimate_phi(r, y, K_BLUE, seed=bad)
-    assert estimate_phi(r, y, K_BLUE, seed=np.int64(3)).converged
+def test_phi_takes_no_seed():
+    # The fit draws no random numbers, so there is no seed to pass.
+    assert "seed" not in inspect.signature(estimate_phi).parameters
+
+
+@pytest.mark.parametrize(
+    "points, amplitude, outcome",
+    [
+        (64, 1e-170, "singular"),
+        (64, 1e-300, "singular"),
+        (64, 5e-324, "singular"),
+        (4, 5e-324, "singular"),
+        (64, 1e-160, "overflow"),
+        (64, 1e-150, "capped"),
+    ],
+)
+def test_phi_known_amplitude_far_below_the_scan(points, amplitude, outcome):
+    # The Gauss-Newton curvature scales as the amplitude squared and
+    # underflows to 0; the iteration then bisects instead of dividing by it.
+    # A singular Jacobian at the end gives an infinite stderr.
+    if points == 4:
+        r, y, k = np.arange(4.0), np.array([1.0, 0.5, -0.4, -1.0]), 1.0
+    else:
+        (r, y), k = _scan(1e-8), K_BLUE
+    if outcome == "overflow":
+        with pytest.raises(DomainError, match="the fit overflows the float range"):
+            estimate_phi(r, y, k, amplitude_known=amplitude)
+        return
+    estimate = estimate_phi(r, y, k, amplitude_known=amplitude)
+    assert not estimate.converged
+    assert estimate.amplitude == amplitude
+    assert math.isfinite(estimate.phi)
+    if outcome == "singular":
+        assert estimate.stderr == math.inf
+    else:
+        assert estimate.iterations == PHI_MAX_ITERATIONS
+        assert 1e140 < estimate.stderr < 1e141
 
 
 def test_phi_estimation_rejects_sub_quarter_fringe():

@@ -343,6 +343,28 @@ def test_fit_high_mean_window_hits_asymptote(tmp_path):
     assert document["A"] == pytest.approx(1.083, abs=0.005)
 
 
+def test_fit_that_overflows_exits_2_without_output_or_warnings(tmp_path):
+    # At a companion mean of 1e-160 the SNR ratio is near 1e160, and the
+    # residual sum of squares of every window overflows.
+    target = tmp_path / "fit.json"
+    result = run_python("-W", "error::RuntimeWarning", "-m", "opahbt", "fit",
+                        "--m-bar", "1e-160", "--out", str(target))
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("opahbt: the fit over n_bar in [0.15, 20.0] overflows")
+    assert result.stderr.endswith("rss = inf)\n")
+    assert not target.exists()
+
+
+def test_json_output_never_holds_a_non_finite_number(tmp_path, monkeypatch, capsys):
+    report = {"all_expected_pass_ok": True, "deviation": math.nan}
+    monkeypatch.setattr("opahbt.oracle_checks.run_oracle_checks", lambda **kwargs: report)
+    target = tmp_path / "report.json"
+    assert run_cli(["oracle-check", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("opahbt: the output holds a non-finite number")
+    assert not target.exists()
+
+
 def test_fit_degenerate_grid_exits_3(tmp_path, capsys):
     target = tmp_path / "fit.json"
     code = run_cli(
@@ -587,7 +609,7 @@ def test_estimate_phi_noiseless(tmp_path):
     document = json.loads(target.read_text())
     assert document["converged"] is True
     assert document["phi"] == pytest.approx(1e-8, rel=1e-3)
-    assert document["seed"] == 0
+    assert "seed" not in document
 
 
 def test_estimate_phi_large_scan_runs_in_a_bounded_address_space(tmp_path):
@@ -613,15 +635,19 @@ def test_estimate_phi_large_scan_runs_in_a_bounded_address_space(tmp_path):
 
 
 def test_estimate_phi_deterministic_output(tmp_path):
+    # The seed is accepted and ignored: it changes no byte of the output.
     scan = tmp_path / "scan.csv"
     _write_scan(scan, 1e-8, noise=0.05, seed=5)
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    for target in (first, second):
+    first, second, third = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    for target, seed in ((first, "7"), (second, "7"), (third, "0")):
         assert run_cli(
-            ["estimate-phi", str(scan), "--k", str(K_BLUE), "--seed", "7",
+            ["estimate-phi", str(scan), "--k", str(K_BLUE), "--seed", seed,
              "--out", str(target)]
         ) == 0
-    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+    assert list(json.loads(first.read_text())) == [
+        "phi", "stderr", "converged", "iterations", "amplitude"
+    ]
 
 
 def test_estimate_phi_sub_quarter_fringe_exits_2(tmp_path, capsys):
@@ -672,7 +698,7 @@ def test_estimate_phi_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     _write_scan(scan, 1e-8)
 
     stuck = opahbt.analysis.PhiEstimate(
-        phi=1e-8, stderr=math.inf, iterations=200, converged=False, amplitude=0.9
+        phi=1e-8, stderr=1e-9, iterations=200, converged=False, amplitude=0.9
     )
     monkeypatch.setattr("opahbt.analysis.estimate_phi", lambda *a, **kw: stuck)
     code = run_cli(["estimate-phi", str(scan), "--k", str(K_BLUE)])
@@ -730,16 +756,56 @@ def test_estimate_phi_scan_scale_exits_2_without_warnings(tmp_path, amplitude, c
 
 
 def test_estimate_phi_rejects_a_negative_seed_before_fitting(tmp_path, capsys):
-    # The scan converges at once, so only an up-front check sees the seed.
-    scan = tmp_path / "scan.csv"
+    # The estimate ignores the seed, so only an up-front check sees it; the
+    # check comes before the scan is read, so it is reported first.
+    scan, missing = tmp_path / "scan.csv", tmp_path / "missing.csv"
     _write_scan(scan, 1e-8)
     target = tmp_path / "phi.json"
-    code = run_cli(
-        ["estimate-phi", str(scan), "--k", str(K_BLUE), "--seed", "-1", "--out", str(target)]
-    )
-    assert code == 2
-    assert "seed" in capsys.readouterr().err
-    assert not target.exists()
+    for path in (scan, missing):
+        code = run_cli(
+            ["estimate-phi", str(path), "--k", str(K_BLUE), "--seed", "-1", "--out", str(target)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "opahbt: seed must be an integer >= 0, got -1\n"
+        assert not target.exists()
+
+
+def _write_four_point_scan(path):
+    path.write_text("r0,correlation\n0,1\n1,0.5\n2,-0.4\n3,-1\n")
+
+
+@pytest.mark.parametrize(
+    "points, amplitude, code, message",
+    [
+        (64, "1e-170", 2, "opahbt: the fit's Jacobian is singular"),
+        (64, "1e-300", 2, "opahbt: the fit's Jacobian is singular"),
+        (64, "5e-324", 2, "opahbt: the fit's Jacobian is singular"),
+        (4, "5e-324", 2, "opahbt: the fit's Jacobian is singular"),
+        (64, "1e-160", 2, "opahbt: the fit overflows the float range"),
+        (64, "1e-150", 5, None),
+    ],
+)
+def test_estimate_phi_known_amplitude_far_below_the_scan(tmp_path, points, amplitude, code, message):
+    # The fit's curvature underflows to 0 on the first four: no traceback and
+    # no Infinity in a file, but one line and exit 2.  The last runs into the
+    # iteration cap with a finite stderr.
+    scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
+    if points == 4:
+        _write_four_point_scan(scan)
+    else:
+        _write_scan(scan, 1e-8)
+    k = "1" if points == 4 else str(K_BLUE)
+    result = run_python("-W", "error::RuntimeWarning", "-m", "opahbt", "estimate-phi", str(scan),
+                        "--k", k, "--amplitude", amplitude, "--out", str(target))
+    assert result.returncode == code, result.stderr
+    if message:
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(message)
+        assert not target.exists()
+    else:
+        assert result.stderr == ""
+        document = json.loads(target.read_text(), parse_constant=pytest.fail)
+        assert document["converged"] is False and document["iterations"] == 200
 
 
 @pytest.mark.parametrize("amplitude", ["nan", "inf", "0", "-1"])
