@@ -3,22 +3,20 @@
 Laws accept Python or numpy reals and arrays of them.  They validate phases
 with :func:`finite_real` (the one finite-real check), means with
 :func:`nonnegative`, which builds on it, moment arrays with
-:func:`four_moments` and counts with :func:`integer`, compute on float64
-arrays, and unwrap the result, so a scalar gives a float.  Every polynomial
-law is a coefficient table that :func:`evaluator` reads.
+:func:`four_moments` and counts with :func:`integer`, each input once, and
+compute on ``np.float64`` scalars or float64 arrays; :func:`unwrap` makes a
+scalar result a float.  Every polynomial law is a coefficient table that
+:func:`kernel` compiles once.
 """
 
 from __future__ import annotations
-
-import functools
-import math
-from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
 
-FloatOrArray = Union[float, np.ndarray]
+FloatOrArray = float | np.ndarray
+_KERNELS = {}  # id(table) -> (table, kernel); holding the table keeps its id its own
 
 
 def _reject(name: str, array: np.ndarray, bad: np.ndarray, rule: str) -> None:
@@ -27,7 +25,7 @@ def _reject(name: str, array: np.ndarray, bad: np.ndarray, rule: str) -> None:
 
 
 def finite_real(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array (0-d for a scalar), every element finite.
+    """``value`` as a float64 array, or ``np.float64`` for a scalar, every element finite.
 
     Raises:
         DomainError: for strings, None, complex or ragged input, and for
@@ -40,7 +38,7 @@ def finite_real(name: str, value) -> np.ndarray:
     if array.dtype.kind not in "biuf":
         raise DomainError(f"{name} must be a finite real, got {value!r}")
     _reject(name, array, ~np.isfinite(array), "finite")
-    return array.astype(float, copy=False)
+    return array.astype(float, copy=False)[()]
 
 
 def nonnegative(name: str, value) -> np.ndarray:
@@ -75,37 +73,38 @@ def integer(name: str, value, low: int, high: float = np.inf) -> int:
     return int(value)
 
 
-def evaluator(*variables):
-    """The function that evaluates polynomial tables at ``variables``.
+def kernel(table):
+    """``table`` compiled, once per table object, to a function of its variables.
 
     A table is a sequence of rows ``(coefficient, powers)``, one power per
-    variable.  Rows add in table order, and a row multiplies its coefficient
-    by the variables' powers in argument order, so a law written in its
-    published order keeps the bits of its term-by-term form.  A group row's
-    coefficient is a table in the later variables, times the row's monomial.
-
-    Each power above 1 is computed once, by ``np.float_power``: its libm pow
-    is the one scalar ``**`` uses, so arrays match per-point scalars bit for
-    bit (ndarray ``**`` can differ by an ulp), and overflow gives inf.
+    variable, and a group row's coefficient is a table in the later ones.
+    Rows add in table order, each the coefficient times the powers in order
+    (a group row: the powers times the group), so a published law keeps the
+    bits of its term-by-term form.  Each power above 1 is computed once, by
+    ``np.float_power``: arrays match per-point scalars bit for bit (ndarray
+    ``**`` can differ by an ulp), and overflow gives inf.
     """
-    power = functools.cache(lambda i, k: variables[i] if k == 1 else np.float_power(variables[i], k))
-    # Not a recursive closure: that is a reference cycle, which would hold
-    # every power array until the garbage collector runs.
-    return functools.partial(_sum_rows, power=power)
+    if id(table) not in _KERNELS:
+        source = f"lambda *x: {_source(table, 0, set())}"
+        _KERNELS[id(table)] = table, eval(source, {"float_power": np.float_power})
+    return _KERNELS[id(table)][1]
 
 
-def _sum_rows(table, power, first=0):
-    total = None
+def _source(table, first, seen):
+    terms = []
     for coefficient, exponents in table:
-        factors = [power(first + i, k) for i, k in enumerate(exponents) if k]
+        row = [] if isinstance(coefficient, tuple) else [repr(coefficient)]
+        for i, k in enumerate(exponents, first):
+            if k:  # a power is named where it is first computed
+                p = f"x[{i}]" if k == 1 else f"p{i}_{k}"
+                row.append(p if k == 1 or p in seen else f"({p} := float_power(x[{i}], {k}))")
+                seen.add(p)
         if isinstance(coefficient, tuple):
-            term = math.prod(factors) * _sum_rows(coefficient, power, first + len(exponents))
-        else:
-            term = math.prod(factors, start=coefficient)
-        total = term if total is None else total + term
-    return total
+            row.append(f"({_source(coefficient, first + len(exponents), seen)})")
+        terms.append(" * ".join(row))
+    return " + ".join(terms)
 
 
 def unwrap(value):
-    """A 0-d result as a Python float; arrays pass through unchanged."""
+    """A scalar result as a Python float; arrays pass through unchanged."""
     return float(value) if np.ndim(value) == 0 else value

@@ -18,8 +18,8 @@ from .errors import DegenerateFitError, DomainError, FringeCoverageError
 # The fit loop's termination guard.  A Newton step that stays inside the
 # bracket need not halve it, so the bracket's width bounds no step count.
 # 175 scans of the benchmark's phi-scan deck need at most 8 steps and 4,000
-# band-edge stress scans at most 20, or 46 on the two that do not converge;
-# a known amplitude far below the scan's (1e-150 against 0.9) runs into the cap.
+# band-edge stress scans at most 20, or 46 on the two that do not converge.  A
+# step that leaves omega where it was ends the loop, as every later one would.
 PHI_MAX_ITERATIONS = 200
 _PERIODOGRAM_BLOCK = 1 << 22  # complex elements per block of the periodogram
 _BLOCK_ROWS = 2048  # grid rows per block of a sweep and of a figure writer
@@ -260,12 +260,13 @@ def estimate_phi(
     within one main lobe (2 pi / span) of its peak and nearest it, across
     which the cost's slope falls through zero.  In it a Newton iteration
     with Gauss-Newton curvature, bisecting when a step leaves the bracket,
-    runs for at most :data:`PHI_MAX_ITERATIONS` steps.  ``converged`` means
-    it stopped at a stationary point strictly inside the bracket, fitting
-    at least as well as every grid frequency of the lobe.  The fit reads
-    the scan scaled exactly by a power of two to unit magnitude.  The
-    linearised standard error of phi comes from the residual variance and
-    the Jacobian of (S, omega); a singular Jacobian gives an infinite one.
+    runs until a step leaves omega unchanged, for at most
+    :data:`PHI_MAX_ITERATIONS` steps.  ``converged`` means it stopped at a
+    stationary point strictly inside the bracket, fitting at least as well
+    as every grid frequency of the lobe.  The fit reads the scan scaled
+    exactly by a power of two to unit magnitude.  The linearised standard
+    error of phi comes from the residual variance and the Jacobian of (S,
+    omega); a singular Jacobian gives an infinite one.
 
     Raises:
         DomainError: for fewer than 4 points, non-finite input, a
@@ -329,8 +330,8 @@ def estimate_phi(
                 low, high = (omega, high) if slope > 0 else (low, omega)
                 if not (converged or low < trial < high):
                     trial = 0.5 * (low + high)
-                omega = trial
-                if converged:
+                omega, moved = trial, trial != omega
+                if converged or not moved:
                     break
         s, cost, _, curvature = fit_at(omega)
         converged = converged and cost <= float(grid_cost.min())

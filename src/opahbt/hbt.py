@@ -20,14 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._domain import FloatOrArray, evaluator, finite_real, four_moments, nonnegative, unwrap
+from ._domain import FloatOrArray, finite_real, four_moments, kernel, nonnegative, unwrap
 from .errors import DomainError
 from .opa import OpaParams, coeffs, equivalent_thermal_mean, propagate_moments
 from .photon_stats import thermal_moments
 
 
 # Each law is a table of (coefficient, powers) rows in the published order
-# (see _domain.evaluator).  The plain law, in (n_bar, m_bar).
+# (see _domain.kernel).  The plain law, in (n_bar, m_bar).
 PLAIN_NOISE = (
     (1, (1, 0)), (13, (2, 0)), (32, (3, 0)), (20, (4, 0)),
     (1, (0, 1)), (13, (0, 2)), (32, (0, 3)), (20, (0, 4)),
@@ -99,7 +99,7 @@ def noise_full(nm: np.ndarray, mm: np.ndarray, delta: FloatOrArray) -> FloatOrAr
     """Squared correlator noise including the cos(delta) and cos(2*delta) terms."""
     nm, mm = four_moments("nm", nm), four_moments("mm", mm)
     delta = finite_real("phase", delta)
-    return unwrap(evaluator(*nm, *mm, np.cos(delta), np.cos(2.0 * delta))(NOISE_FULL))
+    return unwrap(kernel(NOISE_FULL)(*nm, *mm, np.cos(delta), np.cos(2.0 * delta)))
 
 
 def noise_avg_substitution(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
@@ -109,7 +109,7 @@ def noise_avg_substitution(nm: np.ndarray, mm: np.ndarray) -> FloatOrArray:
     :func:`noise_avg_printed`, and feeding it amplifier-propagated moments
     gives the value the published amplified noise law should have had.
     """
-    return unwrap(evaluator(*four_moments("nm", nm), *four_moments("mm", mm))(NOISE_AVG))
+    return unwrap(kernel(NOISE_AVG)(*four_moments("nm", nm), *four_moments("mm", mm)))
 
 
 def noise_avg_printed(n_bar: FloatOrArray, m_bar: FloatOrArray) -> FloatOrArray:
@@ -118,7 +118,7 @@ def noise_avg_printed(n_bar: FloatOrArray, m_bar: FloatOrArray) -> FloatOrArray:
     Quartic polynomial in the two mean photon numbers, the table
     :data:`PLAIN_NOISE` with the coefficients exactly as published.
     """
-    return unwrap(evaluator(*_means(n_bar, m_bar))(PLAIN_NOISE))
+    return unwrap(kernel(PLAIN_NOISE)(*_means(n_bar, m_bar)))
 
 
 def opa_correlation_ac(
@@ -143,7 +143,7 @@ def opa_noise_avg_printed(
     """
     n, m = _means(n_bar, m_bar)
     mu, nu = coeffs(params)
-    return unwrap(evaluator(mu * mu, nu * nu, n, m)(AMPLIFIED_NOISE))
+    return unwrap(kernel(AMPLIFIED_NOISE)(mu * mu, nu * nu, n, m))
 
 
 def signal_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> FloatOrArray:
@@ -164,10 +164,12 @@ def snr_ratio(n_bar: FloatOrArray, m_bar: FloatOrArray, params: OpaParams) -> Fl
     """
     n, m = _means(n_bar, m_bar)
     _nonzero(n, m, "SNR ratio")
-    amplified_noise = opa_noise_avg_printed(n, m, params)
-    plain_noise = noise_avg_printed(n, m)
-    amplified = opa_correlation_ac(n, m, params, 0.0) / np.sqrt(amplified_noise)
-    plain = correlation_ac(n, m, 0.0) / np.sqrt(plain_noise)
+    mu, nu = coeffs(params)
+    amplified_noise = kernel(AMPLIFIED_NOISE)(mu * mu, nu * nu, n, m)
+    plain_noise = kernel(PLAIN_NOISE)(n, m)
+    n_out, m_out = equivalent_thermal_mean(n, params), equivalent_thermal_mean(m, params)
+    amplified = 2.0 * n_out * m_out / np.sqrt(amplified_noise)
+    plain = 2.0 * n * m / np.sqrt(plain_noise)
     finite = np.isfinite(amplified_noise) & np.isfinite(plain_noise)
     return unwrap(np.where(finite, amplified / plain, np.nan))
 

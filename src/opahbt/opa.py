@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import FloatOrArray, evaluator, four_moments, nonnegative, nonnegative_scalar, unwrap
+from ._domain import FloatOrArray, four_moments, kernel, nonnegative, nonnegative_scalar, unwrap
 from .errors import DomainError
 
 
@@ -86,4 +86,4 @@ def propagate_moments(moments: np.ndarray, params: OpaParams) -> np.ndarray:
     """
     moments = four_moments("moments", moments)
     mu, nu = coeffs(params)
-    return np.stack(list(map(evaluator(mu * mu, nu * nu, *moments), PROPAGATION)))
+    return np.stack([kernel(table)(mu * mu, nu * nu, *moments) for table in PROPAGATION])

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._domain import FloatOrArray, evaluator, nonnegative, nonnegative_scalar
+from ._domain import FloatOrArray, kernel, nonnegative, nonnegative_scalar
 from .errors import DomainError, SummationLimitError
 
 SUMMATION_TERM_CAP = 10_000_000
@@ -64,13 +64,10 @@ def thermal_moments(
         misprint (it is low by exactly 5N^3).
     """
     n = nonnegative("mean photon number", n_bar)
-    if convention is MomentConvention.CORRECTED:
-        table = CORRECTED
-    elif convention is MomentConvention.PAPER_PRINTED:
-        table = PAPER_PRINTED
-    else:
+    if not isinstance(convention, MomentConvention):
         raise DomainError(f"unknown moment convention {convention!r}")
-    return np.stack(list(map(evaluator(n), table)))
+    table = CORRECTED if convention is MomentConvention.CORRECTED else PAPER_PRINTED
+    return np.stack([kernel(rows)(n) for rows in table])
 
 
 def geometric_summation_moments(n_bar: float) -> np.ndarray:

@@ -173,6 +173,12 @@ def test_figure_json_format(tmp_path):
     assert rows[0]["ratio"] == pytest.approx(1.660, abs=5e-3)
 
 
+def test_readme_figure_json_value_is_pinned_to_the_bit(tmp_path):
+    target = tmp_path / "fig5.json"
+    assert run_cli(["fig5", "--format", "json", "--out", str(target)]) == 0
+    assert repr(json.loads(target.read_text())[0]["ratio"]) == "5.296468184878486"
+
+
 def test_unknown_flag_exits_2_without_output(tmp_path, capsys):
     target = tmp_path / "never.csv"
     code = run_cli(["fig4", "--bogus", "1", "--out", str(target)])
@@ -787,8 +793,8 @@ def _write_four_point_scan(path):
 )
 def test_estimate_phi_known_amplitude_far_below_the_scan(tmp_path, points, amplitude, code, message):
     # The fit's curvature underflows to 0 on the first four: no traceback and
-    # no Infinity in a file, but one line and exit 2.  The last runs into the
-    # iteration cap with a finite stderr.
+    # no Infinity in a file, but one line and exit 2.  The last ends once a
+    # step leaves omega unchanged, short of convergence, with a finite stderr.
     scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
     if points == 4:
         _write_four_point_scan(scan)
@@ -805,7 +811,7 @@ def test_estimate_phi_known_amplitude_far_below_the_scan(tmp_path, points, ampli
     else:
         assert result.stderr == ""
         document = json.loads(target.read_text(), parse_constant=pytest.fail)
-        assert document["converged"] is False and document["iterations"] == 200
+        assert document["converged"] is False and document["iterations"] == 49
 
 
 @pytest.mark.parametrize("amplitude", ["nan", "inf", "0", "-1"])

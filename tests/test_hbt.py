@@ -24,6 +24,7 @@ from opahbt import (
     snr_ratio,
     thermal_moments,
 )
+from opahbt import _domain, hbt, opa, photon_stats
 from opahbt.hbt import consistency_report, relative_deviation
 
 G2 = OpaParams(2.0)
@@ -148,6 +149,27 @@ def test_snr_values_and_edge_cases():
     # The ratio is undefined, not 0/0 = 0, when a source is dark.
     with pytest.raises(DomainError, match="zero mean"):
         snr_ratio(0.0, 0.0, G2)
+
+
+def test_readme_ratio_values_are_pinned_to_the_bit():
+    assert repr(snr_ratio(1.0, 1.0, G2)) == "1.6605429008071826"
+    assert repr(signal_ratio(10.0, 10.0, G2)) == "239.3062983932201"
+
+
+def test_snr_ratio_validates_each_input_once(monkeypatch):
+    # Two means, each checked once by snr_ratio and once more as the input
+    # of equivalent_thermal_mean, whose rule it keeps.
+    calls, check = [], _domain.finite_real
+
+    def spy(name, value):
+        calls.append(name)
+        return check(name, value)
+
+    for module in (_domain, hbt, opa, photon_stats):
+        if hasattr(module, "finite_real"):
+            monkeypatch.setattr(module, "finite_real", spy)
+    snr_ratio(1.0, 1.0, G2)
+    assert 0 < len(calls) <= 4, calls
 
 
 def test_ratio_worked_values():

@@ -1,19 +1,23 @@
-"""Exact identities of the law tables, and the coefficient mutants they catch.
+"""Exact identities of the law tables, the coefficient mutants they catch,
+and the compiled kernels against a row-by-row float reference.
 
 Each table is rebuilt here as a sympy polynomial, read row by row without
-the package's evaluator, so every identity holds exactly, not to a
+the package's compiled kernels, so every identity holds exactly, not to a
 tolerance on a grid.  The identities read the tables from their modules at
 call time, so a monkeypatched table is what they check.
 """
 
+import math
 from functools import cache
 
+import numpy as np
 import pytest
 import sympy as sp
 from sympy.polys.rings import ring
 
 import test_hbt
-from opahbt import hbt, opa, photon_stats
+from opahbt import OpaParams, hbt, opa, photon_stats
+from opahbt._domain import kernel
 
 # Exact integer polynomials in the source means and nu^2.
 RING, N, n, m, v = ring("N n m v", sp.ZZ)
@@ -175,3 +179,75 @@ def test_every_coefficient_mutant_is_caught_but_the_cosine_rows(monkeypatch):
     assert survivors == [
         ("NOISE_FULL", (row, step)) for step in (1, -1) for row in sorted(cosine_rows)
     ]
+
+
+def walked(table, *variables):
+    """``table`` at ``variables`` row by row, in floats: the kernels' reference.
+
+    A row is its coefficient times the powers left to right, a group row its
+    monomial times its group, the rows add in table order, and each power
+    above 1 is computed once by ``np.float_power``.
+    """
+    power = cache(lambda i, k: variables[i] if k == 1 else np.float_power(variables[i], k))
+
+    def rows(table, first):
+        total = None
+        for coefficient, exponents in table:
+            factors = [power(first + i, k) for i, k in enumerate(exponents) if k]
+            if isinstance(coefficient, tuple):
+                term = math.prod(factors) * rows(coefficient, first + len(exponents))
+            else:
+                term = math.prod(factors, start=coefficient)
+            total = term if total is None else total + term
+        return total
+
+    return rows(table, 0)
+
+
+def width(table):
+    """The number of variables ``table`` reads, its groups' included."""
+    coefficient, powers = table[0]
+    return len(powers) + (width(coefficient) if isinstance(coefficient, tuple) else 0)
+
+
+def compiled_tables():
+    """(name, table) for every table a law evaluates, one per moment where there are four."""
+    for module, name, per_moment in TABLES + ((hbt, "NOISE_AVG", False),):
+        value = getattr(module, name)
+        for j, table in enumerate(value if per_moment else (value,)):
+            yield (f"{name}[{j}]" if per_moment else name), table
+
+
+SPECIAL = np.array([0.0, 5e-324, 1e150, 1e300])
+
+
+def same_bits(a, b) -> bool:
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("table", [pytest.param(t, id=name) for name, t in compiled_tables()])
+def test_compiled_kernel_matches_the_row_walker_bit_for_bit(table):
+    rng = np.random.default_rng(31)
+    pool = np.concatenate([SPECIAL, -SPECIAL, rng.uniform(-3, 3, 8), rng.lognormal(0, 4, 8)])
+    # Every variable takes each special value at once first, then mixed draws.
+    columns = [np.concatenate([SPECIAL, rng.choice(pool, 60)]) for _ in range(width(table))]
+    with np.errstate(all="ignore"):
+        assert same_bits(kernel(table)(*columns), walked(table, *columns))
+        for j in range(24):
+            for scalar in (np.float64, float):
+                point = [scalar(column[j]) for column in columns]
+                assert same_bits(kernel(table)(*point), walked(table, *point)), (j, scalar)
+
+
+def test_a_rebound_table_is_what_its_law_evaluates(monkeypatch):
+    # At unit means the plain law is the sum of its coefficients.
+    assert hbt.noise_avg_printed(1.0, 1.0) == 466.0
+    ratio = hbt.snr_ratio(1.0, 1.0, OpaParams(2.0))
+    mutant = ((2, (1, 0)),) + hbt.PLAIN_NOISE[1:]
+    with monkeypatch.context() as patch:
+        patch.setattr(hbt, "PLAIN_NOISE", mutant)
+        assert hbt.noise_avg_printed(1.0, 1.0) == 467.0
+        snr = hbt.snr_ratio(1.0, 1.0, OpaParams(2.0))
+        assert snr == pytest.approx(ratio * math.sqrt(467.0 / 466.0), rel=1e-14)
+    assert hbt.noise_avg_printed(1.0, 1.0) == 466.0
+    assert kernel(mutant) is kernel(mutant) is not kernel(hbt.PLAIN_NOISE)
