@@ -20,7 +20,7 @@ _KERNELS = {}  # id(table) -> (table, kernel); holding the table keeps its id it
 
 
 def _reject(name: str, array: np.ndarray, bad: np.ndarray, rule: str) -> None:
-    if bad.any():  # a 0-d mask selects its one element too
+    if bad.any() if bad.ndim else bad:  # a 0-d mask needs no reduce and selects its element too
         raise DomainError(f"{name} must be {rule}, got {array[bad][0].item()!r}")
 
 

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._domain import integer, nonnegative_scalar
+from ._domain import finite_real, integer, nonnegative_scalar
 from .errors import DegenerateFitError, DomainError, FringeCoverageError
 
 # The fit loop's termination guard.  A Newton step that stays inside the
@@ -269,21 +269,19 @@ def estimate_phi(
     omega); a singular Jacobian gives an infinite one.
 
     Raises:
-        DomainError: for fewer than 4 points, non-finite input, a
-            wavenumber or known amplitude that is not a finite real > 0;
-            also when the fit, its covariance or phi = omega / k overflows
-            the float range.
+        DomainError: for fewer than 4 points, a scan value that is not a
+            finite real (None, a string or a complex number, say), a wavenumber or
+            known amplitude that is not a finite real > 0; also when the fit,
+            its covariance or phi = omega / k overflows the float range.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
-    r = np.asarray(r0, dtype=float).ravel()
-    y = np.asarray(c_values, dtype=float).ravel()
+    r = finite_real("scan baseline", r0).ravel()
+    y = finite_real("scan correlation", c_values).ravel()
     if r.size != y.size:
         raise DomainError(f"scan columns differ in length: {r.size} vs {y.size}")
     if r.size < 4:
         raise DomainError(f"need at least 4 scan points, got {r.size}")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(y))):
-        raise DomainError("scan contains non-finite values")
     if nonnegative_scalar("wavenumber", k) == 0.0:
         raise DomainError(f"wavenumber must be > 0, got {k!r}")
     if amplitude_known is not None and nonnegative_scalar("amplitude", amplitude_known) == 0.0:

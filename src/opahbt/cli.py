@@ -18,7 +18,8 @@ When ``main`` runs before numpy is imported, it sets OpenBLAS's
 so that BLAS worker threads sleep at once instead of spinning.  Importing
 this module loads no numpy and leaves ``os.environ`` alone.
 
-Exit codes: 0 success, 2 usage or input error (out of memory included),
+Exit codes: 0 success, 1 an oracle check expected to pass failed (the
+report is still written), 2 usage or input error (out of memory included),
 3 degenerate fit, 4 truncation infeasible, 5 non-convergence.
 """
 
@@ -36,6 +37,7 @@ from collections.abc import Iterable
 from .errors import DegenerateFitError, DomainError, OpaHbtError, TruncationError
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE_FIT = 3
 EXIT_TRUNCATION = 4
@@ -181,7 +183,7 @@ def _cmd_oracle_check(args) -> int:
         grids["g_grid"] = _parse_grid(args.g_grid, "--g-grid")
     report = run_oracle_checks(**grids, gain_for_noise=args.g_noise)
     _write_output(args.out, _json_payload(report))
-    return EXIT_OK if report["all_expected_pass_ok"] else 1
+    return EXIT_OK if report["all_expected_pass_ok"] else EXIT_CHECK_FAILED
 
 
 def _read_scan_csv(path: str) -> tuple[list[float], list[float]]:

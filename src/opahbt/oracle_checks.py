@@ -1,24 +1,27 @@
 """Cross-verification suites behind the ``oracle-check`` command.
 
-Each check compares two independent routes to the same quantity and
-returns its report entry, judged on the worst relative deviation over its
-grid.  Checks are tagged with the outcome they are expected to have: the
-known defects of the published algebra (the thermal third moment
-misprint, the amplified noise law's failure to reduce to the plain law at
-zero gain, and its mismatch with the substitution route) are expected to
-fail and never affect the overall verdict.  So is the law's source-swap
-asymmetry, but only where its predicted size relative to the law exceeds
-the tolerance; at small gains it rounds away.
+Each check compares two independent routes to the same quantity, judged
+on the worst relative deviation over its grid.  What each check claims is
+one row of the table :data:`CHECKS`; the ``check_*`` functions measure, and
+:func:`_check` makes a row and its deviations the report entry.  The known
+defects of the published algebra (the thermal third moment misprint, the
+amplified noise law's failure to reduce to the plain law at zero gain, and
+its mismatch with the substitution route) are expected to fail and never
+affect the overall verdict.  So is the law's source-swap asymmetry, but
+only where its predicted size relative to the law exceeds the tolerance;
+at small gains it rounds away.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
 
+from ._domain import nonnegative
 from .errors import DomainError
 from .fock import (
     DEFAULT_TAIL,
@@ -42,36 +45,110 @@ from .wick import amplified_thermal, number_moments
 DEFAULT_N_GRID = (0.0, 0.5, 1.0)
 DEFAULT_G_GRID = (0.0, 0.25, 0.5, 1.0)
 DEFAULT_DELTA_GRID = (0.0, math.pi / 4, math.pi / 2, math.pi)
+_DELTAS = np.array(DEFAULT_DELTA_GRID)
+
+# A check's fixed claim; its note gains ``confirmed`` when its predicted gap is confirmed.
+Claim = namedtuple("Claim", "description expected tolerance note confirmed", defaults=("", ""))
+
+# Each check's claim, keyed by its name, in report order.
+CHECKS = {
+    "thermal-moment-closed-forms": Claim(
+        "corrected thermal moment polynomials vs direct summation of the "
+        "geometric distribution",
+        "pass", 1e-9,
+    ),
+    "published-third-moment": Claim(
+        "as-published thermal third moment vs direct summation",
+        "fail", 1e-9,
+        "known misprint: the published third moment is low by exactly 5*N^3 "
+        "(cubic coefficient 1 instead of 6)",
+        "; deviation matches 5*N^3 on the grid",
+    ),
+    "thermal-closure": Claim(
+        "propagated thermal moments vs thermal moments at the amplified mean",
+        "pass", 1e-9,
+    ),
+    "squeeze-moment-propagation": Claim(
+        "reduced moments of the squeezed thermal (x) vacuum state vs the "
+        "closed-form propagation polynomials",
+        "pass", 1e-6,
+    ),
+    "wick-vs-fock-moments": Claim(
+        "Gaussian pairing-sum moments vs truncated-Fock reduced moments of "
+        "the amplifier output",
+        "pass", 1e-6,
+    ),
+    "normal-ordered-correlator": Claim(
+        "two-mode matrix correlator under the normal-ordered convention vs "
+        "the analytic correlation law",
+        "pass", 1e-6,
+    ),
+    "ordering-gap": Claim(
+        "literal operator-product correlator vs normal-ordered convention",
+        "fail", 1e-9,
+        "the literal product keeps commutator terms; the gap equals "
+        "(n_bar + m_bar) cos(delta)",
+        ", confirmed on the grid",
+    ),
+    "plain-noise-reconstruction": Claim(
+        "published plain quartic noise law vs the generic phase-averaged "
+        "noise with thermal moments",
+        "pass", 1e-9,
+    ),
+    "amplified-noise-substitution": Claim(
+        "published amplified noise law vs the substitution route through "
+        "the propagated moments",
+        "fail", 1e-9,
+        "documented: the published amplified law is not reproduced by "
+        "substituting the propagated moments into the generic noise",
+    ),
+    "amplified-noise-zero-gain-reduction": Claim(
+        "published amplified noise law at zero gain vs the plain law",
+        "fail", 1e-9,
+        "documented: at zero gain the published amplified law gives 418 "
+        "instead of 466 at unit means (about 10.3 percent low)",
+    ),
+    "amplified-noise-swap-symmetry": Claim(
+        "published amplified noise law under swapping the two source means",
+        "fail", 1e-9,
+        "documented: the published amplified law is asymmetric by "
+        "4 (n_bar - m_bar) mu^2 nu^4",
+        ", confirmed on the grid",
+    ),
+}
 
 
-def _check(name, description, expected, tol, deviations, note=""):
-    """The report entry of one check, judged on the worst of ``deviations``.
+def _check(name, deviations, gap=None, predicted=None, expected=None):
+    """The report entry of check ``name``: its row of :data:`CHECKS`, judged on ``deviations``.
 
-    ``deviations`` is an array or a list of equally shaped per-point
-    arrays.  A NaN among them, like an infinity, raises :class:`DomainError`,
-    and so does an empty grid, which would otherwise pass unseen.
+    ``deviations`` is an array or a list of equally shaped per-point arrays,
+    and the worst of them counts.  A NaN among them, like an infinity,
+    raises :class:`DomainError`, and so does an empty grid, which would
+    otherwise pass unseen.  The note gains the row's ``confirmed`` suffix
+    when each measured ``gap`` equals its ``predicted`` size to 1e-6,
+    relative above 1.  ``expected`` overrides the row's expectation.
     """
+    claim = CHECKS[name]
     if not np.size(deviations):
         raise DomainError(f"check {name} compares no grid point")
     worst = float(np.max(deviations))
     if not math.isfinite(worst):
         raise DomainError(f"check {name}: the deviation is {worst}; the inputs overflow")
-    passed = worst <= tol
+    confirmed = gap is not None and np.all(
+        np.abs(np.subtract(gap, predicted)) <= 1e-6 * np.maximum(1.0, np.abs(predicted))
+    )
+    expected = expected or claim.expected
+    passed = worst <= claim.tolerance
     return {
         "name": name,
-        "description": description,
+        "description": claim.description,
         "expected": expected,
-        "tolerance": tol,
+        "tolerance": claim.tolerance,
         "max_rel_deviation": worst,
         "passed": passed,
         "as_expected": passed == (expected == "pass"),
-        "note": note,
+        "note": claim.note + (claim.confirmed if confirmed else ""),
     }
-
-
-def _confirmed(gap, predicted) -> bool:
-    """Whether an observed gap equals its predicted size to 1e-6, relative above 1."""
-    return bool(np.all(np.abs(gap - predicted) <= 1e-6 * np.maximum(1.0, np.abs(predicted))))
 
 
 def check_thermal_closed_forms(summation: dict) -> dict:
@@ -81,14 +158,7 @@ def check_thermal_closed_forms(summation: dict) -> dict:
     """
     oracle = np.column_stack(list(summation.values()))
     closed = thermal_moments(np.array(list(summation), dtype=float), MomentConvention.CORRECTED)
-    return _check(
-        "thermal-moment-closed-forms",
-        "corrected thermal moment polynomials vs direct summation of the "
-        "geometric distribution",
-        "pass",
-        1e-9,
-        relative_deviation(closed, oracle),
-    )
+    return _check("thermal-moment-closed-forms", relative_deviation(closed, oracle))
 
 
 def check_published_third_moment(summation: dict) -> dict:
@@ -96,19 +166,11 @@ def check_published_third_moment(summation: dict) -> dict:
     n = np.array(list(summation), dtype=float)
     _, _, oracle_m3, _ = np.column_stack(list(summation.values()))
     _, _, printed_m3, _ = thermal_moments(n, MomentConvention.PAPER_PRINTED)
-    cubic_confirmed = _confirmed(oracle_m3 - printed_m3, 5.0 * np.float_power(n, 3))
-    note = (
-        "known misprint: the published third moment is low by exactly 5*N^3 "
-        "(cubic coefficient 1 instead of 6)"
-        + ("; deviation matches 5*N^3 on the grid" if cubic_confirmed else "")
-    )
     return _check(
         "published-third-moment",
-        "as-published thermal third moment vs direct summation",
-        "fail",
-        1e-9,
         relative_deviation(printed_m3, oracle_m3),
-        note,
+        gap=oracle_m3 - printed_m3,
+        predicted=5.0 * np.float_power(n, 3),
     )
 
 
@@ -121,13 +183,7 @@ def check_thermal_closure(n_grid, g_grid) -> dict:
         out = propagate_moments(thermal_moments(n), params)
         want = thermal_moments(equivalent_thermal_mean(n, params))
         deviations.append(relative_deviation(out, want))
-    return _check(
-        "thermal-closure",
-        "propagated thermal moments vs thermal moments at the amplified mean",
-        "pass",
-        1e-9,
-        deviations,
-    )
+    return _check("thermal-closure", deviations)
 
 
 def _squeezed_thermal(n_grid, g_grid) -> dict:
@@ -152,10 +208,6 @@ def check_squeeze_propagation(squeezed: dict) -> dict:
     """Truncated-Fock reduced moments against the propagation polynomials."""
     return _check(
         "squeeze-moment-propagation",
-        "reduced moments of the squeezed thermal (x) vacuum state vs the "
-        "closed-form propagation polynomials",
-        "pass",
-        1e-6,
         _vs_squeezed(squeezed, lambda n, params: propagate_moments(thermal_moments(n), params)),
     )
 
@@ -164,10 +216,6 @@ def check_wick_vs_fock(squeezed: dict) -> dict:
     """Pairing-sum Gaussian moments against the truncated-Fock moments."""
     return _check(
         "wick-vs-fock-moments",
-        "Gaussian pairing-sum moments vs truncated-Fock reduced moments of "
-        "the amplifier output",
-        "pass",
-        1e-6,
         _vs_squeezed(
             squeezed, lambda n, params: number_moments(amplified_thermal(n, params), mode=0)
         ),
@@ -179,87 +227,45 @@ def _normal_ordered_correlators(n_grid) -> dict:
 
     Both correlator checks read it.
     """
-    deltas = np.array(DEFAULT_DELTA_GRID)
     return {
-        (n, m): hbt_two_mode_correlation(n, m, deltas, OrderingConvention.NORMAL_ORDERED)[0]
+        (n, m): hbt_two_mode_correlation(n, m, _DELTAS, OrderingConvention.NORMAL_ORDERED)[0]
         for n, m in itertools.product(dict.fromkeys(n_grid), repeat=2)
     }
 
 
 def check_normal_ordered_correlator(correlators: dict) -> dict:
     """The matrix correlator against the analytic correlation law."""
-    deltas = np.array(DEFAULT_DELTA_GRID)
     deviations = [
-        relative_deviation(got, correlation_full(thermal_moments(n), thermal_moments(m), deltas))
+        relative_deviation(got, correlation_full(thermal_moments(n), thermal_moments(m), _DELTAS))
         for (n, m), got in correlators.items()
     ]
-    return _check(
-        "normal-ordered-correlator",
-        "two-mode matrix correlator under the normal-ordered convention vs "
-        "the analytic correlation law",
-        "pass",
-        1e-6,
-        deviations,
-    )
+    return _check("normal-ordered-correlator", deviations)
 
 
 def check_ordering_gap(correlators: dict) -> dict:
     """Literal versus normal-ordered correlator (documented commutator gap)."""
-    deviations = []
-    gap_confirmed = True
-    deltas = np.array(DEFAULT_DELTA_GRID)
-    for (n, m), ordered in correlators.items():
-        if n == 0.0 and m == 0.0:
-            continue
-        literal, _ = hbt_two_mode_correlation(n, m, deltas, OrderingConvention.AS_WRITTEN)
-        deviations.append(relative_deviation(literal, ordered))
-        gap_confirmed &= _confirmed(literal - ordered, (n + m) * np.cos(deltas))
-    note = (
-        "the literal product keeps commutator terms; the gap equals "
-        "(n_bar + m_bar) cos(delta)"
-        + (", confirmed on the grid" if gap_confirmed else "")
-    )
+    literal = {
+        (n, m): hbt_two_mode_correlation(n, m, _DELTAS, OrderingConvention.AS_WRITTEN)[0]
+        for n, m in correlators
+        if not (n == 0.0 and m == 0.0)
+    }
     return _check(
         "ordering-gap",
-        "literal operator-product correlator vs normal-ordered convention",
-        "fail",
-        1e-9,
-        deviations,
-        note,
+        [relative_deviation(got, correlators[pair]) for pair, got in literal.items()],
+        gap=[got - correlators[pair] for pair, got in literal.items()],
+        predicted=[(n + m) * np.cos(_DELTAS) for n, m in literal],
     )
 
 
 def check_noise_consistency(params: OpaParams, pair_grid) -> list[dict]:
     """The three substitution checks of the published noise laws."""
-    plain_dev, amplified_dev, zero_gain_dev = consistency_report(params, pair_grid)
-    plain = _check(
+    names = (
         "plain-noise-reconstruction",
-        "published plain quartic noise law vs the generic phase-averaged "
-        "noise with thermal moments",
-        "pass",
-        1e-9,
-        plain_dev,
-    )
-    amplified = _check(
         "amplified-noise-substitution",
-        "published amplified noise law vs the substitution route through "
-        "the propagated moments",
-        "fail",
-        1e-9,
-        amplified_dev,
-        note="documented: the published amplified law is not reproduced by "
-        "substituting the propagated moments into the generic noise",
-    )
-    zero_gain = _check(
         "amplified-noise-zero-gain-reduction",
-        "published amplified noise law at zero gain vs the plain law",
-        "fail",
-        1e-9,
-        zero_gain_dev,
-        note="documented: at zero gain the published amplified law gives 418 "
-        "instead of 466 at unit means (about 10.3 percent low)",
     )
-    return [plain, amplified, zero_gain]
+    deviations = consistency_report(params, pair_grid)
+    return [_check(name, deviation) for name, deviation in zip(names, deviations)]
 
 
 def check_amplified_noise_swap(params: OpaParams, pair_grid) -> dict:
@@ -275,19 +281,21 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid) -> dict:
     mu, nu = coeffs(params)
     predicted = 4.0 * (n - m) * (mu * mu) * (nu * nu) ** 2
     predicted_gap = np.max(np.abs(predicted) / np.maximum(np.abs(direct), np.abs(swapped)))
-    note = (
-        "documented: the published amplified law is asymmetric by "
-        "4 (n_bar - m_bar) mu^2 nu^4"
-        + (", confirmed on the grid" if _confirmed(direct - swapped, predicted) else "")
-    )
     return _check(
         "amplified-noise-swap-symmetry",
-        "published amplified noise law under swapping the two source means",
-        "fail" if predicted_gap > 1e-9 else "pass",
-        1e-9,
         relative_deviation(direct, swapped),
-        note,
+        gap=direct - swapped,
+        predicted=predicted,
+        expected="fail" if predicted_gap > 1e-9 else "pass",
     )
+
+
+def _grid(name: str, values) -> tuple[float, ...]:
+    """``values``, a flat sequence of finite reals >= 0, as a tuple of floats."""
+    grid = nonnegative(name, values)
+    if np.ndim(grid) != 1:
+        raise DomainError(f"{name} grid must be a flat sequence, got {values!r}")
+    return tuple(grid.tolist())
 
 
 def run_oracle_checks(
@@ -297,6 +305,7 @@ def run_oracle_checks(
 ) -> dict:
     """Run every verification suite and assemble the JSON-ready report.
 
+    The report lists one entry per row of :data:`CHECKS`, in its order.
     The overall verdict ``all_expected_pass_ok`` covers only the checks
     expected to pass; the documented defects of the published algebra are
     reported but never change the verdict.  The Fock spaces are sized for
@@ -304,16 +313,17 @@ def run_oracle_checks(
     report echoes as ``tail``.
 
     Raises:
-        DomainError: if every mean of ``n_grid`` is zero, so the ordering-gap
-            check would compare no pair.
+        DomainError: if a grid is not a flat sequence of finite reals >= 0,
+            or the gain not one such real; also if every mean of ``n_grid``
+            is zero, so the ordering-gap check would compare no pair.
     """
-    n_grid = tuple(float(x) for x in n_grid)
+    n_grid = _grid("mean photon number", n_grid)
     if not any(n_grid):
         raise DomainError(
             "check ordering-gap compares no pair: every mean of the n grid (--n-grid) is 0"
         )
-    g_grid = tuple(float(x) for x in g_grid)
-    params = OpaParams(float(gain_for_noise))
+    g_grid = _grid("gain", g_grid)
+    params = OpaParams(gain_for_noise)
 
     pair_values = np.geomspace(0.05, 20.0, 20)
     pair_grid = [(float(n), float(m)) for n in pair_values for m in pair_values]

@@ -376,6 +376,20 @@ def test_phi_wavenumber_shares_the_domain_validator(bad):
         estimate_phi(r, y, k=bad)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize(
+    "bad", [["a", "b", "c", "d"], None, [1.0 + 1.0j] * 64, [[1.0], [2.0, 3.0]], [math.nan] * 64]
+)
+def test_phi_scan_values_share_the_domain_validator(column, bad):
+    # Strings, None, complex, ragged and non-finite columns are typed
+    # errors naming the column, not ValueError, TypeError or a length mismatch.
+    scan = list(_scan(1e-8))
+    scan[column] = bad
+    name = ("scan baseline", "scan correlation")[column]
+    with pytest.raises(DomainError, match=name):
+        estimate_phi(*scan, K_BLUE)
+
+
 def test_phi_takes_no_seed():
     # The fit draws no random numbers, so there is no seed to pass.
     assert "seed" not in inspect.signature(estimate_phi).parameters

@@ -381,6 +381,23 @@ def test_fit_degenerate_grid_exits_3(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_oracle_check_exits_1_and_still_reports_when_an_expected_pass_fails(
+    tmp_path, monkeypatch, capsys
+):
+    import opahbt.oracle_checks as oracle_checks
+    from opahbt.cli import EXIT_CHECK_FAILED
+
+    # No deviation is below a negative tolerance, so the check fails.
+    row = oracle_checks.CHECKS["thermal-closure"]
+    monkeypatch.setitem(oracle_checks.CHECKS, "thermal-closure", row._replace(tolerance=-1.0))
+    target = tmp_path / "report.json"
+    assert run_cli(["oracle-check", "--out", str(target)]) == EXIT_CHECK_FAILED == 1
+    report = json.loads(target.read_text())
+    assert report["all_expected_pass_ok"] is False
+    assert [c["name"] for c in report["checks"] if not c["as_expected"]] == ["thermal-closure"]
+    assert capsys.readouterr().err == ""
+
+
 def test_oracle_check_report_and_exit_code(tmp_path):
     target = tmp_path / "report.json"
     code = run_cli(["oracle-check", "--out", str(target)])

@@ -12,6 +12,7 @@ from opahbt.hbt import consistency_report, relative_deviation
 from opahbt.opa import propagate_moments
 from opahbt.photon_stats import thermal_moments
 from opahbt.oracle_checks import (
+    CHECKS,
     _check,
     _squeezed_thermal,
     check_noise_consistency,
@@ -23,24 +24,38 @@ from opahbt.oracle_checks import (
 
 def test_check_entry_takes_the_worst_of_its_per_point_deviations():
     per_point = [np.array([1e-12, 3e-10]), np.array([2e-10, 0.0])]
-    entry = _check("demo", "a demo", "pass", 1e-9, per_point)
+    entry = _check("thermal-closure", per_point)
     assert list(entry) == [
         "name", "description", "expected", "tolerance",
         "max_rel_deviation", "passed", "as_expected", "note",
     ]
     assert entry["max_rel_deviation"] == 3e-10 and type(entry["max_rel_deviation"]) is float
     assert entry["passed"] is True and entry["as_expected"] is True
-    known_defect = _check("demo", "a demo", "fail", 1e-9, np.array([0.5, 0.1]), "documented")
+    known_defect = _check("amplified-noise-substitution", np.array([0.5, 0.1]))
     assert known_defect["max_rel_deviation"] == 0.5
     assert known_defect["passed"] is False and known_defect["as_expected"] is True
-    assert known_defect["note"] == "documented"
+    assert known_defect["note"].startswith("documented")
+    assert known_defect["note"] == CHECKS["amplified-noise-substitution"].note
+
+
+def test_check_entry_is_its_table_row():
+    # The fixed fields come from the row; the note gains the row's suffix
+    # only when the measured gap matches its prediction.
+    claim = CHECKS["ordering-gap"]
+    deviations, gap = [np.array([0.3])], [np.array([1.0, -2.0])]
+    confirmed = _check("ordering-gap", deviations, gap=gap, predicted=[np.array([1.0, -2.0])])
+    missed = _check("ordering-gap", deviations, gap=gap, predicted=[np.array([1.0, -1.0])])
+    assert (confirmed["description"], confirmed["expected"], confirmed["tolerance"]) == claim[:3]
+    assert confirmed["note"] == claim.note + claim.confirmed and missed["note"] == claim.note
+    flipped = _check("amplified-noise-swap-symmetry", np.array([0.0]), expected="pass")
+    assert flipped["expected"] == "pass" and flipped["as_expected"] is True
 
 
 def test_check_of_no_points_raises_naming_the_check():
     # An empty grid would otherwise pass at deviation 0 without comparing anything.
     for empty in ([], np.zeros((4, 0))):
-        with pytest.raises(DomainError, match="check demo compares no grid point"):
-            _check("demo", "a demo", "pass", 1e-9, empty)
+        with pytest.raises(DomainError, match="check thermal-closure compares no grid point"):
+            _check("thermal-closure", empty)
 
 
 def test_an_empty_gain_grid_raises_instead_of_passing():
@@ -51,8 +66,32 @@ def test_an_empty_gain_grid_raises_instead_of_passing():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_check_rejects_a_non_finite_deviation_anywhere(bad):
     # A NaN before a larger finite deviation must not be masked by it.
-    with pytest.raises(DomainError, match="check demo"):
-        _check("demo", "a demo", "pass", 1e-9, [np.array([0.0, bad]), np.array([1.0, 0.0])])
+    with pytest.raises(DomainError, match="check thermal-closure"):
+        _check("thermal-closure", [np.array([0.0, bad]), np.array([1.0, 0.0])])
+
+
+def test_default_report_lists_the_table_in_order():
+    report = run_oracle_checks()
+    assert [check["name"] for check in report["checks"]] == list(CHECKS)
+    assert len(CHECKS) == 11
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_grid": "a"},
+        {"n_grid": 0.5},
+        {"n_grid": [[0.5, 1.0]]},
+        {"n_grid": [0.5, None]},
+        {"g_grid": "0,1"},
+        {"g_grid": 1.0},
+        {"gain_for_noise": None},
+        {"gain_for_noise": "2"},
+    ],
+)
+def test_bad_grid_or_gain_is_a_domain_error(kwargs):
+    with pytest.raises(DomainError):
+        run_oracle_checks(**kwargs)
 
 
 def test_noise_consistency_entries_report_the_worst_pair():
