@@ -27,18 +27,33 @@ def _reject(name: str, array: np.ndarray, bad: np.ndarray, rule: str) -> None:
 def finite_real(name: str, value) -> np.ndarray:
     """``value`` as a float64 array, or ``np.float64`` for a scalar, every element finite.
 
+    numpy upcasts a list that mixes bools with numbers, such as
+    ``[True, 0.5]``, to floats before this check sees it, so that list
+    passes as ``[1.0, 0.5]``; its elements are not scanned for bools.
+
     Raises:
-        DomainError: for strings, None, complex or ragged input, and for
-            any NaN or infinite element (the first one is named).
+        DomainError: for strings, None, bools, complex or ragged input, and
+            for any NaN or infinite element (the first one is named).  The
+            message is one line: it names a rejected scalar, else an array's
+            first element that is not a real, else the array's shape.
     """
     try:
         array = np.asarray(value)
     except (TypeError, ValueError):
-        array = np.asarray(None)
-    if array.dtype.kind not in "biuf":
-        raise DomainError(f"{name} must be a finite real, got {value!r}")
+        raise DomainError(f"{name} must be a finite real, got a ragged sequence") from None
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a finite real, got {_first_nonreal(value, array)}")
     _reject(name, array, ~np.isfinite(array), "finite")
     return array.astype(float, copy=False)[()]
+
+
+def _first_nonreal(value, array: np.ndarray) -> str:
+    if array.ndim == 0:
+        return repr(value)
+    for index, item in zip(np.ndindex(array.shape), array.ravel().tolist()):
+        if np.asarray(item).dtype.kind not in "iuf":
+            return f"{item!r} at index {index}"
+    return f"an array of dtype {array.dtype} and shape {array.shape}"
 
 
 def nonnegative(name: str, value) -> np.ndarray:

@@ -20,7 +20,9 @@ this module loads no numpy and leaves ``os.environ`` alone.
 
 Exit codes: 0 success, 1 an oracle check expected to pass failed (the
 report is still written), 2 usage or input error (out of memory included),
-3 degenerate fit, 4 truncation infeasible, 5 non-convergence.
+3 degenerate fit, 4 truncation infeasible, 5 non-convergence.  An error of
+the package exits with its type's ``exit_code`` and prints its ``label``
+(see :mod:`opahbt.errors`).
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ import sys
 import tempfile
 from collections.abc import Iterable
 
-from .errors import DegenerateFitError, DomainError, OpaHbtError, TruncationError
+from .errors import DomainError, OpaHbtError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_DEGENERATE_FIT = 3
-EXIT_TRUNCATION = 4
 EXIT_NOT_CONVERGED = 5
 
 _SENSITIVITY_RANGES = ((0.15, 20.0), (0.1, 10.0), (0.3, 30.0), (0.5, 50.0), (1.0, 100.0))
@@ -308,15 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.run(args)
-    except DegenerateFitError as exc:
-        print(f"opahbt: degenerate fit: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_FIT
-    except TruncationError as exc:
-        print(f"opahbt: truncation infeasible: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
     except OpaHbtError as exc:
-        print(f"opahbt: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"opahbt: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"opahbt: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,18 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: DegenerateFitError exits 3,
-TruncationError 4 and every other :class:`OpaHbtError` 2.  New failure
-modes should reuse an existing class where the meaning fits.
+Each type carries the CLI's handling of it: the process exit code
+``exit_code`` and the ``label`` that prefixes its message on stderr.
+:class:`DegenerateFitError` exits 3, :class:`TruncationError` 4 and every
+other :class:`OpaHbtError` 2.  New failure modes should reuse an existing
+class where the meaning fits.
 """
 
 
 class OpaHbtError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
+    label = ""
 
 
 class DomainError(OpaHbtError, ValueError):
@@ -29,6 +34,9 @@ class TruncationError(OpaHbtError, RuntimeError):
     suggested truncation dimension that would satisfy the bound.
     """
 
+    exit_code = 4
+    label = "truncation infeasible: "
+
     def __init__(self, message, achieved=None, suggested_dim=None):
         super().__init__(message)
         self.achieved = achieved
@@ -37,6 +45,9 @@ class TruncationError(OpaHbtError, RuntimeError):
 
 class DegenerateFitError(OpaHbtError, RuntimeError):
     """The normal equations of a linear fit are singular."""
+
+    exit_code = 3
+    label = "degenerate fit: "
 
 
 class FringeCoverageError(DomainError):

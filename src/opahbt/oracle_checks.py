@@ -151,26 +151,23 @@ def _check(name, deviations, gap=None, predicted=None, expected=None):
     }
 
 
-def check_thermal_closed_forms(summation: dict) -> dict:
+def check_thermal_closed_forms(means: np.ndarray, moments: np.ndarray) -> dict:
     """Corrected closed-form moments against the direct-summation oracle.
 
-    ``summation`` maps each mean to its summed moments.
+    ``moments`` holds the summed moments of ``means``, shape ``(4, means)``.
     """
-    oracle = np.column_stack(list(summation.values()))
-    closed = thermal_moments(np.array(list(summation), dtype=float), MomentConvention.CORRECTED)
-    return _check("thermal-moment-closed-forms", relative_deviation(closed, oracle))
+    closed = thermal_moments(means, MomentConvention.CORRECTED)
+    return _check("thermal-moment-closed-forms", relative_deviation(closed, moments))
 
 
-def check_published_third_moment(summation: dict) -> dict:
+def check_published_third_moment(means: np.ndarray, moments: np.ndarray) -> dict:
     """The as-published third moment against the summation oracle."""
-    n = np.array(list(summation), dtype=float)
-    _, _, oracle_m3, _ = np.column_stack(list(summation.values()))
-    _, _, printed_m3, _ = thermal_moments(n, MomentConvention.PAPER_PRINTED)
+    printed_m3 = thermal_moments(means, MomentConvention.PAPER_PRINTED)[2]
     return _check(
         "published-third-moment",
-        relative_deviation(printed_m3, oracle_m3),
-        gap=oracle_m3 - printed_m3,
-        predicted=5.0 * np.float_power(n, 3),
+        relative_deviation(printed_m3, moments[2]),
+        gap=moments[2] - printed_m3,
+        predicted=5.0 * np.float_power(means, 3),
     )
 
 
@@ -196,64 +193,38 @@ def _squeezed_thermal(n_grid, g_grid) -> dict:
     }
 
 
-def _vs_squeezed(squeezed: dict, reference) -> list[np.ndarray]:
-    """Deviations of the squeezed Fock moments from ``reference(n, params)`` per grid point."""
-    return [
-        relative_deviation(got, reference(n, OpaParams(g)))
-        for (n, g), got in squeezed.items()
-    ]
-
-
 def check_squeeze_propagation(squeezed: dict) -> dict:
     """Truncated-Fock reduced moments against the propagation polynomials."""
-    return _check(
-        "squeeze-moment-propagation",
-        _vs_squeezed(squeezed, lambda n, params: propagate_moments(thermal_moments(n), params)),
-    )
+    want = [propagate_moments(thermal_moments(n), OpaParams(g)) for n, g in squeezed]
+    return _check("squeeze-moment-propagation", relative_deviation(list(squeezed.values()), want))
 
 
 def check_wick_vs_fock(squeezed: dict) -> dict:
     """Pairing-sum Gaussian moments against the truncated-Fock moments."""
-    return _check(
-        "wick-vs-fock-moments",
-        _vs_squeezed(
-            squeezed, lambda n, params: number_moments(amplified_thermal(n, params), mode=0)
-        ),
-    )
+    want = [number_moments(amplified_thermal(n, OpaParams(g)), mode=0) for n, g in squeezed]
+    return _check("wick-vs-fock-moments", relative_deviation(list(squeezed.values()), want))
 
 
-def _normal_ordered_correlators(n_grid) -> dict:
-    """Normal-ordered correlator over the phase grid for each (n, m) pair of the grid.
-
-    Both correlator checks read it.
-    """
-    return {
-        (n, m): hbt_two_mode_correlation(n, m, _DELTAS, OrderingConvention.NORMAL_ORDERED)[0]
-        for n, m in itertools.product(dict.fromkeys(n_grid), repeat=2)
-    }
+def check_normal_ordered_correlator(pairs: np.ndarray, normal: np.ndarray) -> dict:
+    """The matrix correlator, one row per (n, m) row of ``pairs``, against the correlation law."""
+    n, m = pairs.T[:, :, None]
+    want = correlation_full(thermal_moments(n), thermal_moments(m), _DELTAS)
+    return _check("normal-ordered-correlator", relative_deviation(normal, want))
 
 
-def check_normal_ordered_correlator(correlators: dict) -> dict:
-    """The matrix correlator against the analytic correlation law."""
-    deviations = [
-        relative_deviation(got, correlation_full(thermal_moments(n), thermal_moments(m), _DELTAS))
-        for (n, m), got in correlators.items()
-    ]
-    return _check("normal-ordered-correlator", deviations)
-
-
-def check_ordering_gap(correlators: dict) -> dict:
+def check_ordering_gap(pairs: np.ndarray, normal: np.ndarray) -> dict:
     """Literal versus normal-ordered correlator (documented commutator gap)."""
-    literal = {
-        (n, m): hbt_two_mode_correlation(n, m, _DELTAS, OrderingConvention.AS_WRITTEN)[0]
-        for n, m in correlators
-        if not (n == 0.0 and m == 0.0)
-    }
+    lit = pairs.any(axis=1)  # (0, 0) is dark under both orderings
+    pairs, normal = pairs[lit], normal[lit]
+    literal = np.array([
+        hbt_two_mode_correlation(n, m, _DELTAS, OrderingConvention.AS_WRITTEN)[0]
+        for n, m in pairs.tolist()
+    ])
     return _check(
         "ordering-gap",
-        [relative_deviation(got, correlators[pair]) for pair, got in literal.items()],
-        gap=[got - correlators[pair] for pair, got in literal.items()],
-        predicted=[(n + m) * np.cos(_DELTAS) for n, m in literal],
+        relative_deviation(literal, normal),
+        gap=literal - normal,
+        predicted=pairs.sum(axis=1)[:, None] * np.cos(_DELTAS),
     )
 
 
@@ -332,22 +303,26 @@ def run_oracle_checks(
     # An overflow shows up as a non-finite deviation, which _check turns
     # into a DomainError; the numpy warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Each shared route is computed just before the first check that
-        # reads it, so a grid that breaks several checks raises the error
-        # of the earliest one.
-        means = dict.fromkeys(n_grid + (2.0, 10.0))
-        summation = {n: geometric_summation_moments(n) for n in means}
+        # Each shared route is computed once, as one array over its grid,
+        # just before the first check that reads it, so a grid that breaks
+        # several checks raises the error of the earliest one.
+        means = np.array(list(dict.fromkeys(n_grid + (2.0, 10.0))))
+        moments = np.column_stack([geometric_summation_moments(n) for n in means])
         checks = [
-            check_thermal_closed_forms(summation),
-            check_published_third_moment(summation),
+            check_thermal_closed_forms(means, moments),
+            check_published_third_moment(means, moments),
             check_thermal_closure(n_grid + (5.0, 50.0), g_grid + (2.0, 3.0)),
         ]
         squeezed = _squeezed_thermal(n_grid, g_grid)
         checks += [check_squeeze_propagation(squeezed), check_wick_vs_fock(squeezed)]
-        correlators = _normal_ordered_correlators(n_grid)
+        pairs = np.array(list(itertools.product(dict.fromkeys(n_grid), repeat=2)))
+        normal = np.array([
+            hbt_two_mode_correlation(n, m, _DELTAS, OrderingConvention.NORMAL_ORDERED)[0]
+            for n, m in pairs.tolist()
+        ])
         checks += [
-            check_normal_ordered_correlator(correlators),
-            check_ordering_gap(correlators),
+            check_normal_ordered_correlator(pairs, normal),
+            check_ordering_gap(pairs, normal),
             *check_noise_consistency(params, pair_grid),
             check_amplified_noise_swap(params, small_pairs),
         ]

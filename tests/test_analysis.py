@@ -382,12 +382,14 @@ def test_phi_wavenumber_shares_the_domain_validator(bad):
 )
 def test_phi_scan_values_share_the_domain_validator(column, bad):
     # Strings, None, complex, ragged and non-finite columns are typed
-    # errors naming the column, not ValueError, TypeError or a length mismatch.
+    # errors naming the column, not ValueError, TypeError or a length mismatch,
+    # in one short line however long the column.
     scan = list(_scan(1e-8))
     scan[column] = bad
     name = ("scan baseline", "scan correlation")[column]
-    with pytest.raises(DomainError, match=name):
+    with pytest.raises(DomainError, match=name) as caught:
         estimate_phi(*scan, K_BLUE)
+    assert len(str(caught.value)) < 80, str(caught.value)
 
 
 def test_phi_takes_no_seed():

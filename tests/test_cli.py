@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import opahbt.analysis
+import opahbt.cli
+from opahbt import errors
 from opahbt.analysis import _BLOCK_ROWS, RatioTable, Spacing, SweepSpec, sweep_ratios
 from opahbt.cli import _write_output, build_parser, format_float, main
 
@@ -379,6 +381,25 @@ def test_fit_degenerate_grid_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert code == 3
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, label",
+    [
+        (errors.DomainError, 2, ""),
+        (errors.FringeCoverageError, 2, ""),
+        (errors.SummationLimitError, 2, ""),
+        (errors.DegenerateFitError, 3, "degenerate fit: "),
+        (errors.TruncationError, 4, "truncation infeasible: "),
+    ],
+)
+def test_each_error_exits_with_its_types_code_and_label(monkeypatch, capsys, error, code, label):
+    def fail(args):
+        raise error("the reason")
+
+    monkeypatch.setattr(opahbt.cli, "_cmd_fit", fail)
+    assert run_cli(["fit"]) == code
+    assert capsys.readouterr().err == f"opahbt: {label}the reason\n"
 
 
 def test_oracle_check_exits_1_and_still_reports_when_an_expected_pass_fails(

@@ -306,6 +306,48 @@ def test_invalid_phases_raise_domain_error(bad):
         opa_correlation_ac(1.0, 1.0, G2, bad)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), np.array([True, False])])
+def test_bools_are_not_reals(bad):
+    # A bool is no more a gain, a mean or a phase than it is a count.
+    with pytest.raises(DomainError, match="gain must be a finite real"):
+        OpaParams(bad)
+    with pytest.raises(DomainError, match="n_bar must be a finite real"):
+        snr_ratio(bad, 1.0, G2)
+    with pytest.raises(DomainError, match="phase must be a finite real"):
+        correlation_ac(1.0, 1.0, bad)
+
+
+def test_a_list_mixing_bools_with_numbers_is_upcast_before_the_check():
+    # numpy makes [True, 0.5] a float array first; finite_real does not scan for bools.
+    assert _domain.finite_real("x", [True, 0.5]).tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (np.linspace(0.0, 1.0, 64) + 1j, "1j at index (0,)"),
+        ([0.5, None], "None at index (1,)"),
+        (np.full((2, 3), "a"), "'a' at index (0, 0)"),
+        ([[0.5, 1.0], [2.0] * 64], "a ragged sequence"),
+        (np.array([], dtype=complex), "an array of dtype complex128 and shape (0,)"),
+        (np.array([0.5, 1.0], dtype=object), "an array of dtype object and shape (2,)"),
+    ],
+    ids=["complex", "none", "strings", "ragged", "empty", "object"],
+)
+def test_a_rejected_array_is_named_in_one_line(bad, named):
+    # The first element that is not a real is named, or the shape where none is.
+    with pytest.raises(DomainError) as caught:
+        _domain.finite_real("scan", bad)
+    assert str(caught.value) == f"scan must be a finite real, got {named}"
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, 1j, np.array(1j), np.complex128(1j)])
+def test_a_rejected_scalar_is_named_by_its_repr(bad):
+    with pytest.raises(DomainError) as caught:
+        _domain.finite_real("phase", bad)
+    assert str(caught.value) == f"phase must be a finite real, got {bad!r}"
+
+
 def test_phase_arrays_match_scalar_phases_bit_for_bit():
     one, half = thermal_moments(1.0), thermal_moments(0.5)
     deltas = np.array([0.0, math.pi / 4, math.pi / 2, math.pi, -0.7, 10.0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import runpy
 from collections import Counter
@@ -13,6 +14,8 @@ from opahbt.opa import propagate_moments
 from opahbt.photon_stats import thermal_moments
 from opahbt.oracle_checks import (
     CHECKS,
+    DEFAULT_G_GRID,
+    DEFAULT_N_GRID,
     _check,
     _squeezed_thermal,
     check_noise_consistency,
@@ -159,3 +162,51 @@ def test_each_normal_ordered_pair_is_computed_once(monkeypatch):
     run_oracle_checks((0.0, 0.5, 1.0, 0.5), (0.0, 0.25))
     normal = [key for key in calls if key[2] is OrderingConvention.NORMAL_ORDERED]
     assert len(normal) == 9 and set(calls.values()) == {1}
+
+
+def _report_with(monkeypatch, name, scale_one):
+    """The default report with ``oracle_checks.<name>`` wrapped by ``scale_one``."""
+    monkeypatch.setattr(oracle_checks, name, scale_one(getattr(oracle_checks, name)))
+    return {check["name"]: check for check in run_oracle_checks()["checks"]}
+
+
+def test_the_correlator_rows_stay_aligned_with_their_pairs(monkeypatch):
+    # Scaling the normal-ordered correlator at (0.5, 1.0) alone, not at its
+    # mirror (1.0, 0.5), must show at about 1e-5 in the correlator check and
+    # break the ordering gap's confirmed prediction; nothing else may move.
+    def scale_one(correlator):
+        def scaled(n, m, delta, ordering):
+            mean, variance = correlator(n, m, delta, ordering)
+            if (n, m) == (0.5, 1.0) and ordering is OrderingConvention.NORMAL_ORDERED:
+                mean = mean * (1.0 + 1e-5)
+            return mean, variance
+
+        return scaled
+
+    clean = {check["name"]: check for check in run_oracle_checks()["checks"]}
+    report = _report_with(monkeypatch, "hbt_two_mode_correlation", scale_one)
+    scaled = report.pop("normal-ordered-correlator")
+    assert not scaled["passed"] and abs(scaled["max_rel_deviation"] - 1e-5) < 1e-7, scaled
+    gap = report.pop("ordering-gap")
+    assert gap["note"] == CHECKS["ordering-gap"].note, gap
+    assert clean["ordering-gap"]["note"].endswith(", confirmed on the grid")
+    assert all(check == clean[name] for name, check in report.items())
+
+
+def test_the_squeezed_states_stay_aligned_with_their_grid_points(monkeypatch):
+    # Scaling the moments of one squeezed state, (n, g) = (0.5, 0.25), must
+    # fail both Fock checks at about 1e-5.
+    def scale_one(moments):
+        calls = []
+
+        def scaled(populations):
+            calls.append(None)
+            return moments(populations) * (1.0 + 1e-5 if len(calls) == 6 else 1.0)
+
+        return scaled
+
+    report = _report_with(monkeypatch, "reduced_moments", scale_one)
+    assert list(itertools.product(DEFAULT_N_GRID, DEFAULT_G_GRID))[5] == (0.5, 0.25)
+    for name in ("squeeze-moment-propagation", "wick-vs-fock-moments"):
+        entry = report[name]
+        assert not entry["passed"] and abs(entry["max_rel_deviation"] - 1e-5) < 1e-7, entry
