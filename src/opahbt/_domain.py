@@ -5,8 +5,9 @@ with :func:`finite_real` (the one finite-real check), means with
 :func:`nonnegative`, which builds on it, moment arrays with
 :func:`four_moments` and counts with :func:`integer`, each input once, and
 compute on ``np.float64`` scalars or float64 arrays; :func:`unwrap` makes a
-scalar result a float.  Every polynomial law is a coefficient table that
-:func:`kernel` compiles once.
+scalar result a float.  An input of fixed shape also passes its number of
+dimensions, checked after its values.  Every polynomial law is a
+coefficient table that :func:`kernel` compiles once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ def _reject(name: str, array: np.ndarray, bad: np.ndarray, rule: str) -> None:
         raise DomainError(f"{name} must be {rule}, got {array[bad][0].item()!r}")
 
 
-def finite_real(name: str, value) -> np.ndarray:
+def _dimensions(name: str, array: np.ndarray, ndim: int | None) -> np.ndarray:
+    if ndim is not None and array.ndim != ndim:
+        rule = ("a scalar", "1-D", "2-D")[ndim]
+        raise DomainError(f"{name} must be {rule}, got shape {array.shape}")
+    return array
+
+
+def finite_real(name: str, value, ndim: int | None = None) -> np.ndarray:
     """``value`` as a float64 array, or ``np.float64`` for a scalar, every element finite.
 
     numpy upcasts a list that mixes bools with numbers, such as
@@ -32,10 +40,11 @@ def finite_real(name: str, value) -> np.ndarray:
     passes as ``[1.0, 0.5]``; its elements are not scanned for bools.
 
     Raises:
-        DomainError: for strings, None, bools, complex or ragged input, and
-            for any NaN or infinite element (the first one is named).  The
-            message is one line: it names a rejected scalar, else an array's
-            first element that is not a real, else the array's shape.
+        DomainError: for strings, None, bools, complex or ragged input, for
+            any NaN or infinite element (the first one is named), and then
+            for other than ``ndim`` dimensions, if given, naming the shape.
+            The message is one line: it names a rejected scalar, else an
+            array's first element that is not a real, else its shape.
     """
     try:
         array = np.asarray(value)
@@ -44,7 +53,7 @@ def finite_real(name: str, value) -> np.ndarray:
     if array.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be a finite real, got {_first_nonreal(value, array)}")
     _reject(name, array, ~np.isfinite(array), "finite")
-    return array.astype(float, copy=False)[()]
+    return _dimensions(name, array.astype(float, copy=False)[()], ndim)
 
 
 def _first_nonreal(value, array: np.ndarray) -> str:
@@ -56,19 +65,16 @@ def _first_nonreal(value, array: np.ndarray) -> str:
     return f"an array of dtype {array.dtype} and shape {array.shape}"
 
 
-def nonnegative(name: str, value) -> np.ndarray:
-    """:func:`finite_real` with every element also >= 0."""
+def nonnegative(name: str, value, ndim: int | None = None) -> np.ndarray:
+    """:func:`finite_real` with every element also >= 0, checked before ``ndim``."""
     array = finite_real(name, value)
     _reject(name, array, array < 0, ">= 0")
-    return array
+    return _dimensions(name, array, ndim)
 
 
 def nonnegative_scalar(name: str, value) -> float:
     """:func:`nonnegative` for a single value, returned as a Python float."""
-    array = nonnegative(name, value)
-    if array.ndim:
-        raise DomainError(f"{name} must be a scalar, got shape {array.shape}")
-    return float(array)
+    return float(nonnegative(name, value, 0))
 
 
 def four_moments(name: str, value) -> np.ndarray:

@@ -269,15 +269,16 @@ def estimate_phi(
     omega); a singular Jacobian gives an infinite one.
 
     Raises:
-        DomainError: for fewer than 4 points, a scan value that is not a
-            finite real (None, a string or a complex number, say), a wavenumber or
-            known amplitude that is not a finite real > 0; also when the fit,
-            its covariance or phi = omega / k overflows the float range.
+        DomainError: for fewer than 4 points, a scan column that is not 1-D
+            or a scan value that is not a finite real (None, a string or a
+            complex number, say), a wavenumber or known amplitude that is
+            not a finite real > 0; also when the fit, its covariance or
+            phi = omega / k overflows the float range.
         FringeCoverageError: when the scan covers less than half a fringe
             at the detected frequency.
     """
-    r = finite_real("scan baseline", r0).ravel()
-    y = finite_real("scan correlation", c_values).ravel()
+    r = finite_real("scan baseline", r0, 1)
+    y = finite_real("scan correlation", c_values, 1)
     if r.size != y.size:
         raise DomainError(f"scan columns differ in length: {r.size} vs {y.size}")
     if r.size < 4:

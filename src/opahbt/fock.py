@@ -228,11 +228,9 @@ def squeeze_populations(signal: np.ndarray, g: float) -> np.ndarray:
         TruncationError: when the combined tail estimate exceeds the
             bound; the error suggests a larger dimension.
     """
-    signal = nonnegative("signal populations", signal)
-    if signal.ndim != 1 or signal.size < 2:
-        raise DomainError(
-            f"signal populations must be 1-D with >= 2 levels, got shape {signal.shape}"
-        )
+    signal = nonnegative("signal populations", signal, 1)
+    if signal.size < 2:
+        raise DomainError(f"signal populations must have >= 2 levels, got shape {signal.shape}")
     if signal.sum() > 1.0 + SQUEEZED_TAIL_BOUND:
         raise DomainError(f"signal populations must sum to at most 1, got {float(signal.sum())!r}")
     g = nonnegative_scalar("gain", g)
@@ -399,14 +397,14 @@ def hbt_two_mode_correlation(
 
     Raises:
         DomainError: for a mean that is not a finite real >= 0, or a phase
-            that is not a finite real.
+            that is not a finite real, or phases neither a scalar nor 1-D.
     """
     n_bar, m_bar = nonnegative_scalar("n_bar", n_bar), nonnegative_scalar("m_bar", m_bar)
     if ordering not in _CORRELATOR_TERMS:
         raise DomainError(f"unknown ordering convention {ordering!r}")
     phases = finite_real("delta", delta)
     if phases.ndim > 1:
-        raise DomainError(f"delta must be a finite real or a 1-D array of them, got {delta!r}")
+        raise DomainError(f"delta must be a scalar or 1-D, got shape {phases.shape}")
     dim = choose_dim(max(n_bar, m_bar))
     p_a, p_b = (thermal_populations(mean, dim) for mean in (n_bar, m_bar))
     p_a, p_b = p_a / p_a.sum(), p_b / p_b.sum()

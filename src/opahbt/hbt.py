@@ -194,23 +194,25 @@ def consistency_report(
     quartic law exactly.  The other two are expected to be nonzero; they
     quantify how far the published amplified noise law sits from its own
     substitution route and from the plain law at zero gain (about 10.3
-    percent at unit means).  The whole grid is evaluated as one array
-    expression per law.
+    percent at unit means).  The grid is validated once, and each law
+    table is evaluated on it as one array expression.
 
     Raises:
-        DomainError: if the grid is empty or not a sequence of pairs, or
-            the propagated moments overflow.
+        DomainError: if the grid is not 2-D (its shape is named), is empty
+            or does not hold pairs, or the propagated moments overflow.
     """
-    pairs = nonnegative("grid", grid)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
+    pairs = nonnegative("grid", grid, 2)
+    if pairs.shape[1] != 2 or len(pairs) == 0:
         raise DomainError("consistency report requires a nonempty grid of (n_bar, m_bar) pairs")
     n, m = pairs.T
     nm, mm = thermal_moments(n), thermal_moments(m)
-    plain = noise_avg_printed(n, m)
-    plain_dev = relative_deviation(plain, noise_avg_substitution(nm, mm))
+    plain = kernel(PLAIN_NOISE)(n, m)
+    plain_dev = relative_deviation(plain, kernel(NOISE_AVG)(*nm, *mm))
     out = propagate_moments(nm, params), propagate_moments(mm, params)
     if not np.isfinite(out).all():
         raise DomainError(f"the moments propagated at gain {params.gain} overflow the float range")
-    amp_dev = relative_deviation(opa_noise_avg_printed(n, m, params), noise_avg_substitution(*out))
-    g0_dev = relative_deviation(opa_noise_avg_printed(n, m, OpaParams(0.0)), plain)
+    mu, nu = coeffs(params)
+    amplified = kernel(AMPLIFIED_NOISE)(mu * mu, nu * nu, n, m)
+    amp_dev = relative_deviation(amplified, kernel(NOISE_AVG)(*out[0], *out[1]))
+    g0_dev = relative_deviation(kernel(AMPLIFIED_NOISE)(1.0, 0.0, n, m), plain)
     return plain_dev, amp_dev, g0_dev

@@ -261,14 +261,6 @@ def check_amplified_noise_swap(params: OpaParams, pair_grid) -> dict:
     )
 
 
-def _grid(name: str, values) -> tuple[float, ...]:
-    """``values``, a flat sequence of finite reals >= 0, as a tuple of floats."""
-    grid = nonnegative(name, values)
-    if np.ndim(grid) != 1:
-        raise DomainError(f"{name} grid must be a flat sequence, got {values!r}")
-    return tuple(grid.tolist())
-
-
 def run_oracle_checks(
     n_grid: Sequence[float] = DEFAULT_N_GRID,
     g_grid: Sequence[float] = DEFAULT_G_GRID,
@@ -284,16 +276,17 @@ def run_oracle_checks(
     report echoes as ``tail``.
 
     Raises:
-        DomainError: if a grid is not a flat sequence of finite reals >= 0,
-            or the gain not one such real; also if every mean of ``n_grid``
-            is zero, so the ordering-gap check would compare no pair.
+        DomainError: if a grid is not a 1-D array of finite reals >= 0
+            (a wrong shape is named), or the gain not one such real; also if
+            every mean of ``n_grid`` is zero, so the ordering-gap check would
+            compare no pair.
     """
-    n_grid = _grid("mean photon number", n_grid)
+    n_grid = tuple(nonnegative("mean photon number", n_grid, 1).tolist())
     if not any(n_grid):
         raise DomainError(
             "check ordering-gap compares no pair: every mean of the n grid (--n-grid) is 0"
         )
-    g_grid = _grid("gain", g_grid)
+    g_grid = tuple(nonnegative("gain", g_grid, 1).tolist())
     params = OpaParams(gain_for_noise)
 
     pair_values = np.geomspace(0.05, 20.0, 20)

@@ -30,11 +30,9 @@ def thermal_contractions(means: Sequence[float]) -> np.ndarray:
     """``K`` of independent thermal modes with the given mean photon numbers.
 
     Raises:
-        DomainError: if ``means`` is not a sequence of finite reals >= 0.
+        DomainError: if ``means`` is not a 1-D array of finite reals >= 0.
     """
-    n = nonnegative("mean photon number", means)
-    if n.ndim != 1:
-        raise DomainError(f"means must be a sequence, got shape {n.shape}")
+    n = nonnegative("mean photon number", means, 1)
     zero = np.zeros((n.size, n.size))
     return np.block([[zero, np.diag(n + 1.0)], [np.diag(n), zero]])
 

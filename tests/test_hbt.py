@@ -25,7 +25,11 @@ from opahbt import (
     thermal_moments,
 )
 from opahbt import _domain, hbt, opa, photon_stats
+from opahbt.analysis import estimate_phi
+from opahbt.fock import squeeze_populations
 from opahbt.hbt import consistency_report, relative_deviation
+from opahbt.oracle_checks import run_oracle_checks
+from opahbt.wick import thermal_contractions
 
 G2 = OpaParams(2.0)
 
@@ -170,6 +174,23 @@ def test_snr_ratio_validates_each_input_once(monkeypatch):
             monkeypatch.setattr(module, "finite_real", spy)
     snr_ratio(1.0, 1.0, G2)
     assert 0 < len(calls) <= 4, calls
+
+
+def test_consistency_report_validates_its_grid_once(monkeypatch):
+    # The grid once; then each source's thermal moments, and each of the two
+    # moment arrays propagate_moments reads, under their own rules.  The law
+    # tables are evaluated on the validated grid, not through the public laws.
+    calls, check = [], _domain.finite_real
+
+    def spy(name, value):
+        calls.append(name)
+        return check(name, value)
+
+    for module in (_domain, hbt, opa, photon_stats):
+        if hasattr(module, "finite_real"):
+            monkeypatch.setattr(module, "finite_real", spy)
+    consistency_report(G2, [(1.0, 1.0), (0.5, 2.0), (3.0, 0.25)])
+    assert calls[0] == "grid" and len(calls) <= 5, calls
 
 
 def test_ratio_worked_values():
@@ -346,6 +367,45 @@ def test_a_rejected_scalar_is_named_by_its_repr(bad):
     with pytest.raises(DomainError) as caught:
         _domain.finite_real("phase", bad)
     assert str(caught.value) == f"phase must be a finite real, got {bad!r}"
+
+
+_SCAN_R = np.linspace(0.0, 40.0, 64)
+_SCAN_Y = 0.9 * np.cos(1.42e7 * 1e-8 * _SCAN_R)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: run_oracle_checks(n_grid=np.linspace(0.0, 1.0, 64).reshape(8, 8)),
+         "mean photon number must be 1-D, got shape (8, 8)"),
+        (lambda: run_oracle_checks(g_grid=0.5), "gain must be 1-D, got shape ()"),
+        (lambda: hbt_two_mode_correlation(0.5, 1.0, np.zeros((8, 8))),
+         "delta must be a scalar or 1-D, got shape (8, 8)"),
+        (lambda: thermal_contractions(np.ones((2, 2))),
+         "mean photon number must be 1-D, got shape (2, 2)"),
+        (lambda: squeeze_populations(np.full((4, 4), 1.0 / 16), 0.1),
+         "signal populations must be 1-D, got shape (4, 4)"),
+        (lambda: consistency_report(G2, np.ones((3, 2, 2))), "grid must be 2-D, got shape (3, 2, 2)"),
+        (lambda: _domain.nonnegative_scalar("gain", [1.0, 2.0]), "gain must be a scalar, got shape (2,)"),
+        # Flattened, this transposed scan fits phi = 8.76e-8 for a 1e-8 scan and "converges".
+        (lambda: estimate_phi(_SCAN_R.reshape(8, 8), _SCAN_Y.reshape(8, 8).T, 1.42e7),
+         "scan baseline must be 1-D, got shape (8, 8)"),
+        (lambda: estimate_phi(_SCAN_R, _SCAN_Y[:, None], 1.42e7),
+         "scan correlation must be 1-D, got shape (64, 1)"),
+    ],
+    ids=["oracle-grid", "oracle-gain", "delta", "contractions", "squeezer", "pair-grid",
+         "scalar", "scan", "scan-column"],
+)
+def test_a_wrong_number_of_dimensions_is_named_by_its_shape_in_one_line(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_the_dimensions_are_checked_after_the_values():
+    # A 2-D grid with a negative mean reports the value, as before the shape rule.
+    with pytest.raises(DomainError, match=r"^mean photon number must be >= 0, got -1\.0$"):
+        run_oracle_checks(n_grid=[[0.5, -1.0]])
 
 
 def test_phase_arrays_match_scalar_phases_bit_for_bit():

@@ -193,6 +193,42 @@ def test_the_correlator_rows_stay_aligned_with_their_pairs(monkeypatch):
     assert all(check == clean[name] for name, check in report.items())
 
 
+def test_the_correlator_rows_are_computed_at_their_own_n_m_order(monkeypatch):
+    # Both routes scaled by the same asymmetric factor 1 + 1e-5 (n - 2m):
+    # compared row by row at (n, m), the factor cancels and the check reports
+    # the aligned deviation.  Every real route is symmetric in n and m, and the
+    # pairs are, so a stand-in on one route alone could not show a row
+    # computed at (m, n); here that row would deviate by about 1e-5 |n - m|.
+    def asymmetric(n, m):
+        return 1.0 + 1e-5 * (n - 2.0 * m)
+
+    correlator, law = oracle_checks.hbt_two_mode_correlation, oracle_checks.correlation_full
+
+    def correlator_at(n, m, delta, ordering):
+        mean, variance = correlator(n, m, delta, ordering)
+        if ordering is OrderingConvention.NORMAL_ORDERED:
+            mean = mean * asymmetric(n, m)
+        return mean, variance
+
+    def law_at(nm, mm, delta):
+        return law(nm, mm, delta) * asymmetric(nm[0], mm[0])
+
+    monkeypatch.setattr(oracle_checks, "hbt_two_mode_correlation", correlator_at)
+    monkeypatch.setattr(oracle_checks, "correlation_full", law_at)
+    deltas = np.array(oracle_checks.DEFAULT_DELTA_GRID)
+    aligned = max(
+        np.max(relative_deviation(
+            correlator_at(n, m, deltas, OrderingConvention.NORMAL_ORDERED)[0],
+            law_at(thermal_moments(n), thermal_moments(m), deltas),
+        ))
+        for n, m in itertools.product(DEFAULT_N_GRID, repeat=2)
+    )
+    entry = {check["name"]: check for check in run_oracle_checks()["checks"]}
+    entry = entry["normal-ordered-correlator"]
+    assert aligned < 1e-9 and entry["passed"], entry
+    assert entry["max_rel_deviation"] == pytest.approx(aligned, rel=1e-6, abs=1e-15), entry
+
+
 def test_the_squeezed_states_stay_aligned_with_their_grid_points(monkeypatch):
     # Scaling the moments of one squeezed state, (n, g) = (0.5, 0.25), must
     # fail both Fock checks at about 1e-5.
