@@ -189,9 +189,9 @@ def _cmd_oracle_check(args) -> int:
 def _read_scan_csv(path: str) -> tuple[list[float], list[float]]:
     baselines, values = [], []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is no header
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read scan file {path!r}: {exc}") from exc
     rows = [(lineno, raw) for lineno, raw in enumerate(lines, start=1)
             if raw.strip() and not raw.strip().startswith("#")]

@@ -11,7 +11,7 @@ source's moments as the ``(4, ...)`` array of
 :func:`~opahbt.photon_stats.thermal_moments`.  Every phase ``delta`` may be
 any finite real or array of them, and broadcasts against the means.  Where
 the published algebra is internally inconsistent, the discrepancy is
-quantified by :func:`consistency_report` rather than papered over.
+exposed by :func:`consistency_report` rather than papered over.
 """
 
 from __future__ import annotations
@@ -184,18 +184,18 @@ def relative_deviation(x: FloatOrArray, y: FloatOrArray) -> FloatOrArray:
 
 def consistency_report(
     params: OpaParams, grid: Sequence[tuple[float, float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantify the internal consistency of the published noise laws on a grid.
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The two routes of each internal consistency check of the published noise laws.
 
-    Returns the per-pair relative deviations ``(plain_vs_substitution,
-    amplified_vs_substitution, zero_gain_reduction)``, one entry per grid
-    pair; the oracle checks reduce them.  The first should vanish: the
-    generic phase-averaged noise with thermal moments reproduces the plain
-    quartic law exactly.  The other two are expected to be nonzero; they
-    quantify how far the published amplified noise law sits from its own
-    substitution route and from the plain law at zero gain (about 10.3
-    percent at unit means).  The grid is validated once, and each law
-    table is evaluated on it as one array expression.
+    Returns three ``(law, route)`` pairs of per-pair arrays, one entry per
+    grid pair, which the oracle checks compare.  The plain quartic law
+    against the generic phase-averaged noise with thermal moments should
+    agree exactly.  The other two are expected to differ; they are the
+    published amplified noise law against its own substitution route
+    through the propagated moments, and that law at zero gain against the
+    plain law (about 10.3 percent low at unit means).  The grid is
+    validated once, and each law table is evaluated on it as one array
+    expression.
 
     Raises:
         DomainError: if the grid is not 2-D (its shape is named), is empty
@@ -207,12 +207,12 @@ def consistency_report(
     n, m = pairs.T
     nm, mm = thermal_moments(n), thermal_moments(m)
     plain = kernel(PLAIN_NOISE)(n, m)
-    plain_dev = relative_deviation(plain, kernel(NOISE_AVG)(*nm, *mm))
     out = propagate_moments(nm, params), propagate_moments(mm, params)
     if not np.isfinite(out).all():
         raise DomainError(f"the moments propagated at gain {params.gain} overflow the float range")
     mu, nu = coeffs(params)
-    amplified = kernel(AMPLIFIED_NOISE)(mu * mu, nu * nu, n, m)
-    amp_dev = relative_deviation(amplified, kernel(NOISE_AVG)(*out[0], *out[1]))
-    g0_dev = relative_deviation(kernel(AMPLIFIED_NOISE)(1.0, 0.0, n, m), plain)
-    return plain_dev, amp_dev, g0_dev
+    return (
+        (plain, kernel(NOISE_AVG)(*nm, *mm)),
+        (kernel(AMPLIFIED_NOISE)(mu * mu, nu * nu, n, m), kernel(NOISE_AVG)(*out[0], *out[1])),
+        (kernel(AMPLIFIED_NOISE)(1.0, 0.0, n, m), plain),
+    )

@@ -730,6 +730,41 @@ def test_estimate_phi_header_follows_comments_and_blank_lines(tmp_path, prelude,
     assert Path(f"{scan}.json").read_bytes() == Path(f"{plain}.json").read_bytes()
 
 
+def test_estimate_phi_reads_a_scan_behind_a_byte_order_mark(tmp_path):
+    # The mark is not part of the header: a scan with it reads as the same
+    # rows, and a noisy one without a header keeps its first row.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    _write_scan(plain, 1e-8, noise=0.05, seed=5)
+    rows = plain.read_text().split("\n", 1)[1]
+    _write_scan(plain, 1e-8)
+    for text in (plain.read_text(), rows):
+        plain.write_text(text)
+        marked.write_text(text, encoding="utf-8-sig")
+        for path in (plain, marked):
+            assert run_cli(
+                ["estimate-phi", str(path), "--k", str(K_BLUE), "--out", str(path) + ".json"]
+            ) == 0
+        assert Path(f"{marked}.json").read_bytes() == Path(f"{plain}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda text: text.encode("utf-16"),
+        lambda text: text.replace("r0", "r\xe9", 1).encode("latin-1"),
+        lambda text: np.random.default_rng(0).bytes(64),
+    ],
+    ids=["utf-16", "latin-1", "random"],
+)
+def test_estimate_phi_scan_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, encode):
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, 1e-8)
+    scan.write_bytes(encode(scan.read_text()))
+    assert run_cli(["estimate-phi", str(scan), "--k", str(K_BLUE)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"opahbt: cannot read scan file {str(scan)!r}: ") and err.count("\n") == 1
+
+
 def test_estimate_phi_takes_only_one_header(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
     scan.write_text("# comment\nr0,correlation\nr0,correlation\n1.0,0.5\n")

@@ -249,7 +249,8 @@ def test_amplified_correlation_consistency(n, m, g, delta):
 
 
 def test_consistency_report_values():
-    plain, amplified, zero_gain = consistency_report(G2, [(1.0, 1.0), (0.5, 2.0)])
+    routes = consistency_report(G2, [(1.0, 1.0), (0.5, 2.0)])
+    plain, amplified, zero_gain = (relative_deviation(*pair) for pair in routes)
     assert plain[0] == pytest.approx(0.0, abs=1e-12)
     assert zero_gain[0] == pytest.approx((466.0 - 418.0) / 466.0, rel=1e-9)
     assert amplified[0] > 0.01
@@ -496,7 +497,9 @@ def test_gain_overflowing_the_coefficients_raises_domain_error():
 def test_array_consistency_report_equals_per_pair_scalar_deviations():
     values = np.geomspace(0.05, 20.0, 7).tolist()
     grid = [(n, m) for n in values for m in values]
-    plain_dev, amplified_dev, zero_gain_dev = consistency_report(G2, grid)
+    routes = consistency_report(G2, grid)
+    assert [np.shape(route) for pair in routes for route in pair] == [(len(grid),)] * 6
+    plain_dev, amplified_dev, zero_gain_dev = (relative_deviation(*pair) for pair in routes)
     assert plain_dev.shape == amplified_dev.shape == zero_gain_dev.shape == (len(grid),)
     for i, (n, m) in enumerate(grid):
         nm, mm = thermal_moments(n), thermal_moments(m)

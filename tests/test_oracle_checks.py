@@ -1,6 +1,7 @@
 import itertools
 import math
 import runpy
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -26,15 +27,20 @@ from opahbt.oracle_checks import (
 
 
 def test_check_entry_takes_the_worst_of_its_per_point_deviations():
-    per_point = [np.array([1e-12, 3e-10]), np.array([2e-10, 0.0])]
-    entry = _check("thermal-closure", per_point)
+    # Per-point deviations of about 1e-12 and 3e-10, then 2e-10 and 0; the
+    # worst pair deviates by 3e-10 to the last bit.
+    got = [np.array([1.0 + 1e-12, 1.000000082740371]), np.array([1.0, 2.0])]
+    want = [np.array([1.0, 1.000000082440371]), np.array([1.0 - 2e-10, 2.0])]
+    entry = _check("thermal-closure", got, want)
     assert list(entry) == [
         "name", "description", "expected", "tolerance",
         "max_rel_deviation", "passed", "as_expected", "note",
     ]
     assert entry["max_rel_deviation"] == 3e-10 and type(entry["max_rel_deviation"]) is float
     assert entry["passed"] is True and entry["as_expected"] is True
-    known_defect = _check("amplified-noise-substitution", np.array([0.5, 0.1]))
+    known_defect = _check(
+        "amplified-noise-substitution", np.array([2.0, 1.0]), np.array([1.0, 0.9])
+    )
     assert known_defect["max_rel_deviation"] == 0.5
     assert known_defect["passed"] is False and known_defect["as_expected"] is True
     assert known_defect["note"].startswith("documented")
@@ -45,20 +51,46 @@ def test_check_entry_is_its_table_row():
     # The fixed fields come from the row; the note gains the row's suffix
     # only when the measured gap matches its prediction.
     claim = CHECKS["ordering-gap"]
-    deviations, gap = [np.array([0.3])], [np.array([1.0, -2.0])]
-    confirmed = _check("ordering-gap", deviations, gap=gap, predicted=[np.array([1.0, -2.0])])
-    missed = _check("ordering-gap", deviations, gap=gap, predicted=[np.array([1.0, -1.0])])
+    got, want = [np.array([2.0, 1.0])], [np.array([1.0, 3.0])]  # the gap is [1, -2]
+    confirmed = _check("ordering-gap", got, want, [np.array([1.0, -2.0])])
+    missed = _check("ordering-gap", got, want, [np.array([1.0, -1.0])])
     assert (confirmed["description"], confirmed["expected"], confirmed["tolerance"]) == claim[:3]
     assert confirmed["note"] == claim.note + claim.confirmed and missed["note"] == claim.note
-    flipped = _check("amplified-noise-swap-symmetry", np.array([0.0]), expected="pass")
+    # A predicted gap below the tolerance rounds away, so the defect is expected to pass.
+    flipped = _check("amplified-noise-swap-symmetry", np.ones(1), np.ones(1), np.array([1e-12]))
     assert flipped["expected"] == "pass" and flipped["as_expected"] is True
+
+
+def test_a_predicted_gap_is_expected_to_show_only_above_the_tolerance():
+    # The rule is |predicted| > tolerance * max(|got|, |want|) at some point;
+    # at a point where both routes are 0 it needs no division.
+    name = "amplified-noise-swap-symmetry"
+    entries = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (3.0, 0.5):
+            gap = np.array([0.0, scale * CHECKS[name].tolerance])
+            entries[scale] = _check(name, np.array([0.0, 1.0]) + gap, np.array([0.0, 1.0]), gap)
+    shows, hides = entries[3.0], entries[0.5]
+    assert shows["expected"] == "fail" and not shows["passed"] and shows["as_expected"]
+    assert hides["expected"] == "pass" and hides["passed"] and hides["as_expected"]
+    assert shows["note"] == hides["note"] == CHECKS[name].note + CHECKS[name].confirmed
+
+
+@pytest.mark.parametrize("gain, expected", [(0.015, "pass"), (0.02, "fail")])
+def test_the_swap_asymmetry_is_expected_to_show_above_the_flip_gain(gain, expected):
+    # The predicted asymmetry 4 (n - m) mu^2 nu^4 crosses the tolerance
+    # relative to the law near g = 0.0172.
+    report = run_oracle_checks((0.5,), (0.0,), gain_for_noise=gain)
+    entry = {check["name"]: check for check in report["checks"]}["amplified-noise-swap-symmetry"]
+    assert entry["expected"] == expected and entry["as_expected"] is True, entry
 
 
 def test_check_of_no_points_raises_naming_the_check():
     # An empty grid would otherwise pass at deviation 0 without comparing anything.
     for empty in ([], np.zeros((4, 0))):
         with pytest.raises(DomainError, match="check thermal-closure compares no grid point"):
-            _check("thermal-closure", empty)
+            _check("thermal-closure", empty, empty)
 
 
 def test_an_empty_gain_grid_raises_instead_of_passing():
@@ -66,11 +98,20 @@ def test_an_empty_gain_grid_raises_instead_of_passing():
         run_oracle_checks(g_grid=())
 
 
+def test_an_empty_or_dark_mean_grid_raises_before_any_check():
+    # An empty grid is not told its means are zero, nor pointed at a CLI flag.
+    empty = "^check ordering-gap compares no pair: the n grid is empty$"
+    with pytest.raises(DomainError, match=empty):
+        run_oracle_checks(n_grid=())
+    with pytest.raises(DomainError, match=r"every mean of the n grid \(--n-grid\) is 0$"):
+        run_oracle_checks(n_grid=(0.0, 0.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_check_rejects_a_non_finite_deviation_anywhere(bad):
     # A NaN before a larger finite deviation must not be masked by it.
     with pytest.raises(DomainError, match="check thermal-closure"):
-        _check("thermal-closure", [np.array([0.0, bad]), np.array([1.0, 0.0])])
+        _check("thermal-closure", [np.array([1.0, bad]), np.array([2.0, 1.0])], np.ones((2, 2)))
 
 
 def test_default_report_lists_the_table_in_order():
@@ -100,10 +141,10 @@ def test_bad_grid_or_gain_is_a_domain_error(kwargs):
 def test_noise_consistency_entries_report_the_worst_pair():
     params = OpaParams(2.0)
     grid = [(n, m) for n in (0.1, 1.0, 5.0) for m in (0.1, 1.0, 5.0)]
-    deviations = consistency_report(params, grid)
+    routes = consistency_report(params, grid)
     entries = check_noise_consistency(params, grid)
     assert [entry["max_rel_deviation"] for entry in entries] == [
-        max(d.tolist()) for d in deviations
+        max(relative_deviation(*pair).tolist()) for pair in routes
     ]
 
 
