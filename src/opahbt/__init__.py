@@ -27,16 +27,14 @@ _LAZY = {
         "DegenerateFitError", "DomainError", "FringeCoverageError", "OpaHbtError",
         "SummationLimitError", "TruncationError",
     ),
-    "photon_stats": (
-        "MomentConvention", "geometric_summation_moments", "thermal_moments",
-    ),
+    "photon_stats": ("geometric_summation_moments", "thermal_moments"),
     "opa": ("OpaParams", "coeffs", "equivalent_thermal_mean", "propagate_moments"),
     "hbt": (
         "correlation_ac", "correlation_full", "noise_avg_printed", "noise_avg_substitution",
         "noise_full", "opa_correlation_ac", "opa_noise_avg_printed", "signal_ratio", "snr_ratio",
     ),
     "analysis": (
-        "FitResult", "PhiEstimate", "Ratio", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
+        "FitResult", "PhiEstimate", "RatioTable", "Spacing", "SweepSpec", "estimate_phi",
         "fit_inverse_law", "sweep_ratios",
     ),
     "fock": (

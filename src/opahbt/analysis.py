@@ -78,13 +78,6 @@ class SweepSpec:
             return np.linspace(self.n_min, self.n_max, self.points)
 
 
-class Ratio(Enum):
-    """A ratio law a sweep can evaluate, named as its :class:`RatioTable` column."""
-
-    SIGNAL = "signal_ratio"
-    SNR = "snr_ratio"
-
-
 @dataclass(frozen=True)
 class RatioTable:
     """Sweep output: one row per mean photon number.
@@ -98,9 +91,9 @@ class RatioTable:
 
 
 def sweep_ratios(
-    spec: SweepSpec, ratios: tuple[Ratio, ...] = (Ratio.SIGNAL, Ratio.SNR)
+    spec: SweepSpec, ratios: tuple[str, ...] = ("signal_ratio", "snr_ratio")
 ) -> RatioTable:
-    """Evaluate the requested ratio laws over the sweep grid.
+    """Evaluate the ratio laws named by their :class:`RatioTable` columns over the sweep grid.
 
     With ``equal_sources`` both source means track the grid value; rows are
     emitted in grid order and the computation is bit-reproducible.  Only
@@ -108,9 +101,13 @@ def sweep_ratios(
     costs nothing and cannot fail the sweep.
 
     Raises:
-        DomainError: if a requested ratio overflows to a non-finite value;
-            the first such grid point is named.
+        DomainError: for a name other than ``"signal_ratio"`` or
+            ``"snr_ratio"``, and if a requested ratio overflows to a
+            non-finite value; the first such grid point is named.
     """
+    for name in ratios:
+        if name not in ("signal_ratio", "snr_ratio"):
+            raise DomainError(f"a sweep's columns are 'signal_ratio' and 'snr_ratio', got {name!r}")
     # Imported here, so estimate-phi loads no ratio law; looked up per call,
     # so a rebinding of hbt's names is honoured.
     from .hbt import signal_ratio, snr_ratio
@@ -118,8 +115,8 @@ def sweep_ratios(
 
     params = OpaParams(spec.g)
     grid = spec.grid()
-    laws = {Ratio.SIGNAL: signal_ratio, Ratio.SNR: snr_ratio}
-    columns = {ratio.value: np.empty_like(grid) for ratio in ratios}
+    laws = {"signal_ratio": signal_ratio, "snr_ratio": snr_ratio}
+    columns = {name: np.empty_like(grid) for name in ratios}
     # Blocks of rows bound the laws' temporaries; each law is elementwise,
     # so a blocked column is bit-identical to a whole one.
     for start in range(0, grid.size, _BLOCK_ROWS):
@@ -127,8 +124,8 @@ def sweep_ratios(
         n = grid[rows]
         m = n if spec.equal_sources else np.full_like(n, spec.m_bar)
         with np.errstate(all="ignore"):
-            for ratio in ratios:
-                columns[ratio.value][rows] = laws[ratio](n, m, params)
+            for name in ratios:
+                columns[name][rows] = laws[name](n, m, params)
         finite = np.isfinite([column[rows] for column in columns.values()]).all(axis=0)
         if not finite.all():
             i = int(np.argmin(finite))

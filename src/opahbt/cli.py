@@ -122,9 +122,9 @@ def _json_chunks(blocks):
 
 
 def _cmd_figure(args) -> int:
-    from .analysis import _BLOCK_ROWS, Ratio, sweep_ratios
+    from .analysis import _BLOCK_ROWS, sweep_ratios
 
-    table = sweep_ratios(_sweep_spec(args), (Ratio(args.column),))
+    table = sweep_ratios(_sweep_spec(args), (args.column,))
     n_bar, values = table.n_bar, getattr(table, args.column)
     # One block of rows is formatted at a time, so the text never exists whole.
     blocks = (
@@ -137,13 +137,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .analysis import Ratio, fit_inverse_law, sweep_ratios
+    from .analysis import fit_inverse_law, sweep_ratios
 
     spec = _sweep_spec(args)
     sensitivity = []
     for n_min, n_max in dict.fromkeys(((spec.n_min, spec.n_max),) + _SENSITIVITY_RANGES):
         window = dataclasses.replace(spec, n_min=n_min, n_max=n_max)
-        alt = fit_inverse_law(sweep_ratios(window, (Ratio.SNR,)))
+        alt = fit_inverse_law(sweep_ratios(window, ("snr_ratio",)))
         sensitivity.append(
             {"n_min": n_min, "n_max": n_max, "A": alt.A, "B": alt.B, "rss": alt.rss}
         )
@@ -315,8 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"opahbt: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
-        print(f"opahbt: out of memory: {str(exc) or 'allocation failed'}; lower --points",
-              file=sys.stderr)
+        hint = "; lower --points" if hasattr(args, "points") else ""  # the sweep commands
+        print(f"opahbt: out of memory: {str(exc) or 'allocation failed'}{hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

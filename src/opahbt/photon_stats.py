@@ -1,7 +1,7 @@
 """Photon-number statistics of thermal (Bose-Einstein) light.
 
-Provides the closed-form first four moments of the thermal distribution in
-two conventions, the tables :data:`CORRECTED` and :data:`PAPER_PRINTED` (as
+Provides the closed-form first four moments of the thermal distribution,
+the table :data:`CORRECTED` and, for the oracle, :data:`PAPER_PRINTED` (as
 published, whose third moment is a known misprint), together with a
 direct-summation oracle that computes the same moments from the geometric
 distribution itself.
@@ -14,25 +14,17 @@ Moments are a float64 array ``[<n>, <n^2>, <n^3>, <n^4>]`` of shape
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from ._domain import FloatOrArray, kernel, nonnegative, nonnegative_scalar
-from .errors import DomainError, SummationLimitError
+from .errors import SummationLimitError
 
 SUMMATION_TERM_CAP = 10_000_000
 SUMMATION_TAIL_BOUND = 1e-13
 _CHUNK = 4096
 _ORDERS = np.arange(1, 5)
 _FACTORIALS = np.array([1.0, 2.0, 6.0, 24.0])
-
-
-class MomentConvention(Enum):
-    """Which closed form to use for the thermal third moment."""
-
-    CORRECTED = "corrected"
-    PAPER_PRINTED = "paper-printed"
 
 
 # One table per moment <n^j>, j = 1..4, of (coefficient, (power of N,)) rows.
@@ -46,28 +38,14 @@ CORRECTED = (
 PAPER_PRINTED = (CORRECTED[0], CORRECTED[1], ((1, (3,)),) + CORRECTED[2][1:], CORRECTED[3])
 
 
-def thermal_moments(
-    n_bar: FloatOrArray,
-    convention: MomentConvention = MomentConvention.CORRECTED,
-) -> np.ndarray:
+def thermal_moments(n_bar: FloatOrArray) -> np.ndarray:
     """Closed-form moments <n^j>, j = 1..4, of a thermal state, shape ``(4, *n_bar.shape)``.
 
-    Parameters
-    ----------
-    n_bar : float or array
-        The mean photon number N of the source.  For an array of means each
-        moment is an array of the same shape.
-    convention : MomentConvention
-        CORRECTED uses the Bose-Einstein value 6N^3 + 6N^2 + N for the third
-        moment.  PAPER_PRINTED reproduces the published closed form
-        N^3 + 6N^2 + N, which the direct-summation oracle shows to be a
-        misprint (it is low by exactly 5N^3).
+    The Bose-Einstein table :data:`CORRECTED` (third moment 6N^3 + 6N^2 + N)
+    at each mean photon number N of ``n_bar``, a float or an array.
     """
     n = nonnegative("mean photon number", n_bar)
-    if not isinstance(convention, MomentConvention):
-        raise DomainError(f"unknown moment convention {convention!r}")
-    table = CORRECTED if convention is MomentConvention.CORRECTED else PAPER_PRINTED
-    return np.stack([kernel(rows)(n) for rows in table])
+    return np.stack([kernel(rows)(n) for rows in CORRECTED])
 
 
 def geometric_summation_moments(n_bar: float) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from opahbt import (
-    MomentConvention,
     OpaParams,
     OrderingConvention,
     SweepSpec,
@@ -37,6 +36,8 @@ from opahbt import (
     thermal_populations,
     estimate_phi,
 )
+from opahbt import photon_stats
+from opahbt._domain import kernel
 
 G2 = OpaParams(2.0)
 
@@ -145,7 +146,7 @@ def test_c09_misprint_detection():
     with criterion(9, "third-moment misprint detected and flagged"):
         _, _, oracle_m3, _ = geometric_summation_moments(1.0)
         assert oracle_m3 == pytest.approx(13.0, rel=1e-9)
-        _, _, printed_m3, _ = thermal_moments(1.0, MomentConvention.PAPER_PRINTED)
+        printed_m3 = kernel(photon_stats.PAPER_PRINTED[2])(1.0)
         assert printed_m3 == 8.0
         report = run_oracle_checks()
         check = next(

@@ -11,7 +11,6 @@ from opahbt import (
     DomainError,
     FringeCoverageError,
     OpaParams,
-    Ratio,
     RatioTable,
     Spacing,
     SweepSpec,
@@ -108,8 +107,8 @@ def test_sweep_matches_per_point_scalar_laws_bit_for_bit(spacing, m_bar):
     assert table.signal_ratio.tobytes() == np.array(signal).tobytes()
     assert table.snr_ratio.tobytes() == np.array(ratio).tobytes()
     # A one-law sweep gives the same column and leaves the other unevaluated.
-    signal_only = sweep_ratios(spec, (Ratio.SIGNAL,))
-    snr_only = sweep_ratios(spec, (Ratio.SNR,))
+    signal_only = sweep_ratios(spec, ("signal_ratio",))
+    snr_only = sweep_ratios(spec, ("snr_ratio",))
     assert signal_only.signal_ratio.tobytes() == table.signal_ratio.tobytes()
     assert snr_only.snr_ratio.tobytes() == table.snr_ratio.tobytes()
     assert signal_only.snr_ratio is None and snr_only.signal_ratio is None
@@ -142,7 +141,7 @@ def test_sweep_overflow_in_a_later_block_names_the_first_such_point(m_bar, recwa
     assert first >= 2 * _BLOCK_ROWS
     named = f"grid point {first} (n_bar = {float(spec.grid()[first])!r},"
     with pytest.raises(DomainError, match=re.escape(named)):
-        sweep_ratios(spec, (Ratio.SNR,))
+        sweep_ratios(spec, ("snr_ratio",))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -151,7 +150,7 @@ def test_one_law_sweep_evaluates_and_checks_only_that_law(monkeypatch):
     # ratio is out of range; the signal ratio is cosh(10)^4.
     spec = SweepSpec(g=10.0, n_min=1e70, n_max=1e70, points=1)
     with pytest.raises(DomainError, match="grid point 0"):
-        sweep_ratios(spec, (Ratio.SNR,))
+        sweep_ratios(spec, ("snr_ratio",))
     with pytest.raises(DomainError, match="grid point 0"):
         sweep_ratios(spec)
 
@@ -159,11 +158,22 @@ def test_one_law_sweep_evaluates_and_checks_only_that_law(monkeypatch):
         raise AssertionError("a law the sweep was not asked for was evaluated")
 
     monkeypatch.setattr("opahbt.hbt.snr_ratio", unused)
-    table = sweep_ratios(spec, (Ratio.SIGNAL,))
+    table = sweep_ratios(spec, ("signal_ratio",))
     assert table.signal_ratio[0] == pytest.approx(math.cosh(10.0) ** 4, rel=1e-12)
     assert table.snr_ratio is None
     with pytest.raises(DomainError, match="SNR"):
-        fit_inverse_law(sweep_ratios(SweepSpec(g=1.0, points=5), (Ratio.SIGNAL,)))
+        fit_inverse_law(sweep_ratios(SweepSpec(g=1.0, points=5), ("signal_ratio",)))
+
+
+@pytest.mark.parametrize("name", ["ratio", "SNR_RATIO", "n_bar", None, ["snr_ratio"]])
+def test_a_sweep_column_that_is_not_a_ratio_raises_naming_the_two(name, monkeypatch):
+    def unused(*args):
+        raise AssertionError("a law was evaluated before the columns were checked")
+
+    monkeypatch.setattr("opahbt.hbt.snr_ratio", unused)
+    message = f"a sweep's columns are 'signal_ratio' and 'snr_ratio', got {name!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        sweep_ratios(SweepSpec(g=2.0, points=5), ("snr_ratio", name))
 
 
 def test_snr_ratio_decreases_along_positive_gain_sweep():
@@ -216,7 +226,7 @@ def test_fit_requires_three_points_and_distinct_abscissae():
     "table, window",
     [
         # The SNR ratio near 1e160 at a companion mean of 1e-160 squares to inf.
-        (sweep_ratios(SweepSpec(g=2.0, equal_sources=False, m_bar=1e-160), (Ratio.SNR,)),
+        (sweep_ratios(SweepSpec(g=2.0, equal_sources=False, m_bar=1e-160), ("snr_ratio",)),
          "[0.15, 20.0]"),
         # n_bar squared overflows before any residual is formed.
         (RatioTable(np.array([1e200, 2e200, 3e200]), snr_ratio=np.ones(3)), "[1e+200, 3e+200]"),

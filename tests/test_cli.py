@@ -294,6 +294,32 @@ def test_out_of_memory_exits_2_without_output_or_traceback(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_of_memory_in_estimate_phi_names_no_flag_it_lacks(tmp_path):
+    # The periodogram of a 20,000-point scan needs blocks of 468 MiB, so the
+    # job fails under a 1 GiB address-space limit; estimate-phi has no --points.
+    scan, target = tmp_path / "scan.csv", tmp_path / "phi.json"
+    _write_scan(scan, 1e-8, points=20_000)
+    code, err, _ = _run_measured("estimate-phi", str(scan), "--k", str(K_BLUE),
+                                 "--out", str(target), limit=1 << 30)
+    assert code == 2, err
+    assert err.startswith("opahbt: out of memory: ") and err.count("\n") == 1
+    assert "--points" not in err and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command, hint", [("oracle-check", ""), ("fit", "; lower --points")])
+def test_out_of_memory_hint_names_points_only_where_the_flag_exists(
+    tmp_path, monkeypatch, capsys, command, hint
+):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8 EiB")
+
+    monkeypatch.setattr("opahbt.oracle_checks.run_oracle_checks", exhausted)
+    monkeypatch.setattr("opahbt.analysis.sweep_ratios", exhausted)
+    assert run_cli([command, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"opahbt: out of memory: Unable to allocate 8 EiB{hint}\n"
+
+
 @pytest.mark.parametrize("spacing", ["log", "linear"])
 @pytest.mark.parametrize("points", [10**20, 2**63 - 1, 2**60 - 1])
 def test_unsizable_point_count_exits_2_in_one_line(tmp_path, points, spacing):
@@ -720,8 +746,10 @@ def test_estimate_phi_malformed_csv_names_line(tmp_path, capsys):
 def test_estimate_phi_header_follows_comments_and_blank_lines(tmp_path, prelude, header):
     # The header is the first line that is neither blank nor a comment, and
     # a header with a numeric first column adds nothing to either column.
+    # The scan is noisy: a noiseless one gives the same estimate without its
+    # first data row, so a reader that dropped it would pass unseen.
     scan, plain = tmp_path / "scan.csv", tmp_path / "plain.csv"
-    _write_scan(plain, 1e-8)
+    _write_scan(plain, 1e-8, noise=0.05, seed=5)
     scan.write_text(prelude + plain.read_text().replace("r0,correlation", header, 1))
     for path in (scan, plain):
         assert run_cli(

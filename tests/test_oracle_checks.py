@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import opahbt.oracle_checks as oracle_checks
-from opahbt import DomainError, OpaParams, OrderingConvention
+from opahbt import DomainError, OpaParams, OrderingConvention, photon_stats
 from opahbt.hbt import consistency_report, relative_deviation
 from opahbt.opa import propagate_moments
-from opahbt.photon_stats import thermal_moments
+from opahbt.photon_stats import geometric_summation_moments, thermal_moments
 from opahbt.oracle_checks import (
     CHECKS,
     DEFAULT_G_GRID,
@@ -20,6 +20,7 @@ from opahbt.oracle_checks import (
     _check,
     _squeezed_thermal,
     check_noise_consistency,
+    check_published_third_moment,
     check_squeeze_propagation,
     check_wick_vs_fock,
     run_oracle_checks,
@@ -287,3 +288,42 @@ def test_the_squeezed_states_stay_aligned_with_their_grid_points(monkeypatch):
     for name in ("squeeze-moment-propagation", "wick-vs-fock-moments"):
         entry = report[name]
         assert not entry["passed"] and abs(entry["max_rel_deviation"] - 1e-5) < 1e-7, entry
+
+
+def test_every_mu8_mutant_misses_the_zero_gain_prediction(monkeypatch):
+    # At zero gain nu = 0, so the amplified law is its mu^8 group alone: each
+    # of that group's 28 +-1 mutants moves the gap off its closed form
+    # -4 n m (7 n m + 2 n + 2 m + 1), and the other 40 mutants leave it.
+    from test_laws import mutants
+
+    values = np.geomspace(0.05, 20.0, 20)
+    pair_grid = [(float(n), float(m)) for n in values for m in values]  # the oracle's grid
+    claim = CHECKS["amplified-noise-zero-gain-reduction"]
+
+    def note():
+        return check_noise_consistency(OpaParams(2.0), pair_grid)[2]["note"]
+
+    assert note() == claim.note + claim.confirmed
+    missed = {}
+    for module, name, path, mutant in mutants():
+        if name == "AMPLIFIED_NOISE":
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, mutant)
+                missed[path] = note() == claim.note
+    assert len(missed) == 68
+    assert [path for path in missed if missed[path]] == [path for path in missed if path[0] == 0]
+    assert sum(missed.values()) == 28
+
+
+def test_the_printed_third_moment_check_reads_the_table_per_call(monkeypatch):
+    # A cubic coefficient of 2 instead of the printed 1 leaves a gap of 4 N^3,
+    # which misses the predicted 5 N^3.
+    means = np.array([0.5, 1.0, 2.0])
+    moments = np.column_stack([geometric_summation_moments(n) for n in means])
+    claim = CHECKS["published-third-moment"]
+    assert check_published_third_moment(means, moments)["note"] == claim.note + claim.confirmed
+    printed = photon_stats.PAPER_PRINTED
+    mutant = printed[:2] + (((2, (3,)),) + printed[2][1:],) + printed[3:]
+    monkeypatch.setattr(photon_stats, "PAPER_PRINTED", mutant)
+    entry = check_published_third_moment(means, moments)
+    assert entry["note"] == claim.note and entry["max_rel_deviation"] > 0.1

@@ -6,18 +6,28 @@ from hypothesis import strategies as st
 import opahbt.photon_stats
 from opahbt import (
     DomainError,
-    MomentConvention,
     SummationLimitError,
     geometric_summation_moments,
     thermal_moments,
 )
+from opahbt._domain import kernel
 
 GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 50.0)
 
 
+def printed_moments(n):
+    """The as-published table PAPER_PRINTED at mean ``n``, as the oracle evaluates it."""
+    return np.stack([kernel(rows)(np.float64(n)) for rows in opahbt.photon_stats.PAPER_PRINTED])
+
+
 def test_vacuum_is_zero_for_both_conventions():
-    for convention in MomentConvention:
-        assert thermal_moments(0.0, convention).tolist() == [0, 0, 0, 0]
+    assert thermal_moments(0.0).tolist() == [0, 0, 0, 0]
+    assert printed_moments(0.0).tolist() == [0, 0, 0, 0]
+
+
+def test_thermal_moments_take_only_the_mean():
+    with pytest.raises(TypeError):
+        thermal_moments(1.0, "paper-printed")
 
 
 def test_unit_mean_corrected_values():
@@ -25,7 +35,7 @@ def test_unit_mean_corrected_values():
 
 
 def test_unit_mean_printed_third_moment():
-    printed = thermal_moments(1.0, MomentConvention.PAPER_PRINTED)
+    printed = printed_moments(1.0)
     assert printed.tolist() == [1.0, 3.0, 8.0, 75.0]
 
 
@@ -48,14 +58,14 @@ def test_summation_oracle_frozen_values():
 @pytest.mark.parametrize("n", GRID)
 def test_summation_agrees_with_corrected_closed_forms(n):
     oracle = geometric_summation_moments(n)
-    closed = thermal_moments(n, MomentConvention.CORRECTED)
+    closed = thermal_moments(n)
     np.testing.assert_allclose(closed, oracle, rtol=1e-9)
 
 
 @pytest.mark.parametrize("n", GRID)
 def test_printed_third_moment_low_by_five_cubes(n):
     _, _, oracle_m3, _ = geometric_summation_moments(n)
-    _, _, printed_m3, _ = thermal_moments(n, MomentConvention.PAPER_PRINTED)
+    _, _, printed_m3, _ = printed_moments(n)
     assert oracle_m3 - printed_m3 == pytest.approx(5.0 * n**3, rel=1e-9)
 
 
